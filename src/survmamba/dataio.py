@@ -9,17 +9,24 @@ group a line "<group_id> <n_tokens>" followed by n_tokens lines of dim
 space-separated decimal floats. Token order inside a group is the scan
 order contract (raster order for patches, catalog order for functions).
 Floats are written with repr precision so a save/load round trip is
-bit-identical. Genomics files hold one group ("expr") with a single
-token whose dim is the gene count.
+bit-identical, and must be finite. Every line, the last included, ends
+in a newline, so a file cut inside its last number is still detected.
+Genomics files hold one group ("expr") with a single token whose dim is
+the gene count.
 
 Checkpoint (binary, .smck): magic "SMCK", uint32 count, then per
 parameter uint32 name length, UTF-8 name bytes, uint32 rank, rank uint64
-dims, and the little-endian float64 payload.
+dims, and the little-endian float64 payload, which must be finite.
+
+A file cut short, a malformed count or a non-finite value raises
+DataError naming the file and the line (bags) or byte offset
+(checkpoints) where reading stopped.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -47,26 +54,67 @@ def read_feature_bag(path, modality: str) -> HierarchicalBag:
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature-bag file not found: {path}")
-    lines = path.read_text().splitlines()
-    header = lines[0].split()
+    text = path.read_text()
+    lines = text.splitlines()
+    if not text.endswith("\n"):
+        raise DataError(f"{path}: truncated, line {max(len(lines), 1)} has no closing newline")
+
+    def count(token: str, ln: int, what: str) -> int:
+        try:
+            n = int(token)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise DataError(f"{path}: line {ln + 1}: {what} {token!r} is not a non-negative integer")
+        return n
+
+    header = lines[0].split()  # lines is not empty: text ends in a newline
     if len(header) != 3 or header[0] != BAG_MAGIC:
         raise DataError(f"{path}: bad header {lines[0]!r}, expected '{BAG_MAGIC} <n_groups> <dim>'")
-    n_groups, dim = int(header[1]), int(header[2])
+    n_groups, dim = count(header[1], 0, "group count"), count(header[2], 0, "token dim")
     groups = []
     ln = 1
     for _ in range(n_groups):
-        gid, n_tok = lines[ln].rsplit(" ", 1)
-        n_tok = int(n_tok)
+        if ln == len(lines):
+            raise DataError(f"{path}: truncated, line {ln + 1} should hold '<group_id> <n_tokens>'")
+        fields = lines[ln].rsplit(" ", 1)
+        if len(fields) != 2:
+            raise DataError(f"{path}: line {ln + 1}: expected '<group_id> <n_tokens>', got {lines[ln]!r}")
+        gid, n_tok = fields[0], count(fields[1], ln, f"group {fields[0]!r} token count")
         ln += 1
-        toks = np.empty((n_tok, dim))
-        for r in range(n_tok):
-            vals = lines[ln].split()
-            if len(vals) != dim:
-                raise DataError(f"{path}: group {gid!r} row {r} has {len(vals)} values, expected {dim}")
-            toks[r] = [float(v) for v in vals]
-            ln += 1
+        if ln + n_tok > len(lines):
+            raise DataError(f"{path}: truncated, line {len(lines) + 1} should hold "
+                            f"row {len(lines) - ln} of group {gid!r}")
+        rows = lines[ln : ln + n_tok]
+        try:
+            toks = np.array([row.split() for row in rows], dtype=np.float64).reshape(n_tok, dim)
+        except ValueError:
+            toks = None
+        if toks is None or not np.isfinite(toks).all():
+            raise DataError(_row_fault(path, rows, ln, gid, dim))
+        ln += n_tok
         groups.append((gid, toks))
+    if any(rest.strip() for rest in lines[ln:]):
+        raise DataError(f"{path}: line {ln + 1}: unexpected content after the last of {n_groups} groups")
     return HierarchicalBag(modality=modality, groups=groups)
+
+
+def _row_fault(path, rows, first: int, gid: str, dim: int) -> str:
+    """Name the first row of a group that has the wrong number of values,
+    an unparsable value or a non-finite one (rows[0] is at index first)."""
+    for r, row in enumerate(rows):
+        where = f"{path}: line {first + r + 1}: group {gid!r} row {r}"
+        vals = row.split()
+        if len(vals) != dim:
+            return f"{where} has {len(vals)} values, expected {dim}"
+        for v in vals:
+            try:
+                x = float(v)
+            except ValueError:
+                return f"{where}: could not convert {v!r} to a float"
+            if not math.isfinite(x):
+                return f"{where} has a non-finite value {v!r}"
+    return f"{path}: line {first + 1}: group {gid!r} does not parse"
 
 
 def write_grouping(path, grouping: GroupingConfig):
@@ -175,22 +223,35 @@ def load_checkpoint_arrays(path) -> dict:
     if blob[:4] != CKPT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {blob[:4]!r}")
     off = 4
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(n: int, what: str) -> int:
+        """Offset of the next n bytes, which must lie inside the file."""
+        nonlocal off
+        if off + n > len(blob):
+            raise DataError(f"{path}: truncated at byte offset {len(blob)}: {what} needs "
+                            f"{n} bytes from byte offset {off}")
+        off += n
+        return off - n
+
+    (count,) = struct.unpack_from("<I", blob, take(4, "parameter count"))
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
-        off += 8 * size
-        out[name] = arr.astype(np.float64)
+    for i in range(count):
+        (nlen,) = struct.unpack_from("<I", blob, take(4, f"parameter #{i} name length"))
+        at = take(nlen, f"parameter #{i} name")
+        try:
+            name = blob[at : at + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: parameter #{i} name at byte offset {at} is not UTF-8") from None
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"{name} rank"))
+        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"{name} dims"))
+        size = math.prod(dims)
+        at = take(8 * size, f"{name} values")
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=at).reshape(dims).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: {name} has a non-finite value in the payload at byte offset {at}")
+        out[name] = arr
+    if off != len(blob):
+        raise DataError(f"{path}: {len(blob) - off} unexpected bytes from byte offset {off} after the last parameter")
     return out
 
 

@@ -15,6 +15,10 @@ import math
 
 import numpy as np
 
+# elements per pass of the step: 256 KB per array, so the four state
+# slices and the two scratch rows one pass touches fit in a typical L2
+CHUNK = 32768
+
 
 def rho_inf(beta2: float) -> float:
     return 2.0 / (1.0 - beta2) - 1.0
@@ -32,30 +36,21 @@ def rectification(beta2: float, t: int) -> float:
     return math.sqrt(((rt - 4.0) * (rt - 2.0) * ri) / ((ri - 4.0) * (ri - 2.0) * rt))
 
 
-def radam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float, weight_decay: float,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place update of a single parameter array (t counts from 1)."""
-    param *= 1.0 - lr * weight_decay
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    if rho_t(beta2, t) > 4.0:
-        v_hat = np.sqrt(v / (1.0 - beta2**t))
-        param -= lr * rectification(beta2, t) * m_hat / (v_hat + eps)
-    else:
-        param -= lr * m_hat
-
-
 class RAdam:
     """Optimizer over a list of (name, Tensor) parameters.
 
-    Parameter data is repacked into one flat vector (each Tensor's
-    ``data`` becomes a view into it), so a step is a handful of
-    vectorized ops regardless of how many parameter tensors exist.
-    The update math is radam_step applied to the flat vector.
+    Parameters live in one flat vector ``flat`` and their gradients in one
+    flat vector ``grad`` of the same layout: each Tensor's ``data`` is a
+    view into ``flat``, and ``zero_grad()`` binds each ``grad`` to its view
+    into ``grad``, so the tape accumulates straight into the optimizer's
+    buffer. With the moments ``m`` and ``v`` that is four float64 vectors,
+    32 bytes per parameter.
+
+    ``step()`` walks the four vectors in chunks of ``CHUNK`` elements with
+    one two-row, chunk-sized scratch, applying the update rule in the
+    module docstring elementwise; it allocates nothing. A parameter whose
+    ``grad`` is None counts as zero gradient; one whose ``grad`` was
+    rebound to another array is copied into the buffer first.
     """
 
     def __init__(self, params, lr: float = 2e-4, weight_decay: float = 5e-3,
@@ -67,53 +62,60 @@ class RAdam:
         self.t = 0
         total = sum(p.data.size for _, p in self.params)
         self.flat = np.empty(total)
-        self._slices = []
+        self.grad = np.zeros(total)
+        self._views = []
         off = 0
         for _, p in self.params:
-            size = p.data.size
-            sl = slice(off, off + size)
-            self.flat[sl] = p.data.reshape(-1)
-            p.data = self.flat[sl].reshape(p.data.shape)
-            self._slices.append(sl)
+            size, shape = p.data.size, p.data.shape
+            self.flat[off : off + size] = p.data.reshape(-1)
+            p.data = self.flat[off : off + size].reshape(shape)
+            self._views.append(self.grad[off : off + size].reshape(shape))
             off += size
-        self.gflat = np.zeros(total)
         self.m = np.zeros(total)
         self.v = np.zeros(total)
-        self._s1 = np.empty(total)
-        self._s2 = np.empty(total)
+        self._scratch = np.empty((2, CHUNK))
 
-    def _gather_grads(self):
-        for (_, p), sl in zip(self.params, self._slices):
-            if p.grad is None:
-                self.gflat[sl] = 0.0
-            else:
-                self.gflat[sl] = p.grad.reshape(-1)
+    def zero_grad(self):
+        """Zero the gradient buffer and bind every ``p.grad`` to its view."""
+        self.grad.fill(0.0)
+        for (_, p), view in zip(self.params, self._views):
+            p.grad = view
+
+    def _adopt_grads(self):
+        """Bring gradients not written through their views into the buffer."""
+        for (_, p), view in zip(self.params, self._views):
+            if p.grad is not view:
+                view[...] = 0.0 if p.grad is None else p.grad
 
     def step(self):
         self.t += 1
-        self._gather_grads()
-        # same math as radam_step, on preallocated scratch
-        t, g, m, v, s1, s2 = self.t, self.gflat, self.m, self.v, self._s1, self._s2
-        self.flat *= 1.0 - self.lr * self.weight_decay
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s1)
-        m += s1
-        v *= self.beta2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
-        v += s1
-        if rho_t(self.beta2, t) > 4.0:
-            np.multiply(v, 1.0 / (1.0 - self.beta2**t), out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += self.eps
-            scale = self.lr * rectification(self.beta2, t) / (1.0 - self.beta1**t)
-            np.multiply(m, scale, out=s2)
-            s2 /= s1
-            self.flat -= s2
+        self._adopt_grads()
+        t, b1, b2 = self.t, self.beta1, self.beta2
+        decay = 1.0 - self.lr * self.weight_decay
+        rectified = rho_t(b2, t) > 4.0
+        if rectified:
+            v_corr = 1.0 / (1.0 - b2**t)
+            scale = self.lr * rectification(b2, t) / (1.0 - b1**t)
         else:
-            np.multiply(m, self.lr / (1.0 - self.beta1**t), out=s2)
-            self.flat -= s2
-
-    def zero_grad(self):
-        for _, p in self.params:
-            p.zero_grad()
+            scale = self.lr / (1.0 - b1**t)
+        for lo in range(0, self.flat.size, CHUNK):
+            hi = min(lo + CHUNK, self.flat.size)
+            f, g, m, v = (a[lo:hi] for a in (self.flat, self.grad, self.m, self.v))
+            s1, s2 = (s[: hi - lo] for s in self._scratch)
+            f *= decay
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s1)
+            m += s1
+            v *= b2
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            if rectified:
+                np.multiply(v, v_corr, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += self.eps
+                np.multiply(m, scale, out=s2)
+                s2 /= s1
+            else:
+                np.multiply(m, scale, out=s2)
+            f -= s2

@@ -2,10 +2,10 @@
 
 Training walks the four in-fold partitions patient by patient (batch
 size 1) in a seeded shuffle order, so a fixed seed gives a bit-identical
-loss trace. Evaluation scores the held-out fold, optionally in parallel
-across patients (capped by the SURVMAMBA_THREADS environment variable);
-risks are pure functions of the model, so the schedule cannot change
-results.
+loss trace. Evaluation scores the held-out fold in one thread; setting the
+SURVMAMBA_THREADS environment variable above 1 scores patients in a
+thread pool of that size instead. Risks are pure functions of the model,
+so the schedule cannot change results.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
         order = shuffle_rng.permutation(len(records))
         total = 0.0
         pending = 0
-        model.zero_grad()
+        optim.zero_grad()
         for idx in order:
             rec = records[idx]
             loss = model.loss(rec)
@@ -111,19 +111,16 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
             pending += 1
             if pending == cfg.batch_size:
                 if cfg.batch_size > 1:
-                    for _, p in optim.params:
-                        if p.grad is not None:
-                            p.grad /= cfg.batch_size
+                    optim.grad /= cfg.batch_size
                 optim.step()
-                model.zero_grad()
+                optim.zero_grad()
                 pending = 0
         if pending:
-            for _, p in optim.params:
-                if p.grad is not None:
-                    p.grad /= pending
+            optim.grad /= pending
             optim.step()
-            model.zero_grad()
+            optim.zero_grad()
         trace.append(total / max(1, len(records)))
+    model.zero_grad()  # drop the views into the optimizer's gradient buffer
     return model, trace
 
 
@@ -137,7 +134,7 @@ def _thread_cap() -> int:
         if cap < 1:
             raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
         return cap
-    return os.cpu_count() or 1
+    return 1
 
 
 @dataclass

@@ -157,3 +157,60 @@ def radam_reference(theta0, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
         else:
             theta -= lr * m_hat
     return theta
+
+
+class GatherRAdam:
+    """The flat RAdam step before the gradient buffer: parameter data
+    repacked into one flat vector, every gradient gathered into a second
+    full-size vector on each step, and the update made over the whole
+    vector with two full-size scratch arrays. The production optimizer
+    must match it bit for bit."""
+
+    def __init__(self, params, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        total = sum(p.data.size for _, p in self.params)
+        self.flat = np.empty(total)
+        self._slices = []
+        off = 0
+        for _, p in self.params:
+            sl = slice(off, off + p.data.size)
+            self.flat[sl] = p.data.reshape(-1)
+            p.data = self.flat[sl].reshape(p.data.shape)
+            self._slices.append(sl)
+            off += p.data.size
+        self.gflat = np.zeros(total)
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._s1 = np.empty(total)
+        self._s2 = np.empty(total)
+
+    def step(self):
+        self.t += 1
+        for (_, p), sl in zip(self.params, self._slices):
+            self.gflat[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        t, g, m, v, s1, s2 = self.t, self.gflat, self.m, self.v, self._s1, self._s2
+        b1, b2 = self.beta1, self.beta2
+        self.flat *= 1.0 - self.lr * self.weight_decay
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        rho_inf = 2.0 / (1.0 - b2) - 1.0
+        rho = rho_inf - 2.0 * t * b2**t / (1.0 - b2**t)
+        if rho > 4.0:
+            np.multiply(v, 1.0 / (1.0 - b2**t), out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += self.eps
+            r = np.sqrt(((rho - 4.0) * (rho - 2.0) * rho_inf) / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho))
+            np.multiply(m, self.lr * r / (1.0 - b1**t), out=s2)
+            s2 /= s1
+            self.flat -= s2
+        else:
+            np.multiply(m, self.lr / (1.0 - b1**t), out=s2)
+            self.flat -= s2

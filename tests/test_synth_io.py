@@ -17,6 +17,7 @@ from survmamba.dataio import (
 )
 from survmamba.errors import ConfigError, DataError
 from survmamba.hierarchy import HierarchicalBag
+from survmamba.numerics import Tensor
 from survmamba.survstats import concordance_index
 from survmamba.synth import SynthSpec, planted_factor_readout, synth_generate
 
@@ -141,6 +142,56 @@ class TestFeatureBagIO:
             read_feature_bag(p, "histology")
 
 
+    @staticmethod
+    def _written(tmp_path):
+        rng = np.random.default_rng(5)
+        bag = HierarchicalBag("histology", [("r0", rng.normal(size=(2, 3))),
+                                            ("r 1", rng.normal(size=(3, 3)))])
+        path = tmp_path / "bag.smb"
+        write_feature_bag(path, bag)
+        return path, path.read_text()
+
+    def test_cut_at_every_line_and_byte_names_file_and_line(self, tmp_path):
+        path, text = self._written(tmp_path)
+        lines = text.splitlines(keepends=True)
+        cuts = ["".join(lines[:k]) for k in range(len(lines))]
+        cuts += [text[:n] for n in range(0, len(text), 3)] + [text[:-1]]
+        for cut in cuts:
+            path.write_text(cut)
+            with pytest.raises(DataError, match=r"bag\.smb: .*line \d+"):
+                read_feature_bag(path, "histology")
+
+    @pytest.mark.parametrize("header, group_line", [
+        ("SMB1 2 3", "r0 two"), ("SMB1 2 3", "r0 2.0"), ("SMB1 2 3", "r0 -1"),
+        ("SMB1 2 3", "r0"), ("SMB1 2 3", "r0 "), ("SMB1 x 3", "r0 2"), ("SMB1 2 3.5", "r0 2"),
+    ])
+    def test_malformed_counts_name_line(self, tmp_path, header, group_line):
+        path, text = self._written(tmp_path)
+        lines = text.splitlines()
+        lines[0], lines[1] = header, group_line
+        path.write_text("\n".join(lines) + "\n")
+        line_no = 1 if header != "SMB1 2 3" else 2
+        with pytest.raises(DataError, match=rf"bag\.smb: line {line_no}: "):
+            read_feature_bag(path, "histology")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "0x1p3", "1.0 2.0", ""])
+    def test_bad_feature_row_names_line(self, tmp_path, bad):
+        path, text = self._written(tmp_path)
+        lines = text.splitlines()
+        row = lines[6].split()  # group "r 1", row 1
+        row[2] = bad
+        lines[6] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"bag\.smb: line 7: group 'r 1' row 1"):
+            read_feature_bag(path, "histology")
+
+    def test_content_after_last_group_rejected(self, tmp_path):
+        path, text = self._written(tmp_path)
+        path.write_text(text + "r2 0\n")
+        with pytest.raises(DataError, match=r"line 9: unexpected content"):
+            read_feature_bag(path, "histology")
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         ds = synth_generate(SynthSpec(n_patients=8, regions=2, patches_per_region=3,
@@ -253,3 +304,37 @@ class TestCheckpoint:
         bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(model, bad)
+
+    @staticmethod
+    def _written(tmp_path):
+        class Params:
+            def named_parameters(self):
+                return [("w", Tensor(np.arange(6.0).reshape(2, 3))),
+                        ("b", Tensor(np.array([0.5, -1.5]))),
+                        ("scale", Tensor(np.array(2.0)))]
+
+        path = tmp_path / "m.smck"
+        save_checkpoint(Params(), path)
+        return path, path.read_bytes()
+
+    def test_cut_at_every_byte_names_file_and_offset(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        assert load_checkpoint_arrays(path)["scale"].shape == ()
+        for n in range(4, len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataError, match=rf"m\.smck: truncated at byte offset {n}"):
+                load_checkpoint_arrays(path)
+
+    def test_nonfinite_value_names_offset(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        at = blob.index(np.array([-1.5]).astype("<f8").tobytes())
+        for bad in (np.nan, np.inf):
+            path.write_bytes(blob[:at] + np.array([bad]).astype("<f8").tobytes() + blob[at + 8:])
+            with pytest.raises(DataError, match=rf"m\.smck: b has a non-finite value .* byte offset {at - 8}"):
+                load_checkpoint_arrays(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(DataError, match=rf"unexpected bytes from byte offset {len(blob)}"):
+            load_checkpoint_arrays(path)

@@ -1,13 +1,16 @@
 """Optimizer behavior, training loop contracts, evaluation, and the
 complexity reporter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from survmamba import training
 from survmamba.errors import ConfigError, NonFiniteError
 from survmamba.model import report_complexity
 from survmamba.numerics import Tensor
-from survmamba.optim import RAdam, rho_t
+from survmamba.optim import CHUNK, RAdam, rho_t
 from survmamba.synth import SynthSpec, planted_factor_readout, synth_generate
 from survmamba.training import TrainConfig, build_model, evaluate, train
 
@@ -62,6 +65,56 @@ class TestRAdam:
         ref = oracle.radam_reference(0.7, grads, lr=0.03, wd=0.01)
         assert abs(float(p.data) - ref) < 1e-14
 
+    def test_chunked_step_matches_gather_step_bitwise(self):
+        # 2 full chunks and a partial one; eight steps cover the momentum
+        # phase (t <= 4) and the rectified phase (t >= 5). Each step every
+        # parameter gets its gradient one of three ways: accumulated into its
+        # view, left None, or rebound to a fresh array.
+        shapes = [(3, CHUNK // 2), (5,), (CHUNK + 7,), (2, 2, 3), ()]
+        rng = np.random.default_rng(3)
+        init = [rng.normal(size=s) for s in shapes]
+        mine = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+        ref = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+        total = sum(a.size for a in init)
+        assert 2 * CHUNK < total < 3 * CHUNK
+        opt = RAdam(mine, lr=0.01, weight_decay=0.05)
+        oracle_opt = oracle.GatherRAdam(ref, lr=0.01, weight_decay=0.05)
+        for t in range(1, 9):
+            opt.zero_grad()
+            for i, ((_, p), (_, q)) in enumerate(zip(mine, ref)):
+                g = rng.normal(size=p.shape)
+                mode = (i + t) % 3
+                if mode == 0:
+                    p.grad += g
+                    q.grad = g
+                elif mode == 1:
+                    p.grad = q.grad = None
+                else:
+                    p.grad, q.grad = g.copy(), g
+            opt.step()
+            oracle_opt.step()
+            for (_, p), (_, q) in zip(mine, ref):
+                assert np.array_equal(p.data, q.data)
+            assert np.array_equal(opt.m, oracle_opt.m)
+            assert np.array_equal(opt.v, oracle_opt.v)
+
+    def test_state_is_four_vectors_and_step_allocates_nothing(self):
+        params = [(f"p{i}", Tensor(np.ones((70, 1000)), requires_grad=True)) for i in range(3)]
+        opt = RAdam(params)
+        state = sum(a.nbytes for a in vars(opt).values() if isinstance(a, np.ndarray))
+        assert state == 4 * 8 * 210_000 + 2 * 8 * CHUNK
+        opt.zero_grad()
+        for _, p in params:
+            p.grad += 1.0
+        tracemalloc.start()
+        try:
+            opt.step()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized_model(self):
@@ -110,6 +163,52 @@ class TestTrain:
         cfg = _small_cfg(batch_size=4, epochs=1)
         _, trace = train(ds, 0, cfg)
         assert len(trace) == 1 and np.isfinite(trace[0])
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 5])
+    def test_matches_gather_reference_bitwise(self, batch_size):
+        # 24 in-fold records: batch 5 leaves a partial last batch per epoch
+        _, ds = _small_ds()
+        cfg = _small_cfg(batch_size=batch_size)
+        model, trace = train(ds, 0, cfg)
+        ref_model, ref_trace = _reference_train(ds, 0, cfg)
+        assert trace == ref_trace
+        for (n1, p1), (n2, p2) in zip(model.named_parameters(), ref_model.named_parameters()):
+            assert n1 == n2
+            assert np.array_equal(p1.data, p2.data), n1
+            assert p1.grad is None, n1
+
+
+def _reference_train(dataset, fold, cfg):
+    """train() as it was before the optimizer owned the gradient buffer:
+    the tape allocates every gradient, the optimizer gathers them."""
+    model = build_model(dataset, cfg)
+    records = dataset.fold_records(fold, held_out=False)
+    opt = oracle.GatherRAdam(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    shuffle_rng = np.random.default_rng(cfg.seed + 1)
+    trace = []
+
+    def step(n):
+        for _, p in opt.params:
+            if p.grad is not None and n > 1:
+                p.grad /= n
+        opt.step()
+        model.zero_grad()
+
+    for _ in range(cfg.epochs):
+        total, pending = 0.0, 0
+        model.zero_grad()
+        for idx in shuffle_rng.permutation(len(records)):
+            loss = model.loss(records[idx])
+            total += loss.item()
+            loss.backward()
+            pending += 1
+            if pending == cfg.batch_size:
+                step(pending)
+                pending = 0
+        if pending:
+            step(pending)
+        trace.append(total / max(1, len(records)))
+    return model, trace
 
 
 class TestEvaluate:
@@ -174,12 +273,24 @@ class TestEvaluate:
         cfg = _small_cfg(epochs=0)
         model, _ = train(ds, 0, cfg)
         rep1 = evaluate(model, ds, 0)
-        monkeypatch.setenv("SURVMAMBA_THREADS", "1")
+        monkeypatch.setenv("SURVMAMBA_THREADS", "2")
         rep2 = evaluate(model, ds, 0)
         assert np.array_equal(rep1.risks, rep2.risks)
         monkeypatch.setenv("SURVMAMBA_THREADS", "zero")
         with pytest.raises(ConfigError):
             evaluate(model, ds, 0)
+
+    def test_one_worker_when_threads_unset(self, monkeypatch):
+        _, ds = _small_ds()
+        model, _ = train(ds, 0, _small_cfg(epochs=0))
+        monkeypatch.delenv("SURVMAMBA_THREADS", raising=False)
+
+        def no_pool(*a, **k):
+            raise AssertionError("evaluate() started a thread pool")
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        assert training._thread_cap() == 1
+        assert len(evaluate(model, ds, 0).risks) == len(ds.fold_records(0, held_out=True))
 
     def test_depth_two_stacks(self):
         _, ds = _small_ds()
