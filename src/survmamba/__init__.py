@@ -25,7 +25,7 @@ Layers of the library, bottom up:
   gradcheck / scan-bench / km).
 """
 
-from .blocks import BiMambaBlock, IFMBlock, bi_mamba_forward, ifm_forward
+from .blocks import BiMambaBlock, IFMBlock
 from .data import PatientRecord, SurvivalDataset, assign_bins, make_folds
 from .dataio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 from .fusion import (

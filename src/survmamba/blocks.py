@@ -38,7 +38,7 @@ from .numerics import (
     softplus,
     uniform_init,
 )
-from .ssm import discretize, selective_scan_parallel, selective_scan_recurrent
+from .ssm import discretize, selective_scan_recurrent
 
 
 def _init_a_log(e: int, n: int) -> np.ndarray:
@@ -70,7 +70,6 @@ class ScanBranch(Module):
         self.delta_bias = Tensor(_init_dt_bias(rng, e), requires_grad=True)
         self.a_log = Tensor(_init_a_log(e, n), requires_grad=True)
         self.disc_mode = disc_mode
-        self.parallel_scan = False
 
     def __call__(self, x: Tensor) -> Tensor:
         xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias))
@@ -79,8 +78,7 @@ class ScanBranch(Module):
         delta = softplus(linear(xs, self.linear_delta) + self.delta_bias)
         a = neg(exp(self.a_log))
         dp = discretize(delta, a, bproj, self.disc_mode)
-        scan = selective_scan_parallel if self.parallel_scan else selective_scan_recurrent
-        return scan(xs, dp, cproj)
+        return selective_scan_recurrent(xs, dp, cproj)
 
 
 class BiMambaBlock(Module):
@@ -118,10 +116,6 @@ class BiMambaBlock(Module):
         y_f = self.fwd(x)
         y_b = flip(self.bwd(flip(x, 1)), 1)
         return self.linear_out(y_f * gate + y_b * gate) + tokens
-
-
-def bi_mamba_forward(block: BiMambaBlock, tokens: Tensor) -> Tensor:
-    return block(tokens)
 
 
 class IFMModality(Module):
@@ -165,7 +159,3 @@ class IFMBlock(Module):
         z2 = silu(self.linear_z(n2))
         fused = concat([y1 * z2, y2 * z1], axis=-1)
         return self.linear_out(fused)
-
-
-def ifm_forward(block: IFMBlock, tokens_a: Tensor, tokens_b: Tensor) -> Tensor:
-    return block(tokens_a, tokens_b)

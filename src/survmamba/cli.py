@@ -47,13 +47,19 @@ def _cmd_train(args):
     return 0
 
 
-def _print_km_table(report, out=sys.stdout):
+def _logrank_line(chi2: float, p: float, degenerate: bool) -> str:
+    flag = " degenerate" if degenerate else ""
+    return f"# logrank chi2={chi2:.6f} p={p:.6g}{flag}"
+
+
+def _print_km_table(curves, summary: str, out=None):
+    """Tab-separated KM rows for each (group name, curve) pair, then the
+    summary line; out=None prints to the current sys.stdout."""
     print("group\ttime\tsurvival\tat_risk\tevents", file=out)
-    for name, curve in (("low", report.km_low), ("high", report.km_high)):
+    for name, curve in curves:
         for t, s, n, d in zip(curve.times, curve.survival, curve.at_risk, curve.events):
             print(f"{name}\t{t:.6g}\t{s:.6f}\t{n}\t{d}", file=out)
-    flag = " degenerate" if report.logrank_degenerate else ""
-    print(f"# logrank chi2={report.chi2:.6f} p={report.p_value:.6g}{flag}", file=out)
+    print(summary, file=out)
 
 
 def _cmd_eval(args):
@@ -66,12 +72,14 @@ def _cmd_eval(args):
     print(f"fold {args.fold}: c-index {cidx}  logrank p {report.p_value:.4g}")
     if report.diagnostic:
         print(f"note: {report.diagnostic}")
+    curves = (("low", report.km_low), ("high", report.km_high))
+    summary = _logrank_line(report.chi2, report.p_value, report.logrank_degenerate)
     if args.km_out:
         with open(args.km_out, "w") as fh:
-            _print_km_table(report, out=fh)
+            _print_km_table(curves, summary, out=fh)
         print(f"wrote KM table {args.km_out}")
     else:
-        _print_km_table(report)
+        _print_km_table(curves, summary)
     return 0
 
 
@@ -122,19 +130,13 @@ def _cmd_km(args):
     labels = risk_stratify(risks)
     low = [o for o, lab in zip(outcomes, labels) if lab == "low"]
     high = [o for o, lab in zip(outcomes, labels) if lab == "high"]
-    print("group\ttime\tsurvival\tat_risk\tevents")
-    for name, grp in (("low", low), ("high", high)):
-        if not grp:
-            continue
-        curve = kaplan_meier(grp)
-        for t, s, n, d in zip(curve.times, curve.survival, curve.at_risk, curve.events):
-            print(f"{name}\t{t:.6g}\t{s:.6f}\t{n}\t{d}")
+    curves = [(name, kaplan_meier(grp)) for name, grp in (("low", low), ("high", high)) if grp]
     if low and high:
         lr = logrank_test(low, high)
-        flag = " degenerate" if lr.degenerate else ""
-        print(f"# logrank chi2={lr.chi2:.6f} p={lr.p:.6g}{flag}")
+        summary = _logrank_line(lr.chi2, lr.p, lr.degenerate)
     else:
-        print("# logrank undefined: single stratum")
+        summary = "# logrank undefined: single stratum"
+    _print_km_table(curves, summary)
     return 0
 
 
@@ -165,9 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--config", default=None,
-                   help="accepted for interface compatibility; the verification "
-                        "instances are fixed, well-conditioned fixtures")
     p.add_argument("--module", default="all",
                    choices=["all", "numerics", "ssm", "blocks", "hierarchy", "pipeline"])
     p.set_defaults(fn=_cmd_gradcheck)

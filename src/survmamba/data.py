@@ -55,7 +55,8 @@ def assign_bins(times, events, t_bins: int):
 
     Edges are (0, q_{1/T}, ..., q_{(T-1)/T}, +inf) with linearly
     interpolated quantiles; a time exactly on an edge falls in the lower
-    bin (half-open intervals (edge_k, edge_{k+1}]).
+    bin (half-open intervals (edge_k, edge_{k+1}]). Tied times that make
+    two edges equal raise ConfigError: the bin between them is unreachable.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
@@ -66,6 +67,9 @@ def assign_bins(times, events, t_bins: int):
         )
     inner = [np.quantile(observed, k / t_bins) for k in range(1, t_bins)]
     edges = np.asarray([0.0, *inner, np.inf])
+    tied = edges[1:][np.diff(edges) <= 0]
+    if tied.size:
+        raise ConfigError(f"assign_bins: tied uncensored times at {tied[0]:g} make two bin edges equal")
     bins = np.searchsorted(edges[1:], times, side="left")
     return edges, bins
 

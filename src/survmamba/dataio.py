@@ -20,7 +20,12 @@ dims, and the little-endian float64 payload, which must be finite.
 
 A file cut short, a malformed count or a non-finite value raises
 DataError naming the file and the line (bags) or byte offset
-(checkpoints) where reading stopped.
+(checkpoints) where reading stopped. In a manifest or grouping file,
+malformed JSON, a missing key, a censoring flag other than 0 or 1, a
+time that is not finite and positive, and bins that are not a
+non-decreasing list of at least two numbers raise DataError naming the
+file and the patient or key. Equal manifest edges are accepted: small
+cohorts with a single observed death write them.
 """
 
 from __future__ import annotations
@@ -121,11 +126,29 @@ def write_grouping(path, grouping: GroupingConfig):
     Path(path).write_text(json.dumps(grouping.to_dict(), indent=1) + "\n")
 
 
+def _read_json(path: Path, what: str):
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _key(obj, key: str, where: str):
+    """obj[key] from a parsed JSON object; DataError naming where when absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
 def read_grouping(path) -> GroupingConfig:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"grouping config not found: {path}")
-    return GroupingConfig.from_dict(json.loads(path.read_text()))
+    doc = _read_json(path, "grouping config")
+    try:
+        return GroupingConfig.from_dict(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
 
 
 def save_dataset(dataset: SurvivalDataset, out_dir) -> Path:
@@ -165,18 +188,23 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
     against the grouping config. Folds are recomputed from manifest
     order; bins come from the manifest when present."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DataError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
-    doc = json.loads(manifest_path.read_text())
-    grouping = read_grouping(base / doc["grouping"])
+    doc = _read_json(manifest_path, "manifest")
+    grouping = read_grouping(base / _key(doc, "grouping", str(manifest_path)))
     n_genes_needed = grouping.n_genes
 
     records = []
-    for p in doc["patients"]:
-        pid = p["id"]
-        hist = read_feature_bag(base / p["histology"], "histology")
-        gen_bag = read_feature_bag(base / p["genomics"], "genomics")
+    for i, p in enumerate(_key(doc, "patients", str(manifest_path))):
+        pid = _key(p, "id", f"{manifest_path}: patient #{i}")
+        where = f"{manifest_path}: patient {pid}"
+        time_months = _key(p, "time_months", where)
+        censored = _key(p, "censored", where)
+        if not isinstance(time_months, (int, float)) or not 0 < time_months < math.inf:
+            raise DataError(f"{where}: time_months {time_months!r} is not a finite positive number")
+        if censored not in (0, 1):
+            raise DataError(f"{where}: censored {censored!r} is not 0 or 1")
+        hist = read_feature_bag(base / _key(p, "histology", where), "histology")
+        gen_bag = read_feature_bag(base / _key(p, "genomics", where), "genomics")
         if gen_bag.n_groups != 1 or np.asarray(gen_bag.groups[0][1]).shape[0] != 1:
             raise DataError(f"patient {pid}: genomics file must hold one group with one token")
         expr = np.asarray(gen_bag.groups[0][1])[0]
@@ -190,11 +218,18 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
                 patient_id=pid,
                 histology=hist,
                 genomics=expr,
-                time_months=float(p["time_months"]),
-                censored=int(p["censored"]),
+                time_months=float(time_months),
+                censored=int(censored),
             )
         )
     bins = doc.get("bins")
+    if bins is not None:
+        try:
+            edges = np.asarray(bins, dtype=np.float64)
+        except (TypeError, ValueError):
+            edges = np.zeros(0)
+        if edges.ndim != 1 or edges.size < 2 or not (np.diff(edges) >= 0).all():
+            raise DataError(f"{manifest_path}: bins {bins!r} are not a non-decreasing list of edges")
     return finalize_dataset(records, grouping, bin_edges=bins, t_bins=t_bins)
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BiMambaBlock
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .numerics import (LinearLayer, Module, Namespace, Tensor, silu, stack,
-                       stacked_linear, tmax, tmean, uniform_init)
+                       stacked_linear, tmean, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
 DEFAULT_N_PROCESSES = 42
@@ -106,30 +106,13 @@ class GroupingConfig:
         )
 
 
-def make_grouping(n_processes: int, functions_per_process: int, genes_per_function: int) -> GroupingConfig:
-    """Uniform catalog: consecutive gene blocks, consecutive function blocks."""
+def _catalog(functions_per_process: list, genes_per_function: int) -> GroupingConfig:
+    """Consecutive gene blocks, consecutive function blocks; process p
+    gets functions_per_process[p] functions."""
     functions = []
     processes = []
     f = 0
-    for p in range(n_processes):
-        fids = []
-        for _ in range(functions_per_process):
-            fid = f"F{f:04d}"
-            functions.append((fid, list(range(f * genes_per_function, (f + 1) * genes_per_function))))
-            fids.append(fid)
-            f += 1
-        processes.append((f"P{p:03d}", fids))
-    return GroupingConfig(processes=processes, functions=functions)
-
-
-def default_catalog(genes_per_function: int = 8) -> GroupingConfig:
-    """Full-scale catalog shape: 42 processes over 352 functions, ragged."""
-    base, extra = divmod(DEFAULT_N_FUNCTIONS, DEFAULT_N_PROCESSES)
-    functions = []
-    processes = []
-    f = 0
-    for p in range(DEFAULT_N_PROCESSES):
-        count = base + (1 if p < extra else 0)
+    for p, count in enumerate(functions_per_process):
         fids = []
         for _ in range(count):
             fid = f"F{f:04d}"
@@ -138,6 +121,18 @@ def default_catalog(genes_per_function: int = 8) -> GroupingConfig:
             f += 1
         processes.append((f"P{p:03d}", fids))
     return GroupingConfig(processes=processes, functions=functions)
+
+
+def make_grouping(n_processes: int, functions_per_process: int, genes_per_function: int) -> GroupingConfig:
+    """Uniform catalog: every process holds functions_per_process functions."""
+    return _catalog([functions_per_process] * n_processes, genes_per_function)
+
+
+def default_catalog(genes_per_function: int = 8) -> GroupingConfig:
+    """Full-scale catalog shape: 42 processes over 352 functions, ragged."""
+    base, extra = divmod(DEFAULT_N_FUNCTIONS, DEFAULT_N_PROCESSES)
+    counts = [base + (1 if p < extra else 0) for p in range(DEFAULT_N_PROCESSES)]
+    return _catalog(counts, genes_per_function)
 
 
 class _MlpBank(Module):
@@ -243,14 +238,6 @@ class HistologyEncoder(Module):
         return out
 
 
-def encode_genomics(expr, grouping: GroupingConfig, encoder: GenomicsEncoder) -> list:
-    return encoder(expr)
-
-
-def encode_histology(bag: HierarchicalBag, encoder: HistologyEncoder) -> list:
-    return encoder(bag)
-
-
 def him_fine(groups: list, block: BiMambaBlock) -> list:
     """Refine each group's token run with the same shared block.
 
@@ -273,7 +260,7 @@ def him_fine(groups: list, block: BiMambaBlock) -> list:
     return refined
 
 
-def him_coarse(refined: list, block: BiMambaBlock, pool: str = "mean") -> Tensor:
+def him_coarse(refined: list, block: BiMambaBlock) -> Tensor:
     """Pool each refined group to one token and mix the group sequence.
 
     Returns a (G, D) tensor, one row per group, in group order. The
@@ -281,11 +268,6 @@ def him_coarse(refined: list, block: BiMambaBlock, pool: str = "mean") -> Tensor
     """
     if not refined:
         raise ShapeError("him_coarse: need at least one group")
-    if pool == "mean":
-        pooled = [tmean(toks, axis=0) for _, toks in refined]
-    elif pool == "max":
-        pooled = [tmax(toks, axis=0) for _, toks in refined]
-    else:
-        raise ConfigError(f"him_coarse: unknown pool {pool!r}, expected 'mean' or 'max'")
+    pooled = [tmean(toks, axis=0) for _, toks in refined]
     seq = stack([stack(pooled, axis=0)], axis=0)  # (1, G, D)
     return block(seq)[0]

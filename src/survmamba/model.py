@@ -35,7 +35,6 @@ class ModelConfig:
     align_len: int = 256  # cap on the fused fine-grained sequence length
     disc_mode: str = "euler"
     depth: int = 1  # blocks per aggregation level
-    pool: str = "mean"
 
     def resolved_e(self) -> int:
         return self.e_expand if self.e_expand is not None else 2 * self.d_model
@@ -104,13 +103,11 @@ class SurvMambaModel(Module):
         refined = groups
         for blk in fine_stack.blocks:
             refined = him_fine(refined, blk)
-        pooled_seq = None
-        for i, blk in enumerate(coarse_stack.blocks):
-            if i == 0:
-                pooled_seq = him_coarse(refined, blk, self.cfg.pool)
-            else:
-                g, d = pooled_seq.shape
-                pooled_seq = reshape(blk(reshape(pooled_seq, (1, g, d))), (g, d))
+        first, *rest = coarse_stack.blocks
+        pooled_seq = him_coarse(refined, first)
+        for blk in rest:
+            g, d = pooled_seq.shape
+            pooled_seq = reshape(blk(reshape(pooled_seq, (1, g, d))), (g, d))
         return refined, pooled_seq
 
     def fuse_features(self, record) -> FusedFeatures:

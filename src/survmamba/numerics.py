@@ -71,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -475,19 +472,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def tmax(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis; gradient flows to the (first) argmax positions."""
-    out = a.data.max(axis=axis)
-    arg = a.data.argmax(axis=axis)
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis)
-        a._accum(buf)
-
-    return _node(out, (a,), backward)
-
-
 def segment_mean(a: Tensor, sizes: list[int]) -> Tensor:
     """Mean-pool contiguous row segments of a (L, D) tensor.
 
@@ -541,27 +525,6 @@ class Module:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-class ModuleList(Module):
-    def __init__(self, mods=()):
-        super().__init__()
-        self._items = []
-        for m in mods:
-            self.append(m)
-
-    def append(self, mod: Module):
-        self._children[f"s{len(self._items)}"] = mod
-        self._items.append(mod)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
 
 
 class Namespace(Module):

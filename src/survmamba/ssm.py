@@ -27,17 +27,6 @@ DISCRETIZE_MODES = ("euler", "zoh")
 
 
 @dataclass
-class SsmStepParams:
-    """Per-step selective parameters: A (E, N) continuous evolution (< 0),
-    delta (B, M, E) timescales (> 0), Bproj/Cproj (B, M, N) projections."""
-
-    A: Tensor
-    delta: Tensor
-    Bproj: Tensor
-    Cproj: Tensor
-
-
-@dataclass
 class DiscreteParams:
     """Step operators Abar, Bbar of shape (B, M, E, N), 0 < Abar < 1."""
 
@@ -177,13 +166,6 @@ def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Ten
     """Work-efficient parallel-scan route; matches the recurrent output
     to ~1e-10 (same math, different summation bracketing)."""
     return _make_scan(x, dp, cproj, parallel=True)
-
-
-def run_ssm(params: SsmStepParams, x: Tensor, mode: str = "euler", parallel: bool = False) -> Tensor:
-    """Discretize and scan in one call."""
-    dp = discretize(params.delta, params.A, params.Bproj, mode)
-    scan = selective_scan_parallel if parallel else selective_scan_recurrent
-    return scan(x, dp, params.Cproj)
 
 
 def scan_operator_combine(first: tuple, second: tuple) -> tuple:

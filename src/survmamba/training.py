@@ -2,19 +2,14 @@
 
 Training walks the four in-fold partitions patient by patient (batch
 size 1) in a seeded shuffle order, so a fixed seed gives a bit-identical
-loss trace. Evaluation scores the held-out fold in one thread; setting the
-SURVMAMBA_THREADS environment variable above 1 scores patients in a
-thread pool of that size instead. Risks are pure functions of the model,
-so the schedule cannot change results.
+loss trace. Evaluation scores the held-out fold patient by patient.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,55 +20,39 @@ from .model import ModelConfig, SurvMambaModel
 from .optim import RAdam
 from .survstats import KmCurve, concordance_index, kaplan_meier, logrank_test, risk_stratify
 
-THREADS_ENV = "SURVMAMBA_THREADS"
-
 
 @dataclass
-class TrainConfig:
-    """Optimization and architecture knobs; defaults are the reference
-    training setup (lr 2e-4, weight decay 5e-3, batch size 1)."""
+class TrainConfig(ModelConfig):
+    """ModelConfig's architecture fields plus the optimizer fields; defaults
+    are the reference setup (lr 2e-4, weight decay 5e-3, batch size 1)."""
 
     lr: float = 2e-4
     weight_decay: float = 5e-3
     batch_size: int = 1
     epochs: int = 20
     seed: int = 0
-    d_model: int = 512
-    e_expand: int | None = None
-    n_state: int = 16
-    conv_width: int = 4
-    t_bins: int = 4
-    genomics_hidden: int = 64
-    align_len: int = 256
-    disc_mode: str = "euler"
-    depth: int = 1
 
     def __post_init__(self):
         positive = (self.lr, self.weight_decay, self.batch_size, self.seed + 1,
-                    self.d_model, self.n_state, self.conv_width, self.t_bins,
+                    self.d_model, self.resolved_e(), self.n_state, self.conv_width, self.t_bins,
                     self.genomics_hidden, self.align_len, self.depth)
         if any(v <= 0 for v in positive) or self.epochs < 0:
             raise ConfigError("train config: all values must be positive (epochs >= 0)")
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_model=self.d_model,
-            e_expand=self.e_expand,
-            n_state=self.n_state,
-            conv_width=self.conv_width,
-            t_bins=self.t_bins,
-            genomics_hidden=self.genomics_hidden,
-            align_len=self.align_len,
-            disc_mode=self.disc_mode,
-            depth=self.depth,
-        )
-
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
-        return cls(**json.loads(Path(path).read_text()))
-
-    def to_json(self, path):
-        Path(path).write_text(json.dumps(asdict(self), indent=1) + "\n")
+        """Load a flat JSON object of field values; absent fields keep
+        their defaults."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config fields")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config fields {unknown}")
+        return cls(**doc)
 
 
 def build_model(dataset: SurvivalDataset, cfg: TrainConfig) -> SurvMambaModel:
@@ -82,7 +61,7 @@ def build_model(dataset: SurvivalDataset, cfg: TrainConfig) -> SurvMambaModel:
             f"dataset has {dataset.n_bins} time bins but config asks for {cfg.t_bins}"
         )
     d_raw = dataset.records[0].histology.token_dim
-    return SurvMambaModel(cfg.model_config(), dataset.grouping, d_raw, seed=cfg.seed)
+    return SurvMambaModel(cfg, dataset.grouping, d_raw, seed=cfg.seed)
 
 
 def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
@@ -124,19 +103,6 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
     return model, trace
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
-        return cap
-    return 1
-
-
 @dataclass
 class EvalReport:
     fold: int
@@ -158,12 +124,7 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
     records = dataset.fold_records(fold, held_out=True)
     if not records:
         raise ConfigError(f"fold {fold} has no held-out records")
-    workers = min(_thread_cap(), len(records))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            risks = np.asarray(list(pool.map(model.predict_risk, records)))
-    else:
-        risks = np.asarray([model.predict_risk(r) for r in records])
+    risks = np.asarray([model.predict_risk(r) for r in records])
 
     outcomes = [r.outcome for r in records]
     diagnostic = ""

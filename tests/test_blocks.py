@@ -4,7 +4,7 @@ the construction identities and symmetry properties."""
 import numpy as np
 import pytest
 
-from survmamba.blocks import BiMambaBlock, IFMBlock, bi_mamba_forward, ifm_forward
+from survmamba.blocks import BiMambaBlock, IFMBlock
 from survmamba.errors import ShapeError
 from survmamba.numerics import Tensor, grad_check, silu, tmean
 
@@ -80,7 +80,7 @@ class TestBiMamba:
         blk = _randomized_bimamba()
         for shape in ((1, 1, 3), (2, 9, 3), (3, 4, 3)):
             x = Tensor(np.random.default_rng(4).normal(size=shape))
-            assert bi_mamba_forward(blk, x).shape == shape
+            assert blk(x).shape == shape
 
     def test_dim_mismatch_raises(self):
         blk = _randomized_bimamba()
@@ -129,7 +129,7 @@ class TestIFM:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 6, 3))
         b = rng.normal(size=(2, 6, 3))
-        mine = ifm_forward(blk, Tensor(a), Tensor(b)).data
+        mine = blk(Tensor(a), Tensor(b)).data
         ref = oracle.ifm_forward(blk, a, b)
         assert np.max(np.abs(mine - ref)) < 1e-12
 

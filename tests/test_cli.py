@@ -67,6 +67,26 @@ def test_train_then_eval(tiny_dataset_dir, capsys):
     assert "# logrank chi2=" in km
 
 
+def test_eval_prints_km_table_to_current_stdout(tiny_dataset_dir, capsys):
+    root = tiny_dataset_dir
+    (root / "cfg0.json").write_text(json.dumps({
+        "d_model": 6, "e_expand": 8, "n_state": 2, "conv_width": 2,
+        "genomics_hidden": 4, "align_len": 8, "epochs": 0, "seed": 1,
+    }))
+    manifest = str(root / "data" / "manifest.json")
+    assert main(["train", "--data", manifest, "--fold", "1", "--config", str(root / "cfg0.json"),
+                 "--out", str(root / "model0.smck")]) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, [
+        "eval", "--data", manifest, "--fold", "1", "--ckpt", str(root / "model0.smck"),
+        "--config", str(root / "cfg0.json"),
+    ])
+    assert code == 0
+    lines = out.splitlines()
+    assert "group\ttime\tsurvival\tat_risk\tevents" in lines
+    assert lines[-1].startswith("# logrank chi2=")
+
+
 def test_gradcheck_numerics(capsys):
     code, out = _run(capsys, ["gradcheck", "--module", "numerics"])
     assert code == 0

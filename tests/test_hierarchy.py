@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survmamba.blocks import BiMambaBlock
-from survmamba.errors import ConfigError, DataError
+from survmamba.errors import DataError
 from survmamba.hierarchy import (
     GenomicsEncoder,
     GroupingConfig,
@@ -220,15 +220,6 @@ class TestHimCoarse:
         blk = _block(seed=32)
         out = him_coarse([("g", Tensor(toks))], blk)
         assert np.array_equal(out.data, vec[None])
-
-    def test_max_pool_option(self):
-        blk = _block(seed=33)
-        refined = [("g", Tensor(np.array([[1.0, 5.0], [3.0, 2.0]])))]
-        blk2 = _block(seed=34, d=2, e=4)
-        out = him_coarse(refined, blk2, pool="max")
-        assert np.array_equal(out.data, [[3.0, 5.0]])
-        with pytest.raises(ConfigError):
-            him_coarse(refined, blk2, pool="median")
 
 
 class TestHimGradient:

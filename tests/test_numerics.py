@@ -204,14 +204,6 @@ class TestShapeOps:
         for f in range(3):
             assert np.max(np.abs(out[f] - (x[f] @ w[f] + b[f]))) < 1e-12
 
-    def test_tmax_gradient(self):
-        from survmamba.numerics import tmax
-
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        err = grad_check(lambda: tsum(silu(tmax(x, axis=0))), [("x", x)], h=1e-6)
-        assert err <= 1e-6
-
     def test_tensor_invariant_finite(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 4)))

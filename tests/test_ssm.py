@@ -1,6 +1,7 @@
 """Scan kernels: discretization fixtures, route equivalence, stability,
 and the associative-operator properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -161,14 +162,14 @@ class TestParallelScan:
 
     def test_matches_recurrent_random(self):
         rng = np.random.default_rng(4)
-        for m in (2, 3, 5, 8, 13, 31, 64):
+        for mode, m in itertools.product(("euler", "zoh"), (2, 3, 5, 8, 13, 31, 64)):
             b, e, n = 2, 3, 4
             dt = Tensor(rng.uniform(0.05, 0.8, size=(b, m, e)))
             a = Tensor(-np.exp(rng.normal(size=(e, n))))
             bp = Tensor(rng.normal(size=(b, m, n)))
             cp = Tensor(rng.normal(size=(b, m, n)))
             x = Tensor(rng.normal(size=(b, m, e)))
-            dp = discretize(dt, a, bp, "euler")
+            dp = discretize(dt, a, bp, mode)
             yr = selective_scan_recurrent(x, dp, cp).data
             yp = selective_scan_parallel(x, dp, cp).data
             assert np.max(np.abs(yr - yp)) <= 1e-10
@@ -196,23 +197,29 @@ class TestParallelScan:
 
 class TestRunSsm:
     def test_bundled_params_match_explicit_route(self):
-        from survmamba.ssm import SsmStepParams, run_ssm
-
+        """The DiscreteParams bundle from a zoh discretize, as ScanBranch
+        builds it, reproduces the zoh recurrence written out by hand, on
+        the recurrent route and the parallel route alike."""
         rng = np.random.default_rng(9)
         b, m, e, n = 1, 7, 2, 3
-        params = SsmStepParams(
-            A=Tensor(-np.exp(rng.normal(size=(e, n)))),
-            delta=Tensor(rng.uniform(0.05, 0.6, size=(b, m, e))),
-            Bproj=Tensor(rng.normal(size=(b, m, n))),
-            Cproj=Tensor(rng.normal(size=(b, m, n))),
-        )
-        x = Tensor(rng.normal(size=(b, m, e)))
-        y = run_ssm(params, x, mode="zoh")
-        dp = discretize(params.delta, params.A, params.Bproj, "zoh")
-        ref = selective_scan_recurrent(x, dp, params.Cproj)
-        assert np.array_equal(y.data, ref.data)
-        yp = run_ssm(params, x, mode="zoh", parallel=True)
-        assert np.max(np.abs(yp.data - ref.data)) <= 1e-10
+        a = -np.exp(rng.normal(size=(e, n)))
+        delta = rng.uniform(0.05, 0.6, size=(b, m, e))
+        bp = rng.normal(size=(b, m, n))
+        cp = rng.normal(size=(b, m, n))
+        x = rng.normal(size=(b, m, e))
+        dp = discretize(Tensor(delta), Tensor(a), Tensor(bp), "zoh")
+        y = selective_scan_recurrent(Tensor(x), dp, Tensor(cp)).data
+        ref = np.zeros((b, m, e))
+        for i in range(b):
+            h = np.zeros((e, n))
+            for t in range(m):
+                abar = np.exp(delta[i, t][:, None] * a)
+                bbar = (abar - 1.0) / a * bp[i, t][None, :]
+                h = abar * h + bbar * x[i, t][:, None]
+                ref[i, t] = h @ cp[i, t]
+        assert np.max(np.abs(y - ref)) <= 1e-12
+        yp = selective_scan_parallel(Tensor(x), dp, Tensor(cp)).data
+        assert np.max(np.abs(yp - y)) <= 1e-10
 
 
 class TestStability:

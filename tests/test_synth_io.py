@@ -100,6 +100,11 @@ class TestBins:
         with pytest.raises(ConfigError, match="uncensored"):
             assign_bins([1.0, 2.0, 3.0], [1, 0, 0], 2)
 
+    def test_tied_times_that_repeat_an_edge_rejected(self):
+        # quantile edges would be [0, 1, 1, 1.75, inf]: bin 1 is unreachable
+        with pytest.raises(ConfigError, match="tied uncensored times at 1 "):
+            assign_bins([1.0, 1.0, 1.0, 1.0, 2.0, 3.0], [1] * 6, 4)
+
 
 class TestFolds:
     def test_partition_balanced(self):
@@ -252,6 +257,81 @@ class TestDatasetIO:
         (tmp_path / "d" / "grouping.json").write_text(json.dumps(grouping))
         with pytest.raises(DataError, match="F9999"):
             load_dataset(manifest)
+
+    def _manifest(self, tmp_path):
+        ds = synth_generate(SynthSpec(n_patients=6, regions=1, patches_per_region=2,
+                                      processes=1, functions_per_process=2,
+                                      genes_per_function=2, feature_dim=3), seed=1)
+        path = save_dataset(ds, tmp_path / "d")
+        return path, json.loads(path.read_text())
+
+    def test_cut_manifest_names_file(self, tmp_path):
+        path, _ = self._manifest(tmp_path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(DataError, match=r"manifest\.json: malformed JSON"):
+            load_dataset(path)
+
+    def test_cut_grouping_names_file(self, tmp_path):
+        path, _ = self._manifest(tmp_path)
+        grouping = tmp_path / "d" / "grouping.json"
+        grouping.write_text(grouping.read_text()[:30])
+        with pytest.raises(DataError, match=r"grouping\.json: malformed JSON"):
+            load_dataset(path)
+
+    def test_missing_grouping_key_named(self, tmp_path):
+        path, doc = self._manifest(tmp_path)
+        del doc["grouping"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"manifest\.json: missing key 'grouping'"):
+            load_dataset(path)
+
+    def test_missing_patient_key_names_patient(self, tmp_path):
+        path, doc = self._manifest(tmp_path)
+        del doc["patients"][2]["time_months"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"manifest\.json: patient P0002: missing key 'time_months'"):
+            load_dataset(path)
+
+    def test_missing_grouping_file_key_named(self, tmp_path):
+        path, _ = self._manifest(tmp_path)
+        grouping = tmp_path / "d" / "grouping.json"
+        doc = json.loads(grouping.read_text())
+        del doc["functions"][0]["genes"]
+        grouping.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"grouping\.json: missing key 'genes'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("flag", ["x", 2, -1, 0.5, None])
+    def test_censored_not_zero_or_one_names_patient(self, tmp_path, flag):
+        path, doc = self._manifest(tmp_path)
+        doc["patients"][4]["censored"] = flag
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"patient P0004: censored .* is not 0 or 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -0.5, 0.0, "12"])
+    def test_bad_time_names_patient(self, tmp_path, time):
+        path, doc = self._manifest(tmp_path)
+        doc["patients"][1]["time_months"] = time
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"patient P0001: time_months .* is not a finite positive"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bins", [[0.0, 9.0, 5.0, 1e300], [0.0, float("nan"), 1e300],
+                                      [3.0], ["a", "b"], 7.0])
+    def test_decreasing_or_malformed_bins_rejected(self, tmp_path, bins):
+        path, doc = self._manifest(tmp_path)
+        doc["bins"] = bins
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"manifest\.json: bins .* non-decreasing list"):
+            load_dataset(path)
+
+    def test_equal_manifest_edges_load(self, tmp_path):
+        # a cohort with one observed death writes equal quantile edges
+        path, doc = self._manifest(tmp_path)
+        doc["bins"] = [0.0, 5.0, 5.0, 5.0, float("inf")]
+        path.write_text(json.dumps(doc))
+        assert load_dataset(path).n_bins == 4
 
     def test_expression_too_short_names_patient(self, tmp_path):
         ds = synth_generate(SynthSpec(n_patients=6, regions=1, patches_per_region=2,

@@ -1,14 +1,15 @@
 """Optimizer behavior, training loop contracts, evaluation, and the
 complexity reporter."""
 
+import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from survmamba import training
 from survmamba.errors import ConfigError, NonFiniteError
-from survmamba.model import report_complexity
+from survmamba.model import ModelConfig, report_complexity
 from survmamba.numerics import Tensor
 from survmamba.optim import CHUNK, RAdam, rho_t
 from survmamba.synth import SynthSpec, planted_factor_readout, synth_generate
@@ -114,6 +115,39 @@ class TestRAdam:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestTrainConfig:
+    def test_adds_only_optimizer_fields_to_model_config(self):
+        own = {f.name for f in fields(TrainConfig)} - {f.name for f in fields(ModelConfig)}
+        assert own == {"lr", "weight_decay", "batch_size", "epochs", "seed"}
+        cfg = _small_cfg()
+        assert isinstance(cfg, ModelConfig)
+        assert build_model(_small_ds()[1], cfg).cfg is cfg
+
+    @pytest.mark.parametrize("field", [{"e_expand": 0}, {"e_expand": -2}, {"d_model": 0}, {"epochs": -1}])
+    def test_non_positive_size_rejected(self, field):
+        with pytest.raises(ConfigError, match="positive"):
+            _small_cfg(**field)
+
+    def test_flat_json_loads(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d_model": 6, "e_expand": 8, "lr": 1e-3, "seed": 4}))
+        cfg = TrainConfig.from_json(path)
+        assert (cfg.d_model, cfg.e_expand, cfg.lr, cfg.seed, cfg.n_state) == (6, 8, 1e-3, 4, 16)
+
+    def test_unknown_field_names_file_and_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d_model": 6, "pool": "max", "threads": 2}))
+        with pytest.raises(ConfigError, match=r"cfg\.json: unknown config fields \['pool', 'threads'\]"):
+            TrainConfig.from_json(path)
+
+    @pytest.mark.parametrize("text", ['{"d_model": 6', "[1, 2]"])
+    def test_malformed_json_names_file(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"cfg\.json"):
+            TrainConfig.from_json(path)
 
 
 class TestTrain:
@@ -267,30 +301,6 @@ class TestEvaluate:
 
         rep = evaluate(Half(), ds, fold=0)
         assert rep.p_value == 1.0
-
-    def test_thread_cap_env(self, monkeypatch):
-        _, ds = _small_ds()
-        cfg = _small_cfg(epochs=0)
-        model, _ = train(ds, 0, cfg)
-        rep1 = evaluate(model, ds, 0)
-        monkeypatch.setenv("SURVMAMBA_THREADS", "2")
-        rep2 = evaluate(model, ds, 0)
-        assert np.array_equal(rep1.risks, rep2.risks)
-        monkeypatch.setenv("SURVMAMBA_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            evaluate(model, ds, 0)
-
-    def test_one_worker_when_threads_unset(self, monkeypatch):
-        _, ds = _small_ds()
-        model, _ = train(ds, 0, _small_cfg(epochs=0))
-        monkeypatch.delenv("SURVMAMBA_THREADS", raising=False)
-
-        def no_pool(*a, **k):
-            raise AssertionError("evaluate() started a thread pool")
-
-        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
-        assert training._thread_cap() == 1
-        assert len(evaluate(model, ds, 0).risks) == len(ds.fold_records(0, held_out=True))
 
     def test_depth_two_stacks(self):
         _, ds = _small_ds()
