@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from .errors import DataError
 from .gradsuite import run_grad_checks
 from .ssm import bench_scan
 from .survstats import SurvivalOutcome, kaplan_meier, logrank_test, risk_stratify
@@ -108,21 +110,42 @@ def _cmd_scan_bench(args):
     return 0
 
 
+def _read_rows(path, fields: int, layout: str):
+    """(line number, values) for each line of `fields` finite numbers,
+    skipping blank and '#' lines; DataError names the file and line."""
+    rows = []
+    for i, ln in enumerate(Path(path).read_text().splitlines(), start=1):
+        toks = ln.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        if len(toks) != fields:
+            raise DataError(f"{path}: line {i}: expected {layout}, got {len(toks)} fields")
+        vals = []
+        for tok in toks:
+            try:
+                v = float(tok)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                raise DataError(f"{path}: line {i}: {tok!r} is not a finite number")
+            vals.append(v)
+        rows.append((i, vals))
+    return rows
+
+
 def _read_outcomes(path):
     outcomes = []
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        t, e = ln.split()
-        outcomes.append(SurvivalOutcome(time=float(t), event=int(e)))
+    for i, (t, e) in _read_rows(path, 2, "'<time> <event>'"):
+        if t <= 0:
+            raise DataError(f"{path}: line {i}: time must be positive, got {t!r}")
+        if e not in (0.0, 1.0):
+            raise DataError(f"{path}: line {i}: event must be 0 or 1, got {e!r}")
+        outcomes.append(SurvivalOutcome(time=t, event=int(e)))
     return outcomes
 
 
 def _cmd_km(args):
-    risks = np.asarray(
-        [float(ln) for ln in Path(args.risks).read_text().split()], dtype=np.float64
-    )
+    risks = np.asarray([r for _, (r,) in _read_rows(args.risks, 1, "one risk")], dtype=np.float64)
     outcomes = _read_outcomes(args.outcomes)
     if len(risks) != len(outcomes):
         print(f"error: {len(risks)} risks vs {len(outcomes)} outcomes", file=sys.stderr)

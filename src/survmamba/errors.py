@@ -19,3 +19,7 @@ class UndefinedResultError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """A computation produced or encountered a non-finite value."""
+
+
+class ConsumedGraphError(RuntimeError):
+    """backward() reached a graph that an earlier backward() already swept."""

@@ -5,9 +5,12 @@ The engine is a recorded tape over numpy arrays: each op produces a new
 Tensor that remembers its parents and a closure computing the local
 vector-Jacobian product. ``backward()`` replays the tape in reverse
 topological order, accumulating gradients additively into ``.grad``
-buffers. All storage is 64-bit; there is no broadcasting API beyond what
-the primitives themselves need (bias vectors over trailing dims, and the
-timescale/state broadcasts inside the SSM discretization).
+buffers. Each interior node's gradient, closure and parent links are
+dropped as soon as its closure has run, so a graph can be swept only
+once; leaves keep their gradients. All storage is 64-bit; there is no
+broadcasting API beyond what the primitives themselves need (bias
+vectors over trailing dims, and the timescale/state broadcasts inside
+the SSM discretization).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import threading
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConsumedGraphError, NonFiniteError, ShapeError
 
 _tls = threading.local()
 
@@ -101,9 +104,15 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:  # reverse topological order, dropping each node once swept
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # -- arithmetic sugar ------------------------------------------------
 
@@ -137,6 +146,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g):
+    """Stands in for the closure of a node that backward() has swept."""
+    raise ConsumedGraphError(
+        "backward: the graph was already consumed by an earlier backward(); "
+        "run the forward pass again to build a new one"
+    )
 
 
 def _wrap(x) -> Tensor:

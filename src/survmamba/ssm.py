@@ -11,6 +11,16 @@ h_t = Abar_t * h_{t-1} + Bbar_t * x_t, y_t = <C_t, h_t>:
 Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
 Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
+
+``discretize`` computes Abar and Bbar off the tape and records the
+sources they came from. The scan is then one tape node with parents
+(x, delta, A, Bproj, Cproj) that keeps no (B, M, E, N) array: forward
+runs in slabs of time steps and keeps only the hidden state entering
+each slab; backward walks the slabs in reverse, recomputes Abar, Bbar
+and the slab's states from that checkpoint, runs the adjoint recurrence
+and contracts into the five input gradients. A slab holds ``SLAB_BYTES``
+per (B, slab, E, N) array, so short sequences are a single slab. Under
+``no_grad`` nothing is recorded and no checkpoint is kept.
 """
 
 from __future__ import annotations
@@ -21,17 +31,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, _node, exp, mul, reshape
+from .numerics import Tensor, _grad_enabled, _node
 
 DISCRETIZE_MODES = ("euler", "zoh")
+SLAB_BYTES = 4 << 20  # bytes per (B, slab, E, N) float64 array in the scan
 
 
 @dataclass
 class DiscreteParams:
-    """Step operators Abar, Bbar of shape (B, M, E, N), 0 < Abar < 1."""
+    """Step operators Abar, Bbar of shape (B, M, E, N), 0 < Abar < 1, held
+    off the tape, and the sources the scan differentiates through."""
 
     Abar: Tensor
     Bbar: Tensor
+    delta: Tensor
+    A: Tensor
+    Bproj: Tensor
+    mode: str
+
+
+def _step_operators(delta: np.ndarray, a: np.ndarray, bproj: np.ndarray, mode: str):
+    """Raw (Abar, Bbar, q) for delta (B, S, E), A (E, N), Bproj (B, S, N);
+    q = (Abar - 1) / A under zoh, None under euler."""
+    d4 = delta[..., None]
+    abar = np.exp(d4 * a)
+    if mode == "euler":
+        return abar, d4 * bproj[:, :, None, :], None
+    q = (abar - 1.0) / a
+    return abar, q * bproj[:, :, None, :], q
 
 
 def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler") -> DiscreteParams:
@@ -39,32 +66,21 @@ def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler") -> 
     (B, M, E, N) step operators."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
-    b, m, e = delta.shape
-    n = A.shape[-1]
-    d4 = reshape(delta, (b, m, e, 1))
-    bp4 = reshape(Bproj, (b, m, 1, n))
-    abar = exp(mul(d4, A))
-    if mode == "euler":
-        bbar = mul(d4, bp4)
-    else:
-        bbar = mul((abar - 1.0) / A, bp4)
-    return DiscreteParams(Abar=abar, Bbar=bbar)
+    abar, bbar, _ = _step_operators(delta.data, A.data, Bproj.data, mode)
+    return DiscreteParams(Abar=Tensor(abar), Bbar=Tensor(bbar), delta=delta, A=A, Bproj=Bproj, mode=mode)
 
 
-def _scan_forward(x, abar, bbar, c):
-    """Shared recurrence core on raw arrays; returns (y, h_all, bx)."""
-    b, m, e = x.shape
-    n = abar.shape[-1]
-    bx = bbar * x[..., None]
-    h_all = np.empty((b, m, e, n))
-    h = np.zeros((b, e, n))
-    for t in range(m):
+def _slab_states(abar: np.ndarray, bx: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """States of one slab, (B, S + 1, E, N), with the entry state h0 first."""
+    b, s, e, n = abar.shape
+    hs = np.empty((b, s + 1, e, n))
+    hs[:, 0] = h0
+    h = h0.copy()  # stepping a contiguous state is faster than stepping in hs
+    for t in range(s):
         np.multiply(abar[:, t], h, out=h)
         h += bx[:, t]
-        h_all[:, t] = h
-    # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
-    y = np.matmul(h_all, c[..., None])[..., 0]
-    return y, h_all, bx
+        hs[:, t + 1] = h
+    return hs
 
 
 def _scan_parallel_states_impl(abar, bx):
@@ -112,7 +128,7 @@ def _scan_parallel_states_impl(abar, bx):
 
 
 def _make_scan(x: Tensor, dp: DiscreteParams, cproj: Tensor, parallel: bool) -> Tensor:
-    abar, bbar, c = dp.Abar, dp.Bbar, cproj
+    abar, bbar, c = dp.Abar.data, dp.Bbar.data, cproj
     if x.ndim != 3:
         raise ShapeError(f"scan: expected (B, M, E) input, got {x.shape}")
     if abar.shape[:3] != x.shape or abar.shape != bbar.shape:
@@ -120,41 +136,67 @@ def _make_scan(x: Tensor, dp: DiscreteParams, cproj: Tensor, parallel: bool) -> 
     if c.shape != x.shape[:2] + (abar.shape[-1],):
         raise ShapeError(f"scan: Cproj {c.shape} does not match (B, M, N)")
 
-    if parallel:
-        bx = bbar.data * x.data[..., None]
-        h_all = _scan_parallel_states_impl(abar.data, bx)
-        y = np.matmul(h_all[:, :, :, None, :], c.data[:, :, None, :, None])[..., 0, 0]
-        y = np.ascontiguousarray(y)
-    else:
-        y, h_all, bx = _scan_forward(x.data, abar.data, bbar.data, c.data)
+    parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
+    record = _grad_enabled() and any(p.requires_grad for p in parents)
+    xd, dd, ad, bd, cd, mode = x.data, dp.delta.data, dp.A.data, dp.Bproj.data, c.data, dp.mode
+    b, m, e = xd.shape
+    n = ad.shape[-1]
+    step = max(1, SLAB_BYTES // (8 * b * e * n))
+    slabs = [slice(s0, min(m, s0 + step)) for s0 in range(0, m, step)]
+    checkpoints = []  # the state entering each slab, kept only when recording
 
-    ad, bd, cd, xd = abar.data, bbar.data, c.data, x.data
-    b_, m, e = xd.shape
+    if parallel:
+        h_all = _scan_parallel_states_impl(abar, bbar * xd[..., None])
+        y = np.matmul(h_all[:, :, :, None, :], cd[:, :, None, :, None])[..., 0, 0]
+        y = np.ascontiguousarray(y)
+        if record:
+            checkpoints = [h_all[:, sl.start - 1].copy() if sl.start else np.zeros((b, e, n)) for sl in slabs]
+    else:
+        y = np.empty((b, m, e))
+        h0 = np.zeros((b, e, n))
+        for sl in slabs:
+            if record:
+                checkpoints.append(h0)
+            hs = _slab_states(abar[:, sl], bbar[:, sl] * xd[:, sl, :, None], h0)
+            # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
+            y[:, sl] = np.matmul(hs[:, 1:], cd[:, sl, :, None])[..., 0]
+            h0 = hs[:, -1].copy()
 
     def backward(g):
-        # adjoint recurrence, identical for both forward routes
-        n = ad.shape[-1]
-        gc = g[..., None] * cd[:, :, None, :]  # direct dL/dh_t term, (B,M,E,N)
-        dbx = np.empty_like(bd)
-        carry = np.zeros((b_, e, n))
-        for t in range(m - 1, -1, -1):
-            carry += gc[:, t]
-            dbx[:, t] = carry
-            np.multiply(carry, ad[:, t], out=carry)
-        if abar.requires_grad:
-            da = np.empty_like(dbx)
-            da[:, 0] = 0.0
-            np.multiply(dbx[:, 1:], h_all[:, :-1], out=da[:, 1:])
-            abar._accum(da)
-        if bbar.requires_grad:
-            bbar._accum(dbx * xd[..., None])
-        if x.requires_grad:
-            x._accum((dbx * bd).sum(axis=-1))
-        if cproj.requires_grad:
-            # dC[b,t,n] = sum_e g[b,t,e] * h[b,t,e,n]
-            cproj._accum(np.matmul(g[:, :, None, :], h_all)[:, :, 0, :])
+        dx, ddelta = np.empty((b, m, e)), np.zeros((b, m, e))
+        dbp, dc = np.empty((b, m, n)), np.empty((b, m, n))
+        da = np.zeros((e, n))
+        carry = np.zeros((b, e, n))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
+        for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
+            ds, xs, bs, gs, cs = dd[:, sl], xd[:, sl], bd[:, sl], g[:, sl], cd[:, sl]
+            abar_s, bbar_s, q = _step_operators(ds, ad, bs, mode)
+            hs = _slab_states(abar_s, bbar_s * xs[..., None], h0)
+            dh = np.empty_like(abar_s)
+            for t in range(sl.stop - sl.start - 1, -1, -1):
+                carry += gs[:, t, :, None] * cs[:, t, None, :]
+                dh[:, t] = carry
+                carry *= abar_s[:, t]
+            dx[:, sl] = np.einsum("bten,bten->bte", dh, bbar_s)
+            dc[:, sl] = np.einsum("bte,bten->btn", gs, hs[:, 1:])
+            gbar = dh * xs[..., None]  # dL/dBbar
+            dh *= hs[:, :-1]  # dL/dAbar through the recurrence
+            if mode == "euler":
+                ddelta[:, sl] = np.einsum("bten,btn->bte", gbar, bs)
+                dbp[:, sl] = np.einsum("bten,bte->btn", gbar, ds)
+            else:
+                dbp[:, sl] = np.einsum("bten,bten->btn", gbar, q)
+                gbar *= bs[:, :, None, :]  # dL/dq
+                da -= np.einsum("bten,bten->en", gbar, q) / ad
+                gbar /= ad
+                dh += gbar  # dL/dAbar through q
+            dh *= abar_s  # dL/d(delta * A)
+            ddelta[:, sl] += np.einsum("bten,en->bte", dh, ad)
+            da += np.einsum("bten,bte->en", dh, ds)
+        for p, grad in zip(parents, (dx, ddelta, da, dbp, dc)):
+            if p.requires_grad:
+                p._accum(grad)
 
-    return _node(y, (x, abar, bbar, cproj), backward)
+    return _node(y, parents, backward)
 
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:

@@ -214,3 +214,86 @@ class GatherRAdam:
         else:
             np.multiply(m, self.lr / (1.0 - b1**t), out=s2)
             self.flat -= s2
+
+
+def unfused_discretize(delta, A, Bproj, mode="euler"):
+    """The discretization as it was before the fused scan: tape ops that
+    keep (B, M, E, N) Abar and Bbar on the tape. Returns (Abar, Bbar)."""
+    from survmamba.numerics import exp, mul, reshape
+
+    b, m, e = delta.shape
+    n = A.shape[-1]
+    d4 = reshape(delta, (b, m, e, 1))
+    bp4 = reshape(Bproj, (b, m, 1, n))
+    abar = exp(mul(d4, A))
+    if mode == "euler":
+        bbar = mul(d4, bp4)
+    else:
+        bbar = mul((abar - 1.0) / A, bp4)
+    return abar, bbar
+
+
+def unfused_scan(x, abar, bbar, cproj, parallel=False):
+    """The scan node as it was before the fused scan: it keeps the full
+    state history h_all and differentiates into Abar and Bbar."""
+    from survmamba.numerics import _node
+    from survmamba.ssm import _scan_parallel_states_impl
+
+    ad, bd, cd, xd = abar.data, bbar.data, cproj.data, x.data
+    b_, m, e = xd.shape
+    n = ad.shape[-1]
+    bx = bd * xd[..., None]
+    if parallel:
+        h_all = _scan_parallel_states_impl(ad, bx)
+    else:
+        h_all = np.empty((b_, m, e, n))
+        h = np.zeros((b_, e, n))
+        for t in range(m):
+            np.multiply(ad[:, t], h, out=h)
+            h += bx[:, t]
+            h_all[:, t] = h
+    y = np.matmul(h_all, cd[..., None])[..., 0]
+
+    def backward(g):
+        gc = g[..., None] * cd[:, :, None, :]
+        dbx = np.empty_like(bd)
+        carry = np.zeros((b_, e, n))
+        for t in range(m - 1, -1, -1):
+            carry += gc[:, t]
+            dbx[:, t] = carry
+            np.multiply(carry, ad[:, t], out=carry)
+        if abar.requires_grad:
+            da = np.empty_like(dbx)
+            da[:, 0] = 0.0
+            np.multiply(dbx[:, 1:], h_all[:, :-1], out=da[:, 1:])
+            abar._accum(da)
+        if bbar.requires_grad:
+            bbar._accum(dbx * xd[..., None])
+        if x.requires_grad:
+            x._accum((dbx * bd).sum(axis=-1))
+        if cproj.requires_grad:
+            cproj._accum(np.matmul(g[:, :, None, :], h_all)[:, :, 0, :])
+
+    return _node(y, (x, abar, bbar, cproj), backward)
+
+
+def backward_keep_graph(root):
+    """Tensor.backward as it was before swept nodes were freed: the same
+    reverse topological sweep, leaving every gradient and closure in place."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root._accum(np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from survmamba.cli import main
+from survmamba.errors import DataError
 
 
 def _run(capsys, argv):
@@ -132,3 +133,47 @@ def test_km_length_mismatch(tmp_path, capsys):
     (tmp_path / "o.txt").write_text("1.0 1\n")
     code = main(["km", "--risks", str(tmp_path / "r.txt"), "--outcomes", str(tmp_path / "o.txt")])
     assert code == 2
+
+
+def _km_files(tmp_path, risks, outcomes):
+    (tmp_path / "r.txt").write_text(risks)
+    (tmp_path / "o.txt").write_text(outcomes)
+    return ["km", "--risks", str(tmp_path / "r.txt"), "--outcomes", str(tmp_path / "o.txt")]
+
+
+def test_km_outcome_field_count(tmp_path):
+    argv = _km_files(tmp_path, "1.0\n2.0\n", "3.0 1\n4.0\n")
+    with pytest.raises(DataError, match=r"o\.txt: line 2: expected '<time> <event>', got 1 fields"):
+        main(argv)
+
+
+def test_km_risk_field_count(tmp_path):
+    argv = _km_files(tmp_path, "1.0 2.0\n", "3.0 1\n")
+    with pytest.raises(DataError, match=r"r\.txt: line 1: expected one risk, got 2 fields"):
+        main(argv)
+
+
+def test_km_unparsable_risk(tmp_path):
+    argv = _km_files(tmp_path, "1.0\n# comment\nx\n", "3.0 1\n4.0 0\n")
+    with pytest.raises(DataError, match=r"r\.txt: line 3: 'x' is not a finite number"):
+        main(argv)
+
+
+def test_km_non_finite_time(tmp_path):
+    argv = _km_files(tmp_path, "1.0\n2.0\n", "3.0 1\nnan 0\n")
+    with pytest.raises(DataError, match=r"o\.txt: line 2: 'nan' is not a finite number"):
+        main(argv)
+
+
+@pytest.mark.parametrize("time", ["0", "-2.5"])
+def test_km_non_positive_time(tmp_path, time):
+    argv = _km_files(tmp_path, "1.0\n2.0\n", f"{time} 1\n4.0 0\n")
+    with pytest.raises(DataError, match=r"o\.txt: line 1: time must be positive"):
+        main(argv)
+
+
+@pytest.mark.parametrize("event", ["2", "0.5"])
+def test_km_event_not_binary(tmp_path, event):
+    argv = _km_files(tmp_path, "1.0\n2.0\n", f"3.0 1\n\n4.0 {event}\n")
+    with pytest.raises(DataError, match=r"o\.txt: line 3: event must be 0 or 1"):
+        main(argv)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from survmamba.errors import NonFiniteError, ShapeError
+from survmamba.blocks import BiMambaBlock
+from survmamba.errors import ConsumedGraphError, NonFiniteError, ShapeError
 from survmamba.numerics import (
     Tensor,
     causal_depthwise_conv1d,
@@ -16,6 +17,7 @@ from survmamba.numerics import (
     silu,
     softplus,
     stacked_linear,
+    tmean,
     tsum,
 )
 
@@ -212,3 +214,56 @@ class TestShapeOps:
         y = silu(softplus(linear(x, w, b)))
         assert np.all(np.isfinite(y.data))
         assert int(np.prod(y.shape)) == y.data.size
+
+
+class TestConsumedGraph:
+    """backward() frees each interior node once swept; leaves keep .grad."""
+
+    @staticmethod
+    def _diamond():
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([1.5, 0.25, -0.75]), requires_grad=True)
+        h = silu(x * w)  # used twice below
+        return x, w, h, tsum(h * h + h * x)
+
+    def test_second_backward_raises(self):
+        _, _, _, loss = self._diamond()
+        loss.backward()
+        with pytest.raises(ConsumedGraphError, match="already consumed"):
+            loss.backward()
+
+    def test_backward_through_consumed_subgraph_raises(self):
+        x, _, h, loss = self._diamond()
+        loss.backward()
+        with pytest.raises(ConsumedGraphError):
+            tsum(h * x).backward()
+
+    def test_interior_nodes_freed(self):
+        x, w, h, loss = self._diamond()
+        loss.backward()
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+        assert x.grad is not None and w.grad is not None
+
+    def test_leaf_gradients_unchanged_by_freeing(self):
+        """Leaf gradients equal bit for bit those of the sweep that keeps
+        the whole graph, on a diamond and on a bidirectional block."""
+        def block_loss():
+            blk = BiMambaBlock(3, 4, 2, 2, rng=np.random.default_rng(1))
+            rng = np.random.default_rng(2)
+            for p in blk.parameters():
+                p.data += rng.normal(scale=0.5, size=p.shape)
+            tokens = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+            return [tokens] + blk.parameters(), tmean(silu(blk(tokens)))
+
+        def diamond():
+            x, w, _, loss = self._diamond()
+            return [x, w], loss
+
+        for build in (diamond, block_loss):
+            leaves, loss = build()
+            loss.backward()
+            ref_leaves, ref_loss = build()
+            oracle.backward_keep_graph(ref_loss)
+            for got, ref in zip(leaves, ref_leaves):
+                assert np.array_equal(got.grad, ref.grad)

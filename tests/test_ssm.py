@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import survmamba.ssm as ssm
 from survmamba.errors import ConfigError
-from survmamba.numerics import Tensor, grad_check, silu, tsum
+from survmamba.gradsuite import check_scan
+from survmamba.numerics import Tensor, grad_check, no_grad, silu, tsum
 from survmamba.ssm import (
     apply_lti_kernel,
     discretize,
@@ -275,3 +277,80 @@ class TestScanGradient:
             grads[route] = [t.grad.copy() for t in (a, dt, bp, cp, x)]
         for ga, gb in zip(grads["rec"], grads["par"]):
             assert np.max(np.abs(ga - gb)) < 1e-10
+
+
+class TestFusedScan:
+    """The fused scan node against the unfused tape composition it
+    replaced (tests/_oracles.py), on outputs and all five input gradients."""
+
+    SLAB = 4  # time steps per slab, set through the byte budget
+
+    @staticmethod
+    def _run(vals, fn, weight):
+        ts = {k: Tensor(v.copy(), requires_grad=True) for k, v in vals.items()}
+        y = fn(ts)
+        tsum(silu(y) * Tensor(weight)).backward()
+        return [y.data] + [ts[k].grad for k in ("x", "delta", "A", "Bproj", "Cproj")]
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("m", [1, SLAB - 1, SLAB, SLAB + 1, 3 * SLAB + 2])
+    def test_matches_unfused_oracle(self, monkeypatch, mode, parallel, m):
+        b, e, n = 3, 5, 4
+        monkeypatch.setattr(ssm, "SLAB_BYTES", self.SLAB * 8 * b * e * n)
+        rng = np.random.default_rng(100 + m)
+        vals = {
+            "x": rng.normal(size=(b, m, e)),
+            "delta": rng.uniform(0.05, 0.8, size=(b, m, e)),
+            "A": -np.exp(rng.normal(size=(e, n))),
+            "Bproj": rng.normal(size=(b, m, n)),
+            "Cproj": rng.normal(size=(b, m, n)),
+        }
+        weight = rng.normal(size=(b, m, e))
+        scan = selective_scan_parallel if parallel else selective_scan_recurrent
+
+        def fused(ts):
+            return scan(ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], mode), ts["Cproj"])
+
+        def unfused(ts):
+            abar, bbar = oracle.unfused_discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
+            return oracle.unfused_scan(ts["x"], abar, bbar, ts["Cproj"], parallel)
+
+        got = self._run(vals, fused, weight)
+        ref = self._run(vals, unfused, weight)
+        for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
+
+    def test_one_node_holds_no_step_operators(self):
+        """The scan is one node whose parents are the five sources, and the
+        step operators from discretize stay off the tape."""
+        rng = np.random.default_rng(3)
+        b, m, e, n = 2, 6, 3, 4
+        x, delta, bp, cp = (Tensor(rng.normal(size=s), requires_grad=True)
+                            for s in ((b, m, e), (b, m, e), (b, m, n), (b, m, n)))
+        a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
+        dp = discretize(delta, a, bp, "zoh")
+        assert not dp.Abar.requires_grad and not dp.Bbar.requires_grad
+        y = selective_scan_recurrent(x, dp, cp)
+        assert y._parents == (x, delta, a, bp, cp)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(4)
+        b, m, e, n = 2, 6, 3, 4
+        x = Tensor(rng.normal(size=(b, m, e)), requires_grad=True)
+        delta = Tensor(rng.uniform(0.1, 0.5, size=(b, m, e)), requires_grad=True)
+        a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
+        bp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
+        cp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
+        with_grad = selective_scan_recurrent(x, discretize(delta, a, bp, "euler"), cp)
+        with no_grad():
+            y = selective_scan_recurrent(x, discretize(delta, a, bp, "euler"), cp)
+        assert not y.requires_grad and y._backward is None and y._parents == ()
+        assert np.array_equal(y.data, with_grad.data)
+
+
+def test_gradsuite_scan_checks():
+    """The gradient suite's scan checks (euler and zoh, B = 2), which the
+    quick tier otherwise reaches only through criterion 2."""
+    for name, err, bound in check_scan():
+        assert err <= bound, (name, err)
