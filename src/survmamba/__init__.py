@@ -6,9 +6,10 @@ Layers of the library, bottom up:
 * ``numerics``  - float64 tensors with reverse-mode autodiff and the
   primitive ops (linear, SiLU, softplus, layer norm, causal depthwise
   conv), plus finite-difference gradient verification.
-* ``ssm``       - selective-scan kernels: discretization, sequential
-  recurrence, work-efficient parallel scan, and the LTI convolution
-  kernel, all mutually verifying.
+* ``ssm``       - selective-scan kernels: discretization, the sequential
+  recurrence (the one differentiable route), and two forward-only
+  cross-checks on it, the work-efficient parallel scan and the LTI
+  convolution kernel.
 * ``blocks``    - the bidirectional scan block and the cross-gated
   two-modality fusion block.
 * ``hierarchy`` - two-level bags, per-modality encoders, and the

@@ -10,24 +10,22 @@ files).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from .dataio import load_checkpoint, load_dataset, read_config, read_text, save_checkpoint, save_dataset
 from .errors import DataError
 from .gradsuite import run_grad_checks
 from .ssm import bench_scan
-from .survstats import SurvivalOutcome, kaplan_meier, logrank_test, risk_stratify
+from .survstats import SurvivalOutcome
 from .synth import SynthSpec, synth_generate
-from .training import TrainConfig, build_model, evaluate, train
+from .training import TrainConfig, build_model, compare_strata, evaluate, train
 
 
 def _cmd_synth(args):
-    spec = SynthSpec(**json.loads(Path(args.spec).read_text())) if args.spec else SynthSpec()
+    spec = read_config(SynthSpec, args.spec) if args.spec else SynthSpec()
     dataset = synth_generate(spec, seed=args.seed, t_bins=args.t_bins)
     manifest = save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} patients to {manifest}")
@@ -114,7 +112,7 @@ def _read_rows(path, fields: int, layout: str):
     """(line number, values) for each line of `fields` finite numbers,
     skipping blank and '#' lines; DataError names the file and line."""
     rows = []
-    for i, ln in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, ln in enumerate(read_text(path, "input file").splitlines(), start=1):
         toks = ln.split()
         if not toks or toks[0].startswith("#"):
             continue
@@ -150,15 +148,10 @@ def _cmd_km(args):
     if len(risks) != len(outcomes):
         print(f"error: {len(risks)} risks vs {len(outcomes)} outcomes", file=sys.stderr)
         return 2
-    labels = risk_stratify(risks)
-    low = [o for o, lab in zip(outcomes, labels) if lab == "low"]
-    high = [o for o, lab in zip(outcomes, labels) if lab == "high"]
-    curves = [(name, kaplan_meier(grp)) for name, grp in (("low", low), ("high", high)) if grp]
-    if low and high:
-        lr = logrank_test(low, high)
-        summary = _logrank_line(lr.chi2, lr.p, lr.degenerate)
-    else:
-        summary = "# logrank undefined: single stratum"
+    if len(risks) < 2:
+        raise DataError(f"{args.risks}: the median split needs at least 2 patients, got {len(risks)}")
+    _, curves, lr = compare_strata(risks, outcomes)
+    summary = "# logrank undefined: single stratum" if lr is None else _logrank_line(lr.chi2, lr.p, lr.degenerate)
     _print_km_table(curves, summary)
     return 0
 

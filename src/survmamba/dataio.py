@@ -18,14 +18,12 @@ Checkpoint (binary, .smck): magic "SMCK", uint32 count, then per
 parameter uint32 name length, UTF-8 name bytes, uint32 rank, rank uint64
 dims, and the little-endian float64 payload, which must be finite.
 
-A file cut short, a malformed count or a non-finite value raises
-DataError naming the file and the line (bags) or byte offset
-(checkpoints) where reading stopped. In a manifest or grouping file,
-malformed JSON, a missing key, a censoring flag other than 0 or 1, a
-time that is not finite and positive, and bins that are not a
-non-decreasing list of at least two numbers raise DataError naming the
-file and the patient or key. Equal manifest edges are accepted: small
-cohorts with a single observed death write them.
+A missing file, text that is not UTF-8, a file cut short, a malformed
+count, a non-finite value or, in a manifest or grouping file, malformed
+JSON, a missing key or a value of the wrong JSON type or range raises
+DataError naming the file and the line (bags), byte offset (checkpoints)
+or patient, process, function or key. Equal manifest edges are accepted:
+small cohorts with a single observed death write them.
 """
 
 from __future__ import annotations
@@ -33,12 +31,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import PatientRecord, SurvivalDataset, finalize_dataset
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .hierarchy import GroupingConfig, HierarchicalBag
 
 BAG_MAGIC = "SMB1"
@@ -55,11 +54,20 @@ def write_feature_bag(path, bag: HierarchicalBag):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a file; DataError when it is missing or not UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte offset {exc.start} is not UTF-8 text") from None
+
+
 def read_feature_bag(path, modality: str) -> HierarchicalBag:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature-bag file not found: {path}")
-    text = path.read_text()
+    text = read_text(path, "feature-bag file")
     lines = text.splitlines()
     if not text.endswith("\n"):
         raise DataError(f"{path}: truncated, line {max(len(lines), 1)} has no closing newline")
@@ -77,6 +85,8 @@ def read_feature_bag(path, modality: str) -> HierarchicalBag:
     if len(header) != 3 or header[0] != BAG_MAGIC:
         raise DataError(f"{path}: bad header {lines[0]!r}, expected '{BAG_MAGIC} <n_groups> <dim>'")
     n_groups, dim = count(header[1], 0, "group count"), count(header[2], 0, "token dim")
+    if dim == 0:
+        raise DataError(f"{path}: line 1: token dim is 0, tokens need at least one value")
     groups = []
     ln = 1
     for _ in range(n_groups):
@@ -126,29 +136,62 @@ def write_grouping(path, grouping: GroupingConfig):
     Path(path).write_text(json.dumps(grouping.to_dict(), indent=1) + "\n")
 
 
-def _read_json(path: Path, what: str):
-    if not path.exists():
-        raise DataError(f"{what} not found: {path}")
+def _read_json(path: Path, what: str, error=DataError):
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc}") from None
+        return json.loads(read_text(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from None
 
 
-def _key(obj, key: str, where: str):
-    """obj[key] from a parsed JSON object; DataError naming where when absent."""
+def read_config(cls, path):
+    """An instance of the dataclass cls from a flat JSON object of field
+    values; absent fields keep their defaults. ConfigError names the file."""
+    doc = _read_json(Path(path), "config file", ConfigError)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object of config fields")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{path}: unknown config fields {unknown}")
+    try:
+        return cls(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _key(obj, key: str, where: str, kind=object, what: str = "", item: str = ""):
+    """obj[key] from a parsed JSON object. DataError naming where (and the
+    item) when it is absent or, for a given kind, not a `kind`: bools never
+    are, and a list must not be empty."""
     if not isinstance(obj, dict) or key not in obj:
-        raise DataError(f"{where}: missing key {key!r}")
-    return obj[key]
+        raise DataError(f"{where}: missing key {key!r}{item}")
+    val = obj[key]
+    if kind is not object and (not isinstance(val, kind) or isinstance(val, bool) or (kind is list and not val)):
+        raise DataError(f"{where}: {key} {val!r} is not {what}{item}")
+    return val
 
 
 def read_grouping(path) -> GroupingConfig:
     path = Path(path)
     doc = _read_json(path, "grouping config")
+
+    def entries(key, noun, members, valid, what):
+        """[(id, members)] of the doc's `key` list; DataError names the entry."""
+        out = []
+        for i, entry in enumerate(_key(doc, key, str(path), list, "a non-empty list")):
+            eid = _key(entry, "id", str(path), str, "a string", f" ({noun} #{i})")
+            vals = _key(entry, members, str(path), list, "a non-empty list", f" ({noun} {eid!r})")
+            if not all(map(valid, vals)):
+                raise DataError(f"{path}: {members} {vals!r} are not {what} ({noun} {eid!r})")
+            out.append((eid, vals))
+        return out
+
+    functions = entries("functions", "function", "genes", lambda g: type(g) is int and g >= 0,
+                        "non-negative integers")
+    processes = entries("processes", "process", "functions", lambda f: type(f) is str, "function ids")
     try:
-        return GroupingConfig.from_dict(doc)
-    except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc}") from None
+        return GroupingConfig(processes=processes, functions=functions)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: SurvivalDataset, out_dir) -> Path:
@@ -190,21 +233,24 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     doc = _read_json(manifest_path, "manifest")
-    grouping = read_grouping(base / _key(doc, "grouping", str(manifest_path)))
+    grouping = read_grouping(base / _key(doc, "grouping", str(manifest_path), str, "a path"))
     n_genes_needed = grouping.n_genes
 
     records = []
-    for i, p in enumerate(_key(doc, "patients", str(manifest_path))):
-        pid = _key(p, "id", f"{manifest_path}: patient #{i}")
+    for i, p in enumerate(_key(doc, "patients", str(manifest_path), list, "a non-empty list")):
+        pid = _key(p, "id", f"{manifest_path}: patient #{i}", str, "a string")
         where = f"{manifest_path}: patient {pid}"
-        time_months = _key(p, "time_months", where)
+        time_months = _key(p, "time_months", where, (int, float), "a finite positive number")
         censored = _key(p, "censored", where)
-        if not isinstance(time_months, (int, float)) or not 0 < time_months < math.inf:
+        if not 0 < time_months < math.inf:
             raise DataError(f"{where}: time_months {time_months!r} is not a finite positive number")
         if censored not in (0, 1):
             raise DataError(f"{where}: censored {censored!r} is not 0 or 1")
-        hist = read_feature_bag(base / _key(p, "histology", where), "histology")
-        gen_bag = read_feature_bag(base / _key(p, "genomics", where), "genomics")
+        hist = read_feature_bag(base / _key(p, "histology", where, str, "a path"), "histology")
+        if records and hist.token_dim != records[0].histology.token_dim:
+            raise DataError(f"{where}: histology token dim {hist.token_dim} differs from "
+                            f"patient {records[0].patient_id}'s {records[0].histology.token_dim}")
+        gen_bag = read_feature_bag(base / _key(p, "genomics", where, str, "a path"), "genomics")
         if gen_bag.n_groups != 1 or np.asarray(gen_bag.groups[0][1]).shape[0] != 1:
             raise DataError(f"patient {pid}: genomics file must hold one group with one token")
         expr = np.asarray(gen_bag.groups[0][1])[0]
@@ -252,7 +298,7 @@ def save_checkpoint(model, path):
 
 def load_checkpoint_arrays(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
     if blob[:4] != CKPT_MAGIC:

@@ -31,7 +31,6 @@ from .numerics import (
 )
 
 PROB_FLOOR = 1e-12  # probabilities are clamped here before any log
-DEFAULT_ALIGN_CAP = 256
 
 
 def _segment_sizes(n: int, target: int) -> list:
@@ -40,17 +39,12 @@ def _segment_sizes(n: int, target: int) -> list:
     return [base + 1] * extra + [base] * (target - extra)
 
 
-def align_fine_tokens(tokens_a: Tensor, tokens_b: Tensor, length: int | None = None):
-    """Segment-mean-pool two (L, D) token runs to a shared length.
-
-    length defaults to min(L_a, L_b, 256). When a run is already at the
-    target length it passes through unchanged.
-    """
+def align_fine_tokens(tokens_a: Tensor, tokens_b: Tensor, length: int):
+    """Segment-mean-pool two (L, D) token runs to a shared length; a run
+    already at that length passes through unchanged."""
     la, lb = tokens_a.shape[0], tokens_b.shape[0]
     if la < 1 or lb < 1:
         raise ShapeError("align: both token runs must be non-empty")
-    if length is None:
-        length = min(la, lb, DEFAULT_ALIGN_CAP)
     if length < 1:
         raise ConfigError(f"align: target length must be >= 1, got {length}")
     if length > min(la, lb):
@@ -70,8 +64,9 @@ def _fuse(aligned_a: Tensor, aligned_b: Tensor, ifm: IFMBlock) -> Tensor:
     return tmean(reshape(out, (l, d)), axis=0)
 
 
-def fuse_fine(tokens_a: Tensor, tokens_b: Tensor, ifm: IFMBlock, length: int | None = None) -> Tensor:
-    """Fuse aligned fine-grained token runs into a single D-vector."""
+def fuse_fine(tokens_a: Tensor, tokens_b: Tensor, ifm: IFMBlock, length: int) -> Tensor:
+    """Fuse fine-grained token runs, aligned to `length` tokens, into a
+    single D-vector."""
     a, b = align_fine_tokens(tokens_a, tokens_b, length)
     return _fuse(a, b, ifm)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BiMambaBlock
 from .errors import DataError, ShapeError
-from .numerics import (LinearLayer, Module, Namespace, Tensor, silu, stack,
+from .numerics import (LinearLayer, Module, Namespace, Tensor, concat, silu, stack,
                        stacked_linear, tmean, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
@@ -98,13 +98,6 @@ class GroupingConfig:
             "functions": [{"id": fid, "genes": list(genes)} for fid, genes in self.functions],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupingConfig":
-        return cls(
-            processes=[(p["id"], list(p["functions"])) for p in d["processes"]],
-            functions=[(f["id"], list(f["genes"])) for f in d["functions"]],
-        )
-
 
 def _catalog(functions_per_process: list, genes_per_function: int) -> GroupingConfig:
     """Consecutive gene blocks, consecutive function blocks; process p
@@ -156,34 +149,35 @@ class _MlpBank(Module):
 class GenomicsEncoder(Module):
     """Per-function two-layer MLPs producing D-dim tokens, grouped by
     process in catalog order. Functions with equal gene counts share one
-    stacked bank (same math, one batched call)."""
+    stacked bank (same math, one batched call); one gather, built at
+    construction, puts the banks' rows in process order."""
 
     def __init__(self, grouping: GroupingConfig, d_model: int, hidden: int, rng):
         super().__init__()
         self.grouping = grouping
         by_width: dict = {}
-        for i, (fid, genes) in enumerate(grouping.functions):
-            by_width.setdefault(len(genes), []).append(i)
-        self._classes = []  # (width, fn indices, gene index matrix)
+        for fid, genes in grouping.functions:
+            by_width.setdefault(len(genes), []).append((fid, genes))
+        self._banks = []  # (bank, gene index matrix), in width order
+        self._slot = {}  # function id -> (bank, row), in concatenated bank output order
         banks = Namespace()
         for w in sorted(by_width):
-            idxs = by_width[w]
-            bank = _MlpBank(len(idxs), w, hidden, d_model, rng)
+            members = by_width[w]
+            bank = _MlpBank(len(members), w, hidden, d_model, rng)
             setattr(banks, f"genes{w}", bank)
-            gene_idx = np.asarray([grouping.functions[i][1] for i in idxs], dtype=np.int64)
-            self._classes.append((w, idxs, gene_idx, bank))
+            self._banks.append((bank, np.asarray([genes for _, genes in members], dtype=np.int64)))
+            for row, (fid, _) in enumerate(members):
+                self._slot[fid] = (bank, row)
         self.banks = banks
-        self._fn_slot = {}  # function position -> (class, row)
-        for ci, (_, idxs, _, _) in enumerate(self._classes):
-            for row, i in enumerate(idxs):
-                self._fn_slot[i] = (ci, row)
-        self._fn_pos = {fid: i for i, (fid, _) in enumerate(grouping.functions)}
+        rank = {fid: r for r, fid in enumerate(self._slot)}
+        order = [rank[fid] for _, fids in grouping.processes for fid in fids]
+        self._order = None if order == list(range(len(rank))) else np.asarray(order, dtype=np.int64)
+        self._bounds = np.cumsum([0] + [len(fids) for _, fids in grouping.processes]).tolist()
         self._max_gene = max(g for _, genes in grouping.functions for g in genes)
 
     def set_function_mlp(self, fid: str, w1, b1, w2, b2):
         """Overwrite one function's MLP weights (test/fixture helper)."""
-        ci, row = self._fn_slot[self._fn_pos[fid]]
-        bank = self._classes[ci][3]
+        bank, row = self._slot[fid]
         bank.w1.data[row] = w1
         bank.b1.data[row] = b1
         bank.w2.data[row] = w2
@@ -193,30 +187,15 @@ class GenomicsEncoder(Module):
         """expr: 1-d gene expression vector -> [(process_id, Tensor[K_j, D]), ...]."""
         expr = np.asarray(expr, dtype=np.float64)
         if self._max_gene >= expr.shape[0]:
-            for fid, genes in self.grouping.functions:
-                if max(genes) >= expr.shape[0]:
-                    raise DataError(
-                        f"genomics: function {fid!r} needs gene index {max(genes)} "
-                        f"but expression vector has {expr.shape[0]} genes"
-                    )
-        class_tokens = [bank(Tensor(expr[gene_idx])) for _, _, gene_idx, bank in self._classes]
-        out = []
-        for pid, fids in self.grouping.processes:
-            rows = []
-            for fid in fids:
-                ci, row = self._fn_slot[self._fn_pos[fid]]
-                rows.append((ci, row))
-            if len({ci for ci, _ in rows}) == 1 and _is_contiguous([r for _, r in rows]):
-                ci, first = rows[0]
-                toks = class_tokens[ci][first : first + len(rows)]
-            else:
-                toks = stack([class_tokens[ci][r] for ci, r in rows], axis=0)
-            out.append((pid, toks))
-        return out
-
-
-def _is_contiguous(rows: list) -> bool:
-    return all(b == a + 1 for a, b in zip(rows, rows[1:]))
+            fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= expr.shape[0])
+            raise DataError(f"genomics: function {fid!r} needs gene index {top} "
+                            f"but expression vector has {expr.shape[0]} genes")
+        tokens = [bank(Tensor(expr[gene_idx])) for bank, gene_idx in self._banks]
+        tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=0)
+        if self._order is not None:
+            tokens = tokens[self._order]
+        b = self._bounds
+        return [(pid, tokens[b[j] : b[j + 1]]) for j, (pid, _) in enumerate(self.grouping.processes)]
 
 
 class HistologyEncoder(Module):

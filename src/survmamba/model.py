@@ -158,39 +158,25 @@ def _linear_flops(t, i, o):
     return 2 * t * i * o + t * o
 
 
+def _branch_flops(t, e, n, w):
+    """One ScanBranch: conv, SiLU, B/C/delta projections, softplus,
+    discretize and scan."""
+    return (2 * t * e * w + t * e + 4 * t * e + 2 * _linear_flops(t, e, n)
+            + _linear_flops(t, e, e) + 4 * t * e + 4 * t * e * n + 5 * t * e * n)
+
+
 def _bimamba_flops(t, d, e, n, w):
-    fl = 5 * t * d  # norm
-    fl += 2 * _linear_flops(t, d, e)  # x and z projections
-    fl += 4 * t * e  # SiLU(z)
-    per_dir = (
-        (2 * t * e * w + t * e)  # conv
-        + 4 * t * e  # SiLU
-        + 2 * _linear_flops(t, e, n)  # B and C
-        + _linear_flops(t, e, e) + 4 * t * e  # delta projection + softplus
-        + 4 * t * e * n  # discretize
-        + 5 * t * e * n  # scan
-    )
-    fl += 2 * per_dir
-    fl += 2 * (t * e)  # gating per direction
-    fl += t * e  # direction sum
-    fl += _linear_flops(t, e, d)  # output projection
-    fl += t * d  # residual
-    return fl
+    """Norm, x/z projections, SiLU(z), a branch per direction, gating per
+    direction, direction sum, output projection, residual."""
+    return (5 * t * d + 2 * _linear_flops(t, d, e) + 4 * t * e + 2 * _branch_flops(t, e, n, w)
+            + 2 * t * e + t * e + _linear_flops(t, e, d) + t * d)
 
 
 def _ifm_flops(t, d, e, n, w):
-    per_mod = (
-        5 * t * d
-        + _linear_flops(t, d, e)  # in-proj
-        + (2 * t * e * w + t * e)
-        + 4 * t * e
-        + 2 * _linear_flops(t, e, n)
-        + _linear_flops(t, e, e) + 4 * t * e
-        + 4 * t * e * n
-        + 5 * t * e * n
-        + _linear_flops(t, d, e) + 4 * t * e  # z projection + SiLU
-        + t * e  # cross gate
-    )
+    """Per modality: norm, in-projection, branch, z projection + SiLU,
+    cross gate; then the output projection."""
+    per_mod = (5 * t * d + _linear_flops(t, d, e) + _branch_flops(t, e, n, w)
+               + _linear_flops(t, d, e) + 4 * t * e + t * e)
     return 2 * per_mod + _linear_flops(t, 2 * e, d)
 
 

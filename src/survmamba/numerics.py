@@ -458,7 +458,10 @@ def getitem(a: Tensor, key) -> Tensor:
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        buf[key] = g
+        if isinstance(key, np.ndarray):
+            np.add.at(buf, key, g)  # a repeated index gathers its row twice
+        else:
+            buf[key] = g
         a._accum(buf)
 
     return _node(out, (a,), backward)

@@ -3,10 +3,13 @@
 Three mutually verifying routes through the same linear recurrence
 h_t = Abar_t * h_{t-1} + Bbar_t * x_t, y_t = <C_t, h_t>:
 
-* ``selective_scan_recurrent`` - the sequential reference, O(M*E*N) work.
+* ``selective_scan_recurrent`` - the sequential reference, O(M*E*N) work;
+  the one differentiable route.
 * ``selective_scan_parallel``  - Blelloch up/down sweep over the
   associative operator (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2).
 * ``lti_kernel`` + convolution - valid only for time-invariant parameters.
+
+The last two are forward-only cross-checks that record no tape node.
 
 Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
@@ -123,44 +126,41 @@ def _scan_parallel_states_impl(abar, bx):
         v[:, ri] = ta * v[:, ri] + tv
         a[:, ri] = a[:, ri] * ta
     # inclusive_t = exclusive_t o elem_t: h = a_t * b_ex + b_t
-    h_all = abar * v[:, :m] + bx
-    return h_all
+    return abar * v[:, :m] + bx
 
 
-def _make_scan(x: Tensor, dp: DiscreteParams, cproj: Tensor, parallel: bool) -> Tensor:
-    abar, bbar, c = dp.Abar.data, dp.Bbar.data, cproj
+def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor):
+    abar, bbar = dp.Abar.data, dp.Bbar.data
     if x.ndim != 3:
         raise ShapeError(f"scan: expected (B, M, E) input, got {x.shape}")
     if abar.shape[:3] != x.shape or abar.shape != bbar.shape:
         raise ShapeError(f"scan: Abar {abar.shape} / Bbar {bbar.shape} do not match x {x.shape}")
-    if c.shape != x.shape[:2] + (abar.shape[-1],):
-        raise ShapeError(f"scan: Cproj {c.shape} does not match (B, M, N)")
+    if cproj.shape != x.shape[:2] + (abar.shape[-1],):
+        raise ShapeError(f"scan: Cproj {cproj.shape} does not match (B, M, N)")
 
+
+def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
+    """Sequential scan from h_0 = 0; the reference and the one route that
+    records a tape node."""
+    _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
-    xd, dd, ad, bd, cd, mode = x.data, dp.delta.data, dp.A.data, dp.Bproj.data, c.data, dp.mode
+    abar, bbar = dp.Abar.data, dp.Bbar.data
+    xd, dd, ad, bd, cd, mode = x.data, dp.delta.data, dp.A.data, dp.Bproj.data, cproj.data, dp.mode
     b, m, e = xd.shape
     n = ad.shape[-1]
     step = max(1, SLAB_BYTES // (8 * b * e * n))
     slabs = [slice(s0, min(m, s0 + step)) for s0 in range(0, m, step)]
     checkpoints = []  # the state entering each slab, kept only when recording
-
-    if parallel:
-        h_all = _scan_parallel_states_impl(abar, bbar * xd[..., None])
-        y = np.matmul(h_all[:, :, :, None, :], cd[:, :, None, :, None])[..., 0, 0]
-        y = np.ascontiguousarray(y)
+    y = np.empty((b, m, e))
+    h0 = np.zeros((b, e, n))
+    for sl in slabs:
         if record:
-            checkpoints = [h_all[:, sl.start - 1].copy() if sl.start else np.zeros((b, e, n)) for sl in slabs]
-    else:
-        y = np.empty((b, m, e))
-        h0 = np.zeros((b, e, n))
-        for sl in slabs:
-            if record:
-                checkpoints.append(h0)
-            hs = _slab_states(abar[:, sl], bbar[:, sl] * xd[:, sl, :, None], h0)
-            # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
-            y[:, sl] = np.matmul(hs[:, 1:], cd[:, sl, :, None])[..., 0]
-            h0 = hs[:, -1].copy()
+            checkpoints.append(h0)
+        hs = _slab_states(abar[:, sl], bbar[:, sl] * xd[:, sl, :, None], h0)
+        # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
+        y[:, sl] = np.matmul(hs[:, 1:], cd[:, sl, :, None])[..., 0]
+        h0 = hs[:, -1].copy()
 
     def backward(g):
         dx, ddelta = np.empty((b, m, e)), np.zeros((b, m, e))
@@ -199,30 +199,18 @@ def _make_scan(x: Tensor, dp: DiscreteParams, cproj: Tensor, parallel: bool) -> 
     return _node(y, parents, backward)
 
 
-def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Sequential scan from h_0 = 0; the reference implementation."""
-    return _make_scan(x, dp, cproj, parallel=False)
-
-
 def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Work-efficient parallel-scan route; matches the recurrent output
-    to ~1e-10 (same math, different summation bracketing)."""
-    return _make_scan(x, dp, cproj, parallel=True)
+    """Work-efficient parallel-scan route, forward only: a cross-check on
+    the recurrent scan that records no tape node. Matches the recurrent
+    output to ~1e-10 (same math, different summation bracketing)."""
+    _check_shapes(x, dp, cproj)
+    h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
+    return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
 
 
-def scan_operator_combine(first: tuple, second: tuple) -> tuple:
-    """The associative operator on (a, b) pairs: apply `first`, then `second`."""
-    a1, b1 = first
-    a2, b2 = second
-    return (a1 * a2, a2 * b1 + b2)
-
-
-def lti_kernel(abar, bbar, cproj, length: int) -> np.ndarray:
+def lti_kernel(abar: np.ndarray, bbar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
     """Kernel of the time-invariant system: K[e, k] = sum_n C[n] * Abar[e,n]^k * Bbar[e,n],
     i.e. (C Bbar, C Abar Bbar, ..., C Abar^{M-1} Bbar)."""
-    abar = np.asarray(abar.data if isinstance(abar, Tensor) else abar, dtype=np.float64)
-    bbar = np.asarray(bbar.data if isinstance(bbar, Tensor) else bbar, dtype=np.float64)
-    c = np.asarray(cproj.data if isinstance(cproj, Tensor) else cproj, dtype=np.float64)
     e, n = abar.shape
     powers = np.empty((e, n, length))
     powers[:, :, 0] = 1.0
@@ -267,15 +255,15 @@ def bench_scan(lengths, channels: int = 8, state: int = 8, modes=("recurrent", "
         xt = Tensor(x)
         ref = selective_scan_recurrent(xt, dp, cproj).data
         kern = lti_kernel(dp.Abar.data[0, 0], dp.Bbar.data[0, 0], c0, m)
+        routes = {
+            "recurrent": lambda xt=xt, dp=dp, cproj=cproj: selective_scan_recurrent(xt, dp, cproj).data,
+            "parallel": lambda xt=xt, dp=dp, cproj=cproj: selective_scan_parallel(xt, dp, cproj).data,
+            "conv": lambda x=x, kern=kern: apply_lti_kernel(x, kern),
+        }
         for mode in modes:
-            if mode == "recurrent":
-                fn = lambda xt=xt, dp=dp, cproj=cproj: selective_scan_recurrent(xt, dp, cproj).data
-            elif mode == "parallel":
-                fn = lambda xt=xt, dp=dp, cproj=cproj: selective_scan_parallel(xt, dp, cproj).data
-            elif mode == "conv":
-                fn = lambda x=x, kern=kern: apply_lti_kernel(x, kern)
-            else:
+            if mode not in routes:
                 raise ConfigError(f"scan-bench: unknown mode {mode!r}")
+            fn = routes[mode]
             fn()  # warm up
             cells.append({"mode": mode, "length": int(m), "fn": fn, "times": [], "ref": ref})
     # interleave reps across cells so a transient system stall cannot

@@ -12,6 +12,7 @@ function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ class SynthSpec:
     def validate(self):
         counts = (self.n_patients, self.regions, self.patches_per_region, self.processes,
                   self.functions_per_process, self.genes_per_function, self.feature_dim)
+        reals = (self.beta, self.noise, self.censoring_rate, self.base_rate)
+        finite = all(type(v) in (int, float) and math.isfinite(v) for v in reals)
+        if not (finite and all(type(c) is int for c in counts)):
+            raise ConfigError("synth spec: counts must be integers and the rest finite numbers")
         if any(c < 1 for c in counts):
             raise ConfigError("synth spec: all counts must be >= 1")
         if not 0.0 <= self.censoring_rate < 1.0:

@@ -7,18 +7,20 @@ loss trace. Evaluation scores the held-out fold patient by patient.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SurvivalDataset
+from .dataio import read_config
 from .errors import ConfigError, NonFiniteError, UndefinedResultError
 from .model import ModelConfig, SurvMambaModel
 from .optim import RAdam
-from .survstats import KmCurve, concordance_index, kaplan_meier, logrank_test, risk_stratify
+from .ssm import DISCRETIZE_MODES
+from .survstats import (KmCurve, LogrankResult, concordance_index, kaplan_meier, logrank_test,
+                        risk_stratify)
 
 
 @dataclass
@@ -33,6 +35,15 @@ class TrainConfig(ModelConfig):
     seed: int = 0
 
     def __post_init__(self):
+        sizes = ("d_model", "n_state", "conv_width", "t_bins", "genomics_hidden", "align_len", "depth",
+                 "batch_size", "epochs", "seed") + (() if self.e_expand is None else ("e_expand",))
+        for name, v in [(n, getattr(self, n)) for n in sizes + ("lr", "weight_decay")]:
+            if name in sizes and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
+                raise ConfigError(f"train config: {name} {v!r} is not an integer")
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+                raise ConfigError(f"train config: {name} {v!r} is not a finite number")
+        if self.disc_mode not in DISCRETIZE_MODES:
+            raise ConfigError(f"train config: disc_mode {self.disc_mode!r} is not one of {DISCRETIZE_MODES}")
         positive = (self.lr, self.weight_decay, self.batch_size, self.seed + 1,
                     self.d_model, self.resolved_e(), self.n_state, self.conv_width, self.t_bins,
                     self.genomics_hidden, self.align_len, self.depth)
@@ -43,16 +54,7 @@ class TrainConfig(ModelConfig):
     def from_json(cls, path) -> "TrainConfig":
         """Load a flat JSON object of field values; absent fields keep
         their defaults."""
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: expected a JSON object of config fields")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"{path}: unknown config fields {unknown}")
-        return cls(**doc)
+        return read_config(cls, path)
 
 
 def build_model(dataset: SurvivalDataset, cfg: TrainConfig) -> SurvMambaModel:
@@ -79,7 +81,7 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
         total = 0.0
         pending = 0
         optim.zero_grad()
-        for idx in order:
+        for k, idx in enumerate(order, start=1):
             rec = records[idx]
             loss = model.loss(rec)
             val = loss.item()
@@ -88,16 +90,12 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
             total += val
             loss.backward()
             pending += 1
-            if pending == cfg.batch_size:
-                if cfg.batch_size > 1:
-                    optim.grad /= cfg.batch_size
+            if pending == cfg.batch_size or k == len(order):  # a full batch, or the epoch's last
+                if pending > 1:
+                    optim.grad /= pending
                 optim.step()
                 optim.zero_grad()
                 pending = 0
-        if pending:
-            optim.grad /= pending
-            optim.step()
-            optim.zero_grad()
         trace.append(total / max(1, len(records)))
     model.zero_grad()  # drop the views into the optimizer's gradient buffer
     return model, trace
@@ -118,12 +116,24 @@ class EvalReport:
     logrank_degenerate: bool
 
 
+def compare_strata(risks, outcomes):
+    """Median-split the risks into 'low' and 'high' strata. Returns the
+    labels, a (name, Kaplan-Meier curve) pair per non-empty stratum (low
+    first) and the log-rank result, or None when all risks fall in one
+    stratum."""
+    labels = risk_stratify(risks)
+    groups = [(name, [o for o, lab in zip(outcomes, labels) if lab == name]) for name in ("low", "high")]
+    curves = [(name, kaplan_meier(grp)) for name, grp in groups if grp]
+    lr = logrank_test(groups[0][1], groups[1][1]) if len(curves) == 2 else None
+    return labels, curves, lr
+
+
 def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> EvalReport:
     """Held-out risks, concordance, median stratification, per-stratum
     Kaplan-Meier curves and the log-rank comparison."""
     records = dataset.fold_records(fold, held_out=True)
-    if not records:
-        raise ConfigError(f"fold {fold} has no held-out records")
+    if len(records) < 2:
+        raise ConfigError(f"fold {fold} has {len(records)} held-out records; the median split needs 2")
     risks = np.asarray([model.predict_risk(r) for r in records])
 
     outcomes = [r.outcome for r in records]
@@ -134,18 +144,9 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
         cidx = None
         diagnostic = str(exc)
 
-    labels = risk_stratify(risks)
-    low = [o for o, lab in zip(outcomes, labels) if lab == "low"]
-    high = [o for o, lab in zip(outcomes, labels) if lab == "high"]
-    if low and high:
-        lr = logrank_test(low, high)
-        chi2, p, degen = lr.chi2, lr.p, lr.degenerate
-        km_low, km_high = kaplan_meier(low), kaplan_meier(high)
-    else:
-        # all risks tied: a single stratum, nothing to compare
-        chi2, p, degen = 0.0, 1.0, True
-        km_low = kaplan_meier(low or [o for o in outcomes])
-        km_high = km_low
+    labels, curves, lr = compare_strata(risks, outcomes)
+    if lr is None:  # all risks tied: a single stratum, nothing to compare
+        lr = LogrankResult(chi2=0.0, p=1.0, degenerate=True)
         diagnostic = diagnostic or "median split produced a single stratum"
     return EvalReport(
         fold=fold,
@@ -154,9 +155,9 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
         c_index=cidx,
         diagnostic=diagnostic,
         labels=labels,
-        km_low=km_low,
-        km_high=km_high,
-        chi2=chi2,
-        p_value=p,
-        logrank_degenerate=degen,
+        km_low=curves[0][1],
+        km_high=curves[-1][1],
+        chi2=lr.chi2,
+        p_value=lr.p,
+        logrank_degenerate=lr.degenerate,
     )

@@ -104,6 +104,14 @@ def ifm_forward(block, tok_a, tok_b):
     return cat @ block.linear_out.weight.data + block.linear_out.bias.data
 
 
+def scan_operator_combine(first, second):
+    """The scan's associative operator on (a, b) pairs: apply `first`,
+    then `second`."""
+    a1, b1 = first
+    a2, b2 = second
+    return (a1 * a2, a2 * b1 + b2)
+
+
 def cindex_bruteforce(risks, times, events):
     """All-pairs double loop, Harrell ties at 1/2."""
     n = len(risks)
@@ -233,25 +241,21 @@ def unfused_discretize(delta, A, Bproj, mode="euler"):
     return abar, bbar
 
 
-def unfused_scan(x, abar, bbar, cproj, parallel=False):
+def unfused_scan(x, abar, bbar, cproj):
     """The scan node as it was before the fused scan: it keeps the full
     state history h_all and differentiates into Abar and Bbar."""
     from survmamba.numerics import _node
-    from survmamba.ssm import _scan_parallel_states_impl
 
     ad, bd, cd, xd = abar.data, bbar.data, cproj.data, x.data
     b_, m, e = xd.shape
     n = ad.shape[-1]
     bx = bd * xd[..., None]
-    if parallel:
-        h_all = _scan_parallel_states_impl(ad, bx)
-    else:
-        h_all = np.empty((b_, m, e, n))
-        h = np.zeros((b_, e, n))
-        for t in range(m):
-            np.multiply(ad[:, t], h, out=h)
-            h += bx[:, t]
-            h_all[:, t] = h
+    h_all = np.empty((b_, m, e, n))
+    h = np.zeros((b_, e, n))
+    for t in range(m):
+        np.multiply(ad[:, t], h, out=h)
+        h += bx[:, t]
+        h_all[:, t] = h
     y = np.matmul(h_all, cd[..., None])[..., 0]
 
     def backward(g):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from survmamba.cli import main
-from survmamba.errors import DataError
+from survmamba.errors import ConfigError, DataError
 
 
 def _run(capsys, argv):
@@ -176,4 +176,23 @@ def test_km_non_positive_time(tmp_path, time):
 def test_km_event_not_binary(tmp_path, event):
     argv = _km_files(tmp_path, "1.0\n2.0\n", f"3.0 1\n\n4.0 {event}\n")
     with pytest.raises(DataError, match=r"o\.txt: line 3: event must be 0 or 1"):
+        main(argv)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n_patients": 5', r"spec\.json: malformed JSON"),
+    ('{"n_patients": 5, "pool": 2}', r"spec\.json: unknown config fields \['pool'\]"),
+    ("[5]", r"spec\.json: expected a JSON object"),
+    ('{"regions": "4"}', "synth spec: counts must be integers and the rest finite numbers"),
+    ('{"noise": null}', "synth spec: counts must be integers and the rest finite numbers"),
+])
+def test_synth_spec_errors_are_typed(tmp_path, text, message):
+    (tmp_path / "spec.json").write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        main(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "0", "--out", str(tmp_path / "d")])
+
+
+def test_km_single_patient_named(tmp_path):
+    argv = _km_files(tmp_path, "1.0\n", "3.0 1\n")
+    with pytest.raises(DataError, match=r"r\.txt: the median split needs at least 2 patients, got 1"):
         main(argv)

@@ -18,6 +18,7 @@ from survmamba.fusion import (
     hazard_output_from,
     survival_nll,
 )
+from survmamba.model import ModelConfig
 from survmamba.numerics import Tensor
 
 import _oracles as oracle
@@ -54,10 +55,11 @@ class TestAlign:
         assert np.array_equal(oa.data[:, 0], [1.0, 3.5])
 
     def test_default_cap(self):
+        # the model caps the fine length at ModelConfig.align_len, 256 by default
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(300, 2)))
         b = Tensor(rng.normal(size=(280, 2)))
-        oa, ob = align_fine_tokens(a, b)
+        oa, ob = align_fine_tokens(a, b, min(300, 280, ModelConfig().align_len))
         assert oa.shape == (256, 2)
         assert ob.shape == (256, 2)
 
@@ -71,14 +73,14 @@ class TestFuse:
     def test_zero_block_gives_zero(self):
         blk = IFMBlock(3, 4, 2, 2, rng=np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        hf = fuse_fine(Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(4, 3))), blk)
+        hf = fuse_fine(Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(4, 3))), blk, 4)
         assert np.array_equal(hf.data, np.zeros(3))
 
     def test_singleton_mean(self):
         blk = _ifm()
         rng = np.random.default_rng(4)
         a, b = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
-        hf = fuse_fine(a, b, blk)
+        hf = fuse_fine(a, b, blk, 1)
         direct = blk(Tensor(a.data[None]), Tensor(b.data[None])).data[0, 0]
         assert np.array_equal(hf.data, direct)
 
@@ -87,7 +89,7 @@ class TestFuse:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(4, 3))
-        hf = fuse_fine(Tensor(a), Tensor(b), blk).data
+        hf = fuse_fine(Tensor(a), Tensor(b), blk, 4).data
         ref = oracle.ifm_forward(blk, a[None], b[None])[0].mean(axis=0)
         assert np.max(np.abs(hf - ref)) < 1e-12
 

@@ -15,7 +15,7 @@ from survmamba.hierarchy import (
     him_fine,
     make_grouping,
 )
-from survmamba.numerics import Tensor
+from survmamba.numerics import Tensor, concat, linear, silu, stack, tsum
 
 import _oracles as oracle
 
@@ -108,6 +108,70 @@ class TestGenomicsEncoder:
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(5))
         out = enc(np.array([1.0, 2.0, 3.0, 4.0]))
         assert out[0][1].shape == (3, 2)
+
+
+def _per_function_reference(enc, grouping, expr):
+    """Each function's MLP run on its own, rows taken from the banks'
+    parameters, stacked per process in catalog order."""
+    widths = {}
+    for fid, genes in grouping.functions:
+        widths.setdefault(len(genes), []).append(fid)
+    out = []
+    for pid, fids in grouping.processes:
+        rows = []
+        for fid in fids:
+            genes = grouping.genes_of(fid)
+            bank = getattr(enc.banks, f"genes{len(genes)}")
+            r = widths[len(genes)].index(fid)
+            hid = silu(linear(Tensor(expr[genes][None]), bank.w1[r], bank.b1[r]))
+            rows.append(linear(hid, bank.w2[r], bank.b2[r])[0])
+        out.append((pid, stack(rows, axis=0)))
+    return out
+
+
+class TestGenomicsEncoderGather:
+    RAGGED = GroupingConfig(
+        processes=[("p0", ["f3", "f0"]), ("p1", ["f2"]), ("p2", ["f1", "f4", "f3"])],
+        functions=[("f0", [0, 1]), ("f1", [2]), ("f2", [3, 4, 5]), ("f3", [1, 6]), ("f4", [7])],
+    )
+
+    @staticmethod
+    def _outputs_and_grads(enc, groups, weight_seed=2):
+        flat = concat([t for _, t in groups], axis=0)
+        w = np.random.default_rng(weight_seed).normal(size=flat.shape)
+        enc.zero_grad()
+        tsum(flat * Tensor(w)).backward()
+        return flat.data, {n: p.grad.copy() for n, p in enc.named_parameters()}
+
+    def test_ragged_non_contiguous_matches_reference(self):
+        """Widths 1, 2 and 3 in three banks, processes that interleave them
+        and one function listed by two processes: outputs and gradients
+        match running every function on its own."""
+        g = self.RAGGED
+        enc = GenomicsEncoder(g, d_model=4, hidden=3, rng=np.random.default_rng(0))
+        expr = np.random.default_rng(1).normal(size=8)
+        got = enc(expr)
+        assert [pid for pid, _ in got] == ["p0", "p1", "p2"]
+        out, grads = self._outputs_and_grads(enc, got)
+        ref_out, ref_grads = self._outputs_and_grads(enc, _per_function_reference(enc, g, expr))
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        for name, r in ref_grads.items():
+            assert np.max(np.abs(grads[name] - r)) <= 1e-12 * np.max(np.abs(r)), name
+
+    @pytest.mark.parametrize("grouping", [make_grouping(3, 4, 2), default_catalog(2)], ids=["uniform", "default"])
+    def test_one_width_catalog_slices_one_bank_call(self, grouping):
+        """With one width in catalog order there is no concatenation and no
+        gather: each process holds exactly its rows of the bank's output."""
+        enc = GenomicsEncoder(grouping, d_model=3, hidden=2, rng=np.random.default_rng(6))
+        (bank, gene_idx), = enc._banks
+        assert enc._order is None
+        expr = np.random.default_rng(7).normal(size=grouping.n_genes)
+        whole = bank(Tensor(expr[gene_idx])).data
+        lo = 0
+        for (pid, toks), (want, fids) in zip(enc(expr), grouping.processes):
+            assert pid == want and np.array_equal(toks.data, whole[lo : lo + len(fids)])
+            lo += len(fids)
+        assert lo == len(grouping.functions)
 
 
 class TestHistologyEncoder:

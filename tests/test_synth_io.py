@@ -146,6 +146,13 @@ class TestFeatureBagIO:
         with pytest.raises(DataError, match="header"):
             read_feature_bag(p, "histology")
 
+    def test_zero_token_dim_rejected(self, tmp_path):
+        # a (1, 0) bag used to load and then fail model set-up with ZeroDivisionError
+        p = tmp_path / "z.smb"
+        p.write_text("SMB1 1 0\ng 1\n\n")
+        with pytest.raises(DataError, match=r"z\.smb: line 1: token dim is 0"):
+            read_feature_bag(p, "histology")
+
 
     @staticmethod
     def _written(tmp_path):
@@ -342,6 +349,66 @@ class TestDatasetIO:
         gen.write_text("SMB1 1 2\nexpr 1\n0.1 0.2\n")
         with pytest.raises(DataError, match="P0002"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: [], r"grouping\.json: missing key 'functions'"),
+        (lambda g: {**g, "processes": 5}, r"grouping\.json: processes 5 is not a non-empty list"),
+        (lambda g: {**g, "functions": []}, r"grouping\.json: functions \[\] is not a non-empty list"),
+        (lambda g: {**g, "functions": [{"id": "F0000", "genes": []}] + g["functions"][1:]},
+         r"grouping\.json: genes \[\] is not a non-empty list \(function 'F0000'\)"),
+        (lambda g: {**g, "functions": [{"id": "F0000", "genes": ["a"]}] + g["functions"][1:]},
+         r"grouping\.json: genes \['a'\] are not non-negative integers \(function 'F0000'\)"),
+        (lambda g: {**g, "functions": [{"id": "F0000", "genes": [-1]}] + g["functions"][1:]},
+         r"grouping\.json: genes \[-1\] are not non-negative integers \(function 'F0000'\)"),
+        (lambda g: {**g, "functions": [{"id": "F0000", "genes": [True]}] + g["functions"][1:]},
+         r"are not non-negative integers \(function 'F0000'\)"),
+        (lambda g: {**g, "processes": [{"id": "P000", "functions": "f"}]},
+         r"grouping\.json: functions 'f' is not a non-empty list \(process 'P000'\)"),
+        (lambda g: {**g, "processes": [{"id": "P000", "functions": [["F0000"]]}]},
+         r"grouping\.json: functions \[\['F0000'\]\] are not function ids \(process 'P000'\)"),
+        (lambda g: {**g, "processes": [{"id": 7, "functions": ["F0000"]}]},
+         r"grouping\.json: id 7 is not a string \(process #0\)"),
+    ])
+    def test_grouping_of_wrong_json_type_named(self, tmp_path, edit, message):
+        path, _ = self._manifest(tmp_path)
+        grouping = tmp_path / "d" / "grouping.json"
+        grouping.write_text(json.dumps(edit(json.loads(grouping.read_text()))))
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {**m, "patients": 5}, r"manifest\.json: patients 5 is not a non-empty list"),
+        (lambda m: {**m, "patients": []}, r"manifest\.json: patients \[\] is not a non-empty list"),
+        (lambda m: {**m, "grouping": 5}, r"manifest\.json: grouping 5 is not a path"),
+        (lambda m: {**m, "grouping": ""}, r"grouping config not found: "),
+        (lambda m: {**m, "patients": [{**m["patients"][0], "histology": 5}]},
+         r"manifest\.json: patient P0000: histology 5 is not a path"),
+        (lambda m: {**m, "patients": [{**m["patients"][0], "genomics": None}]},
+         r"manifest\.json: patient P0000: genomics None is not a path"),
+        (lambda m: {**m, "patients": [{**m["patients"][0], "id": ["P"]}]},
+         r"manifest\.json: patient #0: id \['P'\] is not a string"),
+        (lambda m: {**m, "patients": [{**m["patients"][0], "time_months": True}]},
+         r"manifest\.json: patient P0000: time_months True is not a finite positive number"),
+        (lambda m: {**m, "patients": [{**m["patients"][0], "histology": "patients"}]},
+         r"feature-bag file not found: .*patients"),
+    ])
+    def test_manifest_of_wrong_json_type_named(self, tmp_path, edit, message):
+        path, doc = self._manifest(tmp_path)
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+    def test_histology_dims_must_agree(self, tmp_path):
+        path, doc = self._manifest(tmp_path)
+        (tmp_path / "d" / "patients" / "P0003.hist.smb").write_text("SMB1 1 2\nr0 1\n0.5 0.25\n")
+        with pytest.raises(DataError, match=r"patient P0003: histology token dim 2 differs from patient P0000's 3"):
+            load_dataset(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path, _ = self._manifest(tmp_path)
+        (tmp_path / "d" / "patients" / "P0001.gen.smb").write_bytes(b"SMB1 1 2\n\xff\n")
+        with pytest.raises(DataError, match=r"P0001\.gen\.smb: byte offset 9 is not UTF-8 text"):
+            load_dataset(path)
 
 
 class TestCheckpoint:

@@ -149,6 +149,25 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=r"cfg\.json"):
             TrainConfig.from_json(path)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"disc_mode": "rk4"}, r"disc_mode 'rk4' is not one of \('euler', 'zoh'\)"),
+        ({"d_model": 2.5}, "d_model 2.5 is not an integer"),
+        ({"n_state": True}, "n_state True is not an integer"),
+        ({"e_expand": "8"}, "e_expand '8' is not an integer"),
+        ({"seed": None}, "seed None is not an integer"),
+        ({"lr": "fast"}, "lr 'fast' is not a finite number"),
+        ({"weight_decay": float("nan")}, "weight_decay nan is not a finite number"),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, message):
+        with pytest.raises(ConfigError, match=message):
+            _small_cfg(**field)
+
+    def test_bad_field_in_json_names_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"disc_mode": "rk4"}))
+        with pytest.raises(ConfigError, match=r"cfg\.json: train config: disc_mode"):
+            TrainConfig.from_json(path)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized_model(self):
@@ -186,6 +205,13 @@ class TestTrain:
         _, ds = _small_ds()
         with pytest.raises(ConfigError):
             train(ds, 7, _small_cfg())
+
+    def test_single_held_out_record_named(self):
+        # a one-record fold used to end in risk_stratify's bare ValueError
+        _, ds = _small_ds(n=6)
+        model = build_model(ds, _small_cfg(epochs=0))
+        with pytest.raises(ConfigError, match="fold 1 has 1 held-out records; the median split needs 2"):
+            evaluate(model, ds, 1)
 
     def test_bin_count_mismatch_raises(self):
         _, ds = _small_ds()
@@ -366,6 +392,30 @@ class TestComplexity:
         s1 = report_complexity(m1)["breakdown"]["scan"]
         s2 = report_complexity(m2)["breakdown"]["scan"]
         assert s2 == 2 * s1
+
+    @pytest.mark.parametrize("case", ["desk", "paper_zoh_depth2", "ragged_depth3"])
+    def test_flops_pinned(self, case):
+        """Integers taken from the reporter before its per-branch formula
+        was shared between the BiMamba and IFM blocks."""
+        from survmamba.hierarchy import GroupingConfig, default_catalog, make_grouping
+        from survmamba.model import SurvMambaModel
+
+        cfg, grouping, d_raw, bag, expect = {
+            "desk": (ModelConfig(d_model=32, e_expand=64, n_state=8), make_grouping(8, 4, 8), 16, (4, 16),
+                     (204709, 7198848, 242688, 4872960, 2082816, 737280, 288)),
+            "paper_zoh_depth2": (ModelConfig(d_model=512, n_state=16, depth=2, disc_mode="zoh"),
+                                 default_catalog(), 768, (4, 16),
+                                 (52256901, 8041707040, 74086400, 7221747456, 745867520, 162529280, 4128)),
+            "ragged_depth3": (ModelConfig(d_model=6, e_expand=10, n_state=3, conv_width=2, genomics_hidden=5,
+                                          align_len=5, depth=3, t_bins=3),
+                              GroupingConfig(processes=[("p0", ["f1", "f0"]), ("p1", ["f2"])],
+                                             functions=[("f0", [0, 3]), ("f1", [1]), ("f2", [2, 4, 5])]),
+                              7, (3, 5), (10167, 149267, 1683, 135516, 11990, 22200, 60)),
+        }[case]
+        rep = report_complexity(SurvMambaModel(cfg, grouping, d_raw, seed=0), *bag)
+        got = (rep["param_count"], rep["flops_estimate"]) + tuple(
+            rep["breakdown"][k] for k in ("encoders", "him", "ifm", "scan", "head"))
+        assert got == expect
 
 
 def _closed_form_params(d, e, n, w, d_raw, n_fns, genes, hidden, t_bins):
