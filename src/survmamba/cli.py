@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .dataio import load_checkpoint, load_dataset, read_config, read_text, save_checkpoint, save_dataset
-from .errors import DataError
+from .errors import ConfigError, DataError, NonFiniteError
 from .gradsuite import run_grad_checks
 from .ssm import bench_scan
 from .survstats import SurvivalOutcome
@@ -207,5 +207,15 @@ def main(argv=None) -> int:
     return args.fn(args)
 
 
+def run(argv=None) -> int:
+    """Console entry: main(), with bad input or a non-finite result
+    reported as one `error: <message>` line on stderr and exit status 2."""
+    try:
+        return main(argv)
+    except (DataError, ConfigError, NonFiniteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

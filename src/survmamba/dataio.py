@@ -237,8 +237,13 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
     n_genes_needed = grouping.n_genes
 
     records = []
+    position = {}  # patient id -> its position in the manifest
     for i, p in enumerate(_key(doc, "patients", str(manifest_path), list, "a non-empty list")):
         pid = _key(p, "id", f"{manifest_path}: patient #{i}", str, "a string")
+        if pid in position:
+            raise DataError(f"{manifest_path}: patient id {pid!r} appears at positions "
+                            f"#{position[pid]} and #{i}")
+        position[pid] = i
         where = f"{manifest_path}: patient {pid}"
         time_months = _key(p, "time_months", where, (int, float), "a finite positive number")
         censored = _key(p, "censored", where)

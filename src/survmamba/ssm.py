@@ -15,21 +15,26 @@ Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
 Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
-``discretize`` computes Abar and Bbar off the tape and records the
-sources they came from. The scan is then one tape node with parents
-(x, delta, A, Bproj, Cproj) that keeps no (B, M, E, N) array: forward
-runs in slabs of time steps and keeps only the hidden state entering
-each slab; backward walks the slabs in reverse, recomputes Abar, Bbar
+``discretize`` computes only Abar, off the tape, and records the sources
+it came from; ``DiscreteParams.Bbar`` is formed on first read, for the
+cross-checks. The recurrent scan never forms a (B, M, E, N) Bbar: it is
+one tape node with parents (x, delta, A, Bproj, Cproj) that runs in
+slabs of time steps, writing each slab's Bbar * x straight into one
+reused state buffer and stepping the states there. It keeps only the
+hidden state entering each slab. Backward walks the slabs in reverse
+with its own reused Abar, state and adjoint buffers: it recomputes Abar
 and the slab's states from that checkpoint, runs the adjoint recurrence
-and contracts into the five input gradients. A slab holds ``SLAB_BYTES``
-per (B, slab, E, N) array, so short sequences are a single slab. Under
-``no_grad`` nothing is recorded and no checkpoint is kept.
+and contracts through B and C once per slab into the five input
+gradients. A slab holds ``SLAB_BYTES`` per (B, slab, E, N) array, so
+short sequences are a single slab. Under ``no_grad`` nothing is recorded
+and no checkpoint is kept.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,50 +45,62 @@ DISCRETIZE_MODES = ("euler", "zoh")
 SLAB_BYTES = 4 << 20  # bytes per (B, slab, E, N) float64 array in the scan
 
 
+def _abar(delta: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """Abar = exp(delta * A) for delta (B, S, E) and A (E, N), in out if given."""
+    out = np.multiply(delta[..., None], a, out=out)
+    return np.exp(out, out=out)
+
+
+def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """q = (Abar - 1) / A, the zoh factor of Bbar, in out if given."""
+    out = np.subtract(abar, 1.0, out=out)
+    return np.divide(out, a, out=out)
+
+
+def _bbar(delta: np.ndarray, abar: np.ndarray, a: np.ndarray, bproj: np.ndarray, mode: str, out=None) -> np.ndarray:
+    """Bbar = delta * Bproj (euler) or q * Bproj (zoh), (B, S, E, N), in out if given."""
+    if mode == "euler":
+        return np.multiply(delta[..., None], bproj[:, :, None, :], out=out)
+    out = _zoh_q(abar, a, out=out)
+    return np.multiply(out, bproj[:, :, None, :], out=out)
+
+
 @dataclass
 class DiscreteParams:
-    """Step operators Abar, Bbar of shape (B, M, E, N), 0 < Abar < 1, held
-    off the tape, and the sources the scan differentiates through."""
+    """Step operator Abar of shape (B, M, E, N), 0 < Abar < 1, held off
+    the tape, and the sources the scan differentiates through. ``Bbar``
+    is computed from the sources on first read and cached; the recurrent
+    scan never reads it."""
 
     Abar: Tensor
-    Bbar: Tensor
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
 
-
-def _step_operators(delta: np.ndarray, a: np.ndarray, bproj: np.ndarray, mode: str):
-    """Raw (Abar, Bbar, q) for delta (B, S, E), A (E, N), Bproj (B, S, N);
-    q = (Abar - 1) / A under zoh, None under euler."""
-    d4 = delta[..., None]
-    abar = np.exp(d4 * a)
-    if mode == "euler":
-        return abar, d4 * bproj[:, :, None, :], None
-    q = (abar - 1.0) / a
-    return abar, q * bproj[:, :, None, :], q
+    @cached_property
+    def Bbar(self) -> Tensor:
+        return Tensor(_bbar(self.delta.data, self.Abar.data, self.A.data, self.Bproj.data, self.mode))
 
 
 def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler") -> DiscreteParams:
-    """Broadcast delta (B, M, E) against A (E, N) and Bproj (B, M, N) into
-    (B, M, E, N) step operators."""
+    """Broadcast delta (B, M, E) against A (E, N) into the (B, M, E, N)
+    step operator Abar; Bproj (B, M, N) is kept for Bbar."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
-    abar, bbar, _ = _step_operators(delta.data, A.data, Bproj.data, mode)
-    return DiscreteParams(Abar=Tensor(abar), Bbar=Tensor(bbar), delta=delta, A=A, Bproj=Bproj, mode=mode)
+    return DiscreteParams(Abar=Tensor(_abar(delta.data, A.data)), delta=delta, A=A, Bproj=Bproj, mode=mode)
 
 
-def _slab_states(abar: np.ndarray, bx: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """States of one slab, (B, S + 1, E, N), with the entry state h0 first."""
-    b, s, e, n = abar.shape
-    hs = np.empty((b, s + 1, e, n))
-    hs[:, 0] = h0
-    h = h0.copy()  # stepping a contiguous state is faster than stepping in hs
-    for t in range(s):
-        np.multiply(abar[:, t], h, out=h)
-        h += bx[:, t]
-        hs[:, t + 1] = h
-    return hs
+def _slab_states(hs, abar, delta, a, bproj, x, mode, tmp):
+    """Fill hs (B, S + 1, E, N), whose slot 0 holds the entry state, with
+    the slab's states: Bbar * x goes into slots 1..S, then each step adds
+    Abar_t * h_{t-1} in place. tmp is a (B, E, N) scratch."""
+    bx = _bbar(delta, abar, a, bproj, mode, out=hs[:, 1:])
+    bx *= x[..., None]
+    steps = hs.swapaxes(0, 1)  # per-step (B, E, N) views
+    for a_t, h_prev, h in zip(abar.swapaxes(0, 1), steps, steps[1:]):
+        np.multiply(a_t, h_prev, out=tmp)
+        h += tmp
 
 
 def _scan_parallel_states_impl(abar, bx):
@@ -130,12 +147,14 @@ def _scan_parallel_states_impl(abar, bx):
 
 
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor):
-    abar, bbar = dp.Abar.data, dp.Bbar.data
+    abar = dp.Abar.data
     if x.ndim != 3:
         raise ShapeError(f"scan: expected (B, M, E) input, got {x.shape}")
-    if abar.shape[:3] != x.shape or abar.shape != bbar.shape:
-        raise ShapeError(f"scan: Abar {abar.shape} / Bbar {bbar.shape} do not match x {x.shape}")
-    if cproj.shape != x.shape[:2] + (abar.shape[-1],):
+    bmn = x.shape[:2] + (abar.shape[-1],)
+    if abar.shape[:3] != x.shape or dp.delta.shape != x.shape or dp.Bproj.shape != bmn:
+        raise ShapeError(f"scan: Abar {abar.shape} / delta {dp.delta.shape} / Bproj {dp.Bproj.shape} "
+                         f"do not match x {x.shape}")
+    if cproj.shape != bmn:
         raise ShapeError(f"scan: Cproj {cproj.shape} does not match (B, M, N)")
 
 
@@ -145,51 +164,70 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
-    abar, bbar = dp.Abar.data, dp.Bbar.data
+    abar = dp.Abar.data
     xd, dd, ad, bd, cd, mode = x.data, dp.delta.data, dp.A.data, dp.Bproj.data, cproj.data, dp.mode
     b, m, e = xd.shape
     n = ad.shape[-1]
-    step = max(1, SLAB_BYTES // (8 * b * e * n))
+    step = min(m, max(1, SLAB_BYTES // (8 * b * e * n)))
     slabs = [slice(s0, min(m, s0 + step)) for s0 in range(0, m, step)]
     checkpoints = []  # the state entering each slab, kept only when recording
     y = np.empty((b, m, e))
-    h0 = np.zeros((b, e, n))
+    hs = np.empty((b, step + 1, e, n))  # slot 0 holds the state entering the slab
+    hs[:, 0] = 0.0
+    tmp = np.empty((b, e, n))
     for sl in slabs:
+        s = sl.stop - sl.start
         if record:
-            checkpoints.append(h0)
-        hs = _slab_states(abar[:, sl], bbar[:, sl] * xd[:, sl, :, None], h0)
+            checkpoints.append(hs[:, 0].copy())
+        _slab_states(hs[:, : s + 1], abar[:, sl], dd[:, sl], ad, bd[:, sl], xd[:, sl], mode, tmp)
         # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
-        y[:, sl] = np.matmul(hs[:, 1:], cd[:, sl, :, None])[..., 0]
-        h0 = hs[:, -1].copy()
+        y[:, sl] = np.matmul(hs[:, 1 : s + 1], cd[:, sl, :, None])[..., 0]
+        hs[:, 0] = hs[:, s]
 
     def backward(g):
         dx, ddelta = np.empty((b, m, e)), np.zeros((b, m, e))
         dbp, dc = np.empty((b, m, n)), np.empty((b, m, n))
         da = np.zeros((e, n))
+        abar_buf, dh_buf = np.empty((b, step, e, n)), np.empty((b, step, e, n))
+        hs = np.empty((b, step + 1, e, n))
+        q_buf = np.empty((b, step, e, n)) if mode == "zoh" else None
+        tmp = np.empty((b, e, n))
         carry = np.zeros((b, e, n))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
         for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
+            s = sl.stop - sl.start
             ds, xs, bs, gs, cs = dd[:, sl], xd[:, sl], bd[:, sl], g[:, sl], cd[:, sl]
-            abar_s, bbar_s, q = _step_operators(ds, ad, bs, mode)
-            hs = _slab_states(abar_s, bbar_s * xs[..., None], h0)
-            dh = np.empty_like(abar_s)
-            for t in range(sl.stop - sl.start - 1, -1, -1):
-                carry += gs[:, t, :, None] * cs[:, t, None, :]
-                dh[:, t] = carry
-                carry *= abar_s[:, t]
-            dx[:, sl] = np.einsum("bten,bten->bte", dh, bbar_s)
-            dc[:, sl] = np.einsum("bte,bten->btn", gs, hs[:, 1:])
-            gbar = dh * xs[..., None]  # dL/dBbar
-            dh *= hs[:, :-1]  # dL/dAbar through the recurrence
+            ab = _abar(ds, ad, out=abar_buf[:, :s])
+            h = hs[:, : s + 1]
+            h[:, 0] = h0
+            _slab_states(h, ab, ds, ad, bs, xs, mode, tmp)
+            dh = np.multiply(gs[..., None], cs[:, :, None, :], out=dh_buf[:, :s])  # dL/dh_t from y_t
+            dh_steps = dh.swapaxes(0, 1)  # per-step (B, E, N) views, walked in reverse
+            dh_steps[-1] += carry
+            for d, a_t, d_prev in zip(dh_steps[:0:-1], ab.swapaxes(0, 1)[:0:-1], dh_steps[-2::-1]):
+                np.multiply(d, a_t, out=tmp)
+                d_prev += tmp
+            np.multiply(dh[:, 0], ab[:, 0], out=carry)
+            dc[:, sl] = np.matmul(gs[:, :, None, :], h[:, 1:])[:, :, 0, :]
             if mode == "euler":
-                ddelta[:, sl] = np.einsum("bten,btn->bte", gbar, bs)
-                dbp[:, sl] = np.einsum("bten,bte->btn", gbar, ds)
+                gb = np.matmul(dh, bs[..., None])[..., 0]  # sum_n dh * Bproj
+                np.multiply(ds, gb, out=dx[:, sl])
+                np.multiply(xs, gb, out=ddelta[:, sl])  # through Bbar = delta * Bproj
+                dbp[:, sl] = np.matmul((ds * xs)[:, :, None, :], dh)[:, :, 0, :]
+                dh *= h[:, :-1]  # dL/dAbar
             else:
-                dbp[:, sl] = np.einsum("bten,bten->btn", gbar, q)
-                gbar *= bs[:, :, None, :]  # dL/dq
-                da -= np.einsum("bten,bten->en", gbar, q) / ad
-                gbar /= ad
-                dh += gbar  # dL/dAbar through q
-            dh *= abar_s  # dL/d(delta * A)
+                dhq = _zoh_q(ab, ad, out=q_buf[:, :s])
+                dhq *= dh
+                dx[:, sl] = np.matmul(dhq, bs[..., None])[..., 0]  # sum_n dh * q * Bproj
+                dbp[:, sl] = np.matmul(xs[:, :, None, :], dhq)[:, :, 0, :]
+                dhq *= bs[:, :, None, :]
+                # dL/dA through q, where dq/dA = -q / A and dL/dq = dh * x * Bproj
+                da -= np.einsum("bten,bte->en", dhq, xs) / ad
+                # dL/dAbar = dh * (h_{t-1} + x * Bproj / A): the recurrence and q
+                w = np.multiply(xs[..., None], bs[:, :, None, :], out=q_buf[:, :s])
+                w /= ad
+                w += h[:, :-1]
+                dh *= w
+            dh *= ab  # dL/d(delta * A)
             ddelta[:, sl] += np.einsum("bten,en->bte", dh, ad)
             da += np.einsum("bten,bte->en", dh, ds)
         for p, grad in zip(parents, (dx, ddelta, da, dbp, dc)):

@@ -1,11 +1,15 @@
 """CLI subcommands, driven through main() with captured stdout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from survmamba.cli import main
+from survmamba.cli import main, run
 from survmamba.errors import ConfigError, DataError
 
 
@@ -196,3 +200,25 @@ def test_km_single_patient_named(tmp_path):
     argv = _km_files(tmp_path, "1.0\n", "3.0 1\n")
     with pytest.raises(DataError, match=r"r\.txt: the median split needs at least 2 patients, got 1"):
         main(argv)
+
+
+def test_console_entry_reports_missing_input_in_one_line(tmp_path):
+    """`python -m survmamba.cli` with a missing input file prints one
+    `error:` line on stderr, no traceback, and exits 2."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "survmamba.cli", "km", "--risks", "nope.txt",
+                           "--outcomes", "nope.txt"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: input file not found: nope.txt"]
+
+
+def test_console_entry_reports_config_error(tmp_path, capsys):
+    (tmp_path / "spec.json").write_text('{"regions": "4"}')
+    code = run(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "0", "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "synth spec" in err[0]

@@ -324,6 +324,21 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=r"patient P0001: time_months .* is not a finite positive"):
             load_dataset(path)
 
+    def test_duplicate_patient_id_names_both_positions(self, tmp_path):
+        path, doc = self._manifest(tmp_path)
+        doc["patients"][4]["id"] = "P0002"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"manifest\.json: patient id 'P0002' appears at positions #2 and #4"):
+            load_dataset(path)
+
+    def test_all_ids_equal_rejected(self, tmp_path):
+        path, doc = self._manifest(tmp_path)
+        for p in doc["patients"]:
+            p["id"] = "P0000"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"patient id 'P0000' appears at positions #0 and #1"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("bins", [[0.0, 9.0, 5.0, 1e300], [0.0, float("nan"), 1e300],
                                       [3.0], ["a", "b"], 7.0])
     def test_decreasing_or_malformed_bins_rejected(self, tmp_path, bins):
