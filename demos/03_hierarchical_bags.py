@@ -2,9 +2,10 @@
 
 Histology arrives as regions of patch embeddings, genomics as one
 expression vector that a grouping catalog (process -> function -> genes)
-turns into function tokens. One shared bidirectional block refines the
-tokens inside every group; mean-pooling plus a second block mixes the
-group sequence. The scan is order-sensitive on purpose: shuffling tokens
+turns into function tokens. Each encoder returns one (L, D) token
+tensor, its groups laid end to end, and the list of group sizes. One
+shared bidirectional block refines the tokens inside every group;
+mean-pooling plus a second block mixes the group sequence. The scan is order-sensitive on purpose: shuffling tokens
 inside a group changes its refined tokens, while reordering whole groups
 only reorders the fine outputs.
 """
@@ -33,15 +34,15 @@ bag = HierarchicalBag("histology", [
     ("R002", rng.normal(size=(5, 12))),
 ])
 hist_enc = HistologyEncoder(d_raw=12, d_model=D, rng=np.random.default_rng(3))
-img_groups = hist_enc(bag)
-print("histology groups:", [(g, t.shape) for g, t in img_groups])
+img_tokens, img_sizes = hist_enc(bag)
+print("histology tokens:", img_tokens.shape, "in regions of", img_sizes)
 
 # -- genomics: 2 processes x 3 functions over 18 genes ------------------------
 
 grouping = make_grouping(n_processes=2, functions_per_process=3, genes_per_function=3)
 gen_enc = GenomicsEncoder(grouping, d_model=D, hidden=8, rng=np.random.default_rng(4))
-gen_groups = gen_enc(rng.normal(size=18))
-print("genomics groups: ", [(g, t.shape) for g, t in gen_groups])
+gen_tokens, gen_sizes = gen_enc(rng.normal(size=18))
+print("genomics tokens: ", gen_tokens.shape, "in processes of", gen_sizes)
 
 # -- dual-level aggregation ---------------------------------------------------
 
@@ -52,23 +53,24 @@ for b in (fine_block, coarse_block):
     for _, p in b.named_parameters():
         p.data += noise.normal(scale=0.3, size=p.shape)
 
-refined = him_fine(img_groups, fine_block)
-coarse = him_coarse(refined, coarse_block)
-print("refined group shapes:", [t.shape for _, t in refined])
-print("coarse tokens:       ", coarse.shape, "(one row per region)")
+refined = him_fine(img_tokens, fine_block, img_sizes)
+coarse = him_coarse(refined, coarse_block, img_sizes)
+print("refined tokens:", refined.shape, "(same layout as the input)")
+print("coarse tokens: ", coarse.shape, "(one row per region)")
 
 # group order only permutes fine outputs...
-refined_rev = him_fine(img_groups[::-1], fine_block)
+regions = np.split(img_tokens.data, np.cumsum(img_sizes)[:-1])
+refined_rev = him_fine(Tensor(np.concatenate(regions[::-1])), fine_block, img_sizes[::-1])
 print("fine equivariant to group reorder:",
-      np.max(np.abs(refined_rev[0][1].data - refined[2][1].data)) < 1e-12)
+      np.max(np.abs(refined_rev.data[:5] - refined.data[-5:])) < 1e-12)
 
 # ...but the coarse block sees the group sequence, so order matters there
-coarse_rev = him_coarse(refined[::-1], coarse_block)
+coarse_rev = him_coarse(refined_rev, coarse_block, img_sizes[::-1])
 print("coarse sensitive to group order:  ",
       np.max(np.abs(coarse_rev.data - coarse.data[::-1])) > 1e-6)
 
 # and within a group, the token order matters too
-shuffled = [("R000", Tensor(img_groups[0][1].data[::-1].copy()))]
+shuffled = Tensor(regions[0][::-1].copy())
 print("fine sensitive to token order:    ",
-      np.max(np.abs(him_fine(shuffled, fine_block)[0][1].data
-                    - refined[0][1].data[::-1])) > 1e-6)
+      np.max(np.abs(him_fine(shuffled, fine_block, [5]).data
+                    - refined.data[:5][::-1])) > 1e-6)

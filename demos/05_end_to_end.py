@@ -49,7 +49,7 @@ print(f"parameters: {comp['param_count']:,}   "
 report = evaluate(model, dataset, fold=0)
 print(f"\nheld-out c-index: {report.c_index:.3f}")
 print(f"median-split log-rank: chi2 = {report.chi2:.2f}, p = {report.p_value:.2e}")
-print("low stratum survival at last event: "
-      f"{report.km_low.survival[-1] if report.km_low.times.size else 1.0:.3f}")
-print("high stratum survival at last event: "
-      f"{report.km_high.survival[-1] if report.km_high.times.size else 1.0:.3f}")
+for name, curve in (("low", report.km_low), ("high", report.km_high)):
+    if curve is not None:  # the high stratum is empty when all risks tie
+        print(f"{name} stratum survival at last event: "
+              f"{curve.survival[-1] if curve.times.size else 1.0:.3f}")

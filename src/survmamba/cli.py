@@ -72,7 +72,7 @@ def _cmd_eval(args):
     print(f"fold {args.fold}: c-index {cidx}  logrank p {report.p_value:.4g}")
     if report.diagnostic:
         print(f"note: {report.diagnostic}")
-    curves = (("low", report.km_low), ("high", report.km_high))
+    curves = [(name, c) for name, c in (("low", report.km_low), ("high", report.km_high)) if c is not None]
     summary = _logrank_line(report.chi2, report.p_value, report.logrank_degenerate)
     if args.km_out:
         with open(args.km_out, "w") as fh:
@@ -146,13 +146,11 @@ def _cmd_km(args):
     risks = np.asarray([r for _, (r,) in _read_rows(args.risks, 1, "one risk")], dtype=np.float64)
     outcomes = _read_outcomes(args.outcomes)
     if len(risks) != len(outcomes):
-        print(f"error: {len(risks)} risks vs {len(outcomes)} outcomes", file=sys.stderr)
-        return 2
+        raise DataError(f"{args.risks} has {len(risks)} risks but {args.outcomes} has {len(outcomes)} outcomes")
     if len(risks) < 2:
         raise DataError(f"{args.risks}: the median split needs at least 2 patients, got {len(risks)}")
     _, curves, lr = compare_strata(risks, outcomes)
-    summary = "# logrank undefined: single stratum" if lr is None else _logrank_line(lr.chi2, lr.p, lr.degenerate)
-    _print_km_table(curves, summary)
+    _print_km_table(curves, _logrank_line(lr.chi2, lr.p, lr.degenerate))
     return 0
 
 

@@ -147,19 +147,15 @@ def check_him() -> list:
             p.data += prng.normal(scale=0.5, size=p.shape)
         blk.fwd.delta_bias.data += 2.0
         blk.bwd.delta_bias.data += 2.0
-    rng = np.random.default_rng(250)
-    groups = [
-        ("g0", Tensor(rng.normal(size=(5, 3)))),
-        ("g1", Tensor(rng.normal(size=(4, 3)))),
-    ]
+    tokens = Tensor(np.random.default_rng(250).normal(size=(9, 3)))
+    sizes = [5, 4]
 
     def f():
         # loss reads both paths: the pooled coarse tokens and the
         # refined fine tokens
-        refined = him_fine(groups, fine)
-        pooled = him_coarse(refined, coarse)
-        fine_tokens = tsum(silu(refined[0][1])) + tsum(silu(refined[1][1]))
-        return tmean(silu(pooled)) + 0.1 * fine_tokens
+        refined = him_fine(tokens, fine, sizes)
+        pooled = him_coarse(refined, coarse, sizes)
+        return tmean(silu(pooled)) + 0.1 * tsum(silu(refined))
 
     params = [(f"fine.{n}", p) for n, p in fine.named_parameters()]
     params += [(f"coarse.{n}", p) for n, p in coarse.named_parameters()]

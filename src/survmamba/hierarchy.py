@@ -7,10 +7,12 @@ token order are part of the data contract because the scan is
 order-sensitive: raster order for regions and patches, catalog order for
 processes and functions.
 
-The dual-level pipeline refines tokens inside each group with one shared
-bidirectional block (`him_fine`), mean-pools every group to a single
-token, and runs a second bidirectional block over the group sequence
-(`him_coarse`).
+Past the encoders a modality is one (L, D) token tensor, its groups laid
+end to end in order, plus `sizes`, the list of group lengths; this
+module alone knows that layout. The dual-level pipeline refines the
+tokens inside each group with one shared bidirectional block
+(`him_fine`), mean-pools every group to a single token, and runs a
+second bidirectional block over the group sequence (`him_coarse`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .blocks import BiMambaBlock
 from .errors import DataError, ShapeError
-from .numerics import (LinearLayer, Module, Namespace, Tensor, concat, silu, stack,
-                       stacked_linear, tmean, uniform_init)
+from .numerics import (LinearLayer, Module, Namespace, Tensor, concat, reshape, segment_mean, silu,
+                       stacked_linear, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
 DEFAULT_N_PROCESSES = 42
@@ -150,7 +152,8 @@ class GenomicsEncoder(Module):
     """Per-function two-layer MLPs producing D-dim tokens, grouped by
     process in catalog order. Functions with equal gene counts share one
     stacked bank (same math, one batched call); one gather, built at
-    construction, puts the banks' rows in process order."""
+    construction, puts the banks' rows in process order. `sizes` holds
+    each process's function count."""
 
     def __init__(self, grouping: GroupingConfig, d_model: int, hidden: int, rng):
         super().__init__()
@@ -172,7 +175,7 @@ class GenomicsEncoder(Module):
         rank = {fid: r for r, fid in enumerate(self._slot)}
         order = [rank[fid] for _, fids in grouping.processes for fid in fids]
         self._order = None if order == list(range(len(rank))) else np.asarray(order, dtype=np.int64)
-        self._bounds = np.cumsum([0] + [len(fids) for _, fids in grouping.processes]).tolist()
+        self.sizes = [len(fids) for _, fids in grouping.processes]
         self._max_gene = max(g for _, genes in grouping.functions for g in genes)
 
     def set_function_mlp(self, fid: str, w1, b1, w2, b2):
@@ -183,8 +186,9 @@ class GenomicsEncoder(Module):
         bank.w2.data[row] = w2
         bank.b2.data[row] = b2
 
-    def __call__(self, expr: np.ndarray) -> list:
-        """expr: 1-d gene expression vector -> [(process_id, Tensor[K_j, D]), ...]."""
+    def __call__(self, expr: np.ndarray) -> tuple:
+        """expr: 1-d gene expression vector -> ((n_functions, D) tokens in
+        process order, sizes)."""
         expr = np.asarray(expr, dtype=np.float64)
         if self._max_gene >= expr.shape[0]:
             fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= expr.shape[0])
@@ -194,8 +198,7 @@ class GenomicsEncoder(Module):
         tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=0)
         if self._order is not None:
             tokens = tokens[self._order]
-        b = self._bounds
-        return [(pid, tokens[b[j] : b[j + 1]]) for j, (pid, _) in enumerate(self.grouping.processes)]
+        return tokens, self.sizes
 
 
 class HistologyEncoder(Module):
@@ -205,48 +208,41 @@ class HistologyEncoder(Module):
         super().__init__()
         self.proj = LinearLayer(d_raw, d_model, rng)
 
-    def __call__(self, bag: HierarchicalBag) -> list:
-        sizes = [np.asarray(t).shape[0] for _, t in bag.groups]
+    def __call__(self, bag: HierarchicalBag) -> tuple:
+        """bag -> ((n_patches, D) tokens in region order, sizes)."""
         flat = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in bag.groups], axis=0)
-        proj = self.proj(Tensor(flat))
-        out = []
-        lo = 0
-        for (gid, _), k in zip(bag.groups, sizes):
-            out.append((gid, proj[lo : lo + k]))
-            lo += k
-        return out
+        return self.proj(Tensor(flat)), [len(t) for _, t in bag.groups]
 
 
-def him_fine(groups: list, block: BiMambaBlock) -> list:
+def him_fine(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
     """Refine each group's token run with the same shared block.
 
-    Groups are independent, so equal-length groups are batched through a
-    single call; results do not depend on the batching (equivariant to
-    group reordering).
+    tokens is (L, D) with groups of the given sizes laid end to end; the
+    result has the same layout. Equal-length groups run as one batch: by
+    one reshape when all groups are equal, else by one gather per distinct
+    length and one inverse gather. Groups are independent, so the result
+    does not depend on the batching (equivariant to group reordering).
     """
-    by_len: dict = {}
-    for i, (_, toks) in enumerate(groups):
-        if toks.shape[-1] != block.d_model:
-            raise ShapeError(f"him_fine: group token dim {toks.shape} != block dim {block.d_model}")
-        by_len.setdefault(toks.shape[0], []).append(i)
-    refined: list = [None] * len(groups)
-    for k in sorted(by_len):
-        idxs = by_len[k]
-        batch = stack([groups[i][1] for i in idxs], axis=0)
-        out = block(batch)
-        for j, i in enumerate(idxs):
-            refined[i] = (groups[i][0], out[j])
-    return refined
+    n, d = tokens.shape
+    if d != block.d_model:
+        raise ShapeError(f"him_fine: token dim {d} != block dim {block.d_model}")
+    if sum(sizes) != n:
+        raise ShapeError(f"him_fine: group sizes sum {sum(sizes)} != {n} tokens")
+    if len(set(sizes)) == 1:
+        return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
+    lens = np.repeat(sizes, sizes)  # each token's group length
+    runs = [(k, np.flatnonzero(lens == k)) for k in sorted(set(sizes))]
+    outs = [reshape(block(reshape(tokens[idx], (-1, k, d))), (idx.size, d)) for k, idx in runs]
+    return concat(outs, axis=0)[np.argsort(np.concatenate([idx for _, idx in runs]))]
 
 
-def him_coarse(refined: list, block: BiMambaBlock) -> Tensor:
-    """Pool each refined group to one token and mix the group sequence.
+def him_coarse(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
+    """Mean-pool each group of the (L, D) tokens and mix the group sequence.
 
     Returns a (G, D) tensor, one row per group, in group order. The
     coarse block sees group order, so this stage is order-sensitive.
     """
-    if not refined:
+    if not sizes:
         raise ShapeError("him_coarse: need at least one group")
-    pooled = [tmean(toks, axis=0) for _, toks in refined]
-    seq = stack([stack(pooled, axis=0)], axis=0)  # (1, G, D)
-    return block(seq)[0]
+    seq = reshape(segment_mean(tokens, sizes), (1, len(sizes), tokens.shape[1]))
+    return reshape(block(seq), (len(sizes), tokens.shape[1]))

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
-from .numerics import Module, Namespace, Tensor, concat, no_grad, reshape
+from .numerics import Module, Namespace, Tensor, no_grad, reshape
 
 
 @dataclass
@@ -99,28 +99,23 @@ class SurvMambaModel(Module):
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in registry")
 
-    def _him_modality(self, groups, fine_stack, coarse_stack):
-        refined = groups
+    def _him_modality(self, tokens, sizes, fine_stack, coarse_stack):
         for blk in fine_stack.blocks:
-            refined = him_fine(refined, blk)
+            tokens = him_fine(tokens, blk, sizes)
         first, *rest = coarse_stack.blocks
-        pooled_seq = him_coarse(refined, first)
+        pooled_seq = him_coarse(tokens, first, sizes)
         for blk in rest:
             g, d = pooled_seq.shape
             pooled_seq = reshape(blk(reshape(pooled_seq, (1, g, d))), (g, d))
-        return refined, pooled_seq
+        return tokens, pooled_seq
 
     def fuse_features(self, record) -> FusedFeatures:
         """Encoders -> dual-level aggregation -> both fusion levels ->
         adaptive mix."""
-        img_groups = self.enc.histology(record.histology)
-        gen_groups = self.enc.genomics(record.genomics)
-
-        img_fine, img_coarse = self._him_modality(img_groups, self.him.image.fine, self.him.image.coarse)
-        gen_fine, gen_coarse = self._him_modality(gen_groups, self.him.genomics.fine, self.him.genomics.coarse)
-
-        img_tokens = concat([t for _, t in img_fine], axis=0)
-        gen_tokens = concat([t for _, t in gen_fine], axis=0)
+        img_tokens, img_coarse = self._him_modality(*self.enc.histology(record.histology),
+                                                    self.him.image.fine, self.him.image.coarse)
+        gen_tokens, gen_coarse = self._him_modality(*self.enc.genomics(record.genomics),
+                                                    self.him.genomics.fine, self.him.genomics.coarse)
         length = min(img_tokens.shape[0], gen_tokens.shape[0], self.cfg.align_len)
         h_fine = fuse_fine(img_tokens, gen_tokens, self.ifm.fine, length)
         h_coarse = fuse_coarse(img_coarse, gen_coarse, self.ifm.coarse)

@@ -110,7 +110,7 @@ class EvalReport:
     diagnostic: str
     labels: list
     km_low: KmCurve
-    km_high: KmCurve
+    km_high: KmCurve | None  # None when every risk fell in the low stratum
     chi2: float
     p_value: float
     logrank_degenerate: bool
@@ -119,12 +119,12 @@ class EvalReport:
 def compare_strata(risks, outcomes):
     """Median-split the risks into 'low' and 'high' strata. Returns the
     labels, a (name, Kaplan-Meier curve) pair per non-empty stratum (low
-    first) and the log-rank result, or None when all risks fall in one
-    stratum."""
+    first) and the log-rank result, which is the degenerate chi2 0, p 1
+    when all risks fall in one stratum."""
     labels = risk_stratify(risks)
     groups = [(name, [o for o, lab in zip(outcomes, labels) if lab == name]) for name in ("low", "high")]
     curves = [(name, kaplan_meier(grp)) for name, grp in groups if grp]
-    lr = logrank_test(groups[0][1], groups[1][1]) if len(curves) == 2 else None
+    lr = logrank_test(groups[0][1], groups[1][1]) if len(curves) == 2 else LogrankResult(0.0, 1.0, True)
     return labels, curves, lr
 
 
@@ -145,8 +145,7 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
         diagnostic = str(exc)
 
     labels, curves, lr = compare_strata(risks, outcomes)
-    if lr is None:  # all risks tied: a single stratum, nothing to compare
-        lr = LogrankResult(chi2=0.0, p=1.0, degenerate=True)
+    if len(curves) == 1:  # all risks tied: a single stratum, nothing to compare
         diagnostic = diagnostic or "median split produced a single stratum"
     return EvalReport(
         fold=fold,
@@ -156,7 +155,7 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
         diagnostic=diagnostic,
         labels=labels,
         km_low=curves[0][1],
-        km_high=curves[-1][1],
+        km_high=dict(curves).get("high"),
         chi2=lr.chi2,
         p_value=lr.p,
         logrank_degenerate=lr.degenerate,

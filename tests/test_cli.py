@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,8 +136,43 @@ def test_km_subcommand(tmp_path, capsys):
 def test_km_length_mismatch(tmp_path, capsys):
     (tmp_path / "r.txt").write_text("1.0\n2.0\n")
     (tmp_path / "o.txt").write_text("1.0 1\n")
-    code = main(["km", "--risks", str(tmp_path / "r.txt"), "--outcomes", str(tmp_path / "o.txt")])
+    code = run(["km", "--risks", str(tmp_path / "r.txt"), "--outcomes", str(tmp_path / "o.txt")])
+    err = capsys.readouterr().err.splitlines()
     assert code == 2
+    assert len(err) == 1
+    assert re.fullmatch(r"error: \S*r\.txt has 2 risks but \S*o\.txt has 1 outcomes", err[0])
+
+
+def test_single_stratum_printed_once_by_eval_and_km(tiny_dataset_dir, tmp_path, capsys):
+    """A fresh model scores every patient alike, so the median split leaves
+    one 'low' stratum: eval prints it once, with no 'high' rows, and km
+    prints the same table and summary line for the same risks."""
+    root = tiny_dataset_dir
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "d_model": 6, "e_expand": 8, "n_state": 2, "conv_width": 2,
+        "genomics_hidden": 4, "align_len": 8, "epochs": 0, "seed": 1,
+    }))
+    manifest = str(root / "data" / "manifest.json")
+    assert main(["train", "--data", manifest, "--fold", "2", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "fresh.smck")]) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, ["eval", "--data", manifest, "--fold", "2", "--ckpt", str(tmp_path / "fresh.smck"),
+                              "--config", str(tmp_path / "cfg.json")])
+    assert code == 0
+    lines = out.splitlines()
+    table = lines[lines.index("group\ttime\tsurvival\tat_risk\tevents"):]
+    assert not [ln for ln in table if ln.startswith("high\t")]
+    assert len(table) > 2 and all(ln.startswith("low\t") for ln in table[1:-1])
+    assert table[-1] == "# logrank chi2=0.000000 p=1 degenerate"
+
+    from survmamba.dataio import load_dataset
+
+    held_out = load_dataset(manifest).fold_records(2, held_out=True)
+    argv = _km_files(tmp_path, "0.5\n" * len(held_out),
+                     "".join(f"{r.time_months!r} {1 - r.censored}\n" for r in held_out))
+    code, km_out = _run(capsys, argv)
+    assert code == 0
+    assert km_out.splitlines() == table
 
 
 def _km_files(tmp_path, risks, outcomes):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survmamba.blocks import BiMambaBlock
-from survmamba.errors import DataError
+from survmamba.errors import DataError, ShapeError
 from survmamba.hierarchy import (
     GenomicsEncoder,
     GroupingConfig,
@@ -63,9 +63,9 @@ class TestGenomicsEncoder:
         cfg = GroupingConfig(processes=[("p0", ["f0"])], functions=[("f0", [0, 1])])
         enc = GenomicsEncoder(cfg, d_model=3, hidden=2, rng=np.random.default_rng(0))
         enc.set_function_mlp("f0", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)), np.full(3, 1.5))
-        groups = enc(np.array([4.0, 5.0]))
-        assert len(groups) == 1
-        assert np.array_equal(groups[0][1].data, [[1.5, 1.5, 1.5]])
+        tokens, sizes = enc(np.array([4.0, 5.0]))
+        assert sizes == [1]
+        assert np.array_equal(tokens.data, [[1.5, 1.5, 1.5]])
 
     def test_shapes_follow_catalog(self):
         cfg = make_grouping(n_processes=2, functions_per_process=3, genes_per_function=2)
@@ -75,8 +75,8 @@ class TestGenomicsEncoder:
             functions=cfg.functions,
         )
         enc = GenomicsEncoder(cfg2, d_model=4, hidden=3, rng=np.random.default_rng(1))
-        groups = enc(np.random.default_rng(2).normal(size=12))
-        assert [g.shape for _, g in groups] == [(3, 4), (2, 4)]
+        tokens, sizes = enc(np.random.default_rng(2).normal(size=12))
+        assert tokens.shape == (5, 4) and sizes == [3, 2]
 
     def test_hand_traced_mlp(self):
         # one function over genes [0, 2], one hidden unit, hand-set weights
@@ -91,7 +91,7 @@ class TestGenomicsEncoder:
         pre = 2.0 * 1.0 + 1.0 * 2.0 + 0.5  # 4.5
         hid = oracle.silu(np.array([pre]))
         expect = np.array([hid[0] + 0.25, -hid[0] + 0.25])
-        out = enc(expr)[0][1].data
+        out = enc(expr)[0].data
         assert np.max(np.abs(out[0] - expect)) < 1e-12
 
     def test_gene_out_of_range_names_function(self):
@@ -106,27 +106,25 @@ class TestGenomicsEncoder:
             functions=[("f0", [0]), ("f1", [1, 2]), ("f2", [3])],
         )
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(5))
-        out = enc(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert out[0][1].shape == (3, 2)
+        tokens, sizes = enc(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert tokens.shape == (3, 2) and sizes == [3]
 
 
 def _per_function_reference(enc, grouping, expr):
     """Each function's MLP run on its own, rows taken from the banks'
-    parameters, stacked per process in catalog order."""
+    parameters, stacked in catalog order."""
     widths = {}
     for fid, genes in grouping.functions:
         widths.setdefault(len(genes), []).append(fid)
-    out = []
-    for pid, fids in grouping.processes:
-        rows = []
+    rows = []
+    for _, fids in grouping.processes:
         for fid in fids:
             genes = grouping.genes_of(fid)
             bank = getattr(enc.banks, f"genes{len(genes)}")
             r = widths[len(genes)].index(fid)
             hid = silu(linear(Tensor(expr[genes][None]), bank.w1[r], bank.b1[r]))
             rows.append(linear(hid, bank.w2[r], bank.b2[r])[0])
-        out.append((pid, stack(rows, axis=0)))
-    return out
+    return stack(rows, axis=0)
 
 
 class TestGenomicsEncoderGather:
@@ -136,12 +134,11 @@ class TestGenomicsEncoderGather:
     )
 
     @staticmethod
-    def _outputs_and_grads(enc, groups, weight_seed=2):
-        flat = concat([t for _, t in groups], axis=0)
-        w = np.random.default_rng(weight_seed).normal(size=flat.shape)
+    def _outputs_and_grads(enc, tokens, weight_seed=2):
+        w = np.random.default_rng(weight_seed).normal(size=tokens.shape)
         enc.zero_grad()
-        tsum(flat * Tensor(w)).backward()
-        return flat.data, {n: p.grad.copy() for n, p in enc.named_parameters()}
+        tsum(tokens * Tensor(w)).backward()
+        return tokens.data, {n: p.grad.copy() for n, p in enc.named_parameters()}
 
     def test_ragged_non_contiguous_matches_reference(self):
         """Widths 1, 2 and 3 in three banks, processes that interleave them
@@ -150,28 +147,25 @@ class TestGenomicsEncoderGather:
         g = self.RAGGED
         enc = GenomicsEncoder(g, d_model=4, hidden=3, rng=np.random.default_rng(0))
         expr = np.random.default_rng(1).normal(size=8)
-        got = enc(expr)
-        assert [pid for pid, _ in got] == ["p0", "p1", "p2"]
-        out, grads = self._outputs_and_grads(enc, got)
+        tokens, sizes = enc(expr)
+        assert sizes == [2, 1, 3]
+        out, grads = self._outputs_and_grads(enc, tokens)
         ref_out, ref_grads = self._outputs_and_grads(enc, _per_function_reference(enc, g, expr))
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
         for name, r in ref_grads.items():
             assert np.max(np.abs(grads[name] - r)) <= 1e-12 * np.max(np.abs(r)), name
 
     @pytest.mark.parametrize("grouping", [make_grouping(3, 4, 2), default_catalog(2)], ids=["uniform", "default"])
-    def test_one_width_catalog_slices_one_bank_call(self, grouping):
+    def test_one_width_catalog_is_one_bank_call(self, grouping):
         """With one width in catalog order there is no concatenation and no
-        gather: each process holds exactly its rows of the bank's output."""
+        gather: the tokens are the bank's output itself."""
         enc = GenomicsEncoder(grouping, d_model=3, hidden=2, rng=np.random.default_rng(6))
         (bank, gene_idx), = enc._banks
         assert enc._order is None
         expr = np.random.default_rng(7).normal(size=grouping.n_genes)
-        whole = bank(Tensor(expr[gene_idx])).data
-        lo = 0
-        for (pid, toks), (want, fids) in zip(enc(expr), grouping.processes):
-            assert pid == want and np.array_equal(toks.data, whole[lo : lo + len(fids)])
-            lo += len(fids)
-        assert lo == len(grouping.functions)
+        tokens, sizes = enc(expr)
+        assert np.array_equal(tokens.data, bank(Tensor(expr[gene_idx])).data)
+        assert sizes == [len(fids) for _, fids in grouping.processes]
 
 
 class TestHistologyEncoder:
@@ -180,110 +174,169 @@ class TestHistologyEncoder:
         enc.proj.weight.data[:] = np.eye(2)
         enc.proj.bias.data[:] = 0.0
         bag = HierarchicalBag("histology", [("r0", np.array([[1.0, 2.0], [3.0, 4.0]]))])
-        out = enc(bag)
-        assert np.array_equal(out[0][1].data, bag.groups[0][1])
+        tokens, sizes = enc(bag)
+        assert np.array_equal(tokens.data, bag.groups[0][1]) and sizes == [2]
 
     def test_shape_bookkeeping(self):
         rng = np.random.default_rng(7)
-        bag = HierarchicalBag("histology", [(f"r{i}", rng.normal(size=(5, 768))) for i in range(3)])
+        bag = HierarchicalBag("histology", [(f"r{i}", rng.normal(size=(k, 768))) for i, k in enumerate([5, 2, 5])])
         enc = HistologyEncoder(768, 512, rng=rng)
-        out = enc(bag)
-        assert [t.shape for _, t in out] == [(5, 512)] * 3
+        tokens, sizes = enc(bag)
+        assert tokens.shape == (12, 512) and sizes == [5, 2, 5]
 
     def test_hand_projection(self):
         enc = HistologyEncoder(2, 2, rng=np.random.default_rng(8))
         enc.proj.weight.data[:] = np.array([[1.0, 0.0], [0.0, 2.0]])
         enc.proj.bias.data[:] = 0.0
         bag = HierarchicalBag("histology", [("r0", np.array([[1.0, 2.0]]))])
-        assert np.array_equal(enc(bag)[0][1].data, [[1.0, 4.0]])
+        assert np.array_equal(enc(bag)[0].data, [[1.0, 4.0]])
+
+
+def _groups(rng, sizes, d=3):
+    """Per-group token arrays and the same groups laid end to end."""
+    parts = [rng.normal(size=(k, d)) for k in sizes]
+    return parts, Tensor(np.concatenate(parts, axis=0))
+
+
+def _split(tokens, sizes):
+    return np.split(tokens.data, np.cumsum(sizes)[:-1], axis=0)
 
 
 class TestHimFine:
     def test_zero_out_projection_is_identity(self):
         blk = _block(seed=9)
-        rng = np.random.default_rng(10)
-        groups = [("a", Tensor(rng.normal(size=(4, 3)))), ("b", Tensor(rng.normal(size=(2, 3))))]
-        refined = him_fine(groups, blk)
-        for (gid, orig), (gid2, ref) in zip(groups, refined):
-            assert gid == gid2
-            assert np.array_equal(ref.data, orig.data)
+        _, tokens = _groups(np.random.default_rng(10), [4, 2])
+        refined = him_fine(tokens, blk, [4, 2])
+        assert np.array_equal(refined.data, tokens.data)
 
     def test_group_reorder_equivariance(self):
         blk = _block(seed=11, noise=12)
-        rng = np.random.default_rng(13)
-        groups = [(f"g{i}", Tensor(rng.normal(size=(int(k), 3)))) for i, k in enumerate([3, 5, 3, 2])]
-        fwd = him_fine(groups, blk)
+        sizes = [3, 5, 3, 2]
+        parts, tokens = _groups(np.random.default_rng(13), sizes)
+        fwd = _split(him_fine(tokens, blk, sizes), sizes)
         perm = [2, 0, 3, 1]
-        refined_perm = him_fine([groups[i] for i in perm], blk)
+        sizes_perm = [sizes[i] for i in perm]
+        tokens_perm = Tensor(np.concatenate([parts[i] for i in perm], axis=0))
+        refined_perm = _split(him_fine(tokens_perm, blk, sizes_perm), sizes_perm)
         for j, i in enumerate(perm):
-            assert refined_perm[j][0] == groups[i][0]
-            assert np.max(np.abs(refined_perm[j][1].data - fwd[i][1].data)) < 1e-12
+            assert np.max(np.abs(refined_perm[j] - fwd[i])) < 1e-12
 
     def test_within_group_permutation_changes_output(self):
         # the scan is order-sensitive by design
         blk = _block(seed=14, noise=15)
         rng = np.random.default_rng(16)
         toks = rng.normal(size=(5, 3))
-        out1 = him_fine([("g", Tensor(toks))], blk)[0][1].data
-        out2 = him_fine([("g", Tensor(toks[::-1].copy()))], blk)[0][1].data
+        out1 = him_fine(Tensor(toks), blk, [5]).data
+        out2 = him_fine(Tensor(toks[::-1].copy()), blk, [5]).data
         assert np.max(np.abs(out1 - out2[::-1])) > 1e-6
 
     def test_matches_direct_block_call(self):
         blk = _block(seed=17, noise=18)
         toks = np.ones((4, 3))
-        refined = him_fine([("g", Tensor(toks))], blk)[0][1].data
+        refined = him_fine(Tensor(toks), blk, [4]).data
         direct = blk(Tensor(toks[None]))[0].data
         assert np.array_equal(refined, direct)
 
     def test_batched_lengths_match_unbatched(self):
         # equal-length groups run as one batch; must equal one-by-one calls
         blk = _block(seed=19, noise=20)
-        rng = np.random.default_rng(21)
-        groups = [(f"g{i}", Tensor(rng.normal(size=(4, 3)))) for i in range(3)]
-        batched = him_fine(groups, blk)
-        for gid, toks in groups:
-            single = blk(Tensor(toks.data[None]))[0].data
-            got = dict((g, t.data) for g, t in batched)[gid]
+        parts, tokens = _groups(np.random.default_rng(21), [4, 4, 4])
+        batched = _split(him_fine(tokens, blk, [4, 4, 4]), [4, 4, 4])
+        for got, toks in zip(batched, parts):
+            single = blk(Tensor(toks[None]))[0].data
             assert np.max(np.abs(got - single)) < 1e-12
+
+    def test_interleaved_ragged_matches_direct_calls(self):
+        """Lengths 3 and 5 interleaved with a singleton: outputs and every
+        parameter and input gradient equal one direct block call per
+        group."""
+        blk = _block(seed=40, noise=41)
+        sizes = [3, 5, 3, 1, 5]
+        parts, tokens = _groups(np.random.default_rng(42), sizes)
+        tokens.requires_grad = True
+        w = np.random.default_rng(43).normal(size=tokens.shape)
+
+        blk.zero_grad()
+        out = him_fine(tokens, blk, sizes)
+        tsum(out * Tensor(w)).backward()
+        got = (out.data, tokens.grad.copy(), {n: p.grad.copy() for n, p in blk.named_parameters()})
+
+        blk.zero_grad()
+        inputs = [Tensor(p[None], requires_grad=True) for p in parts]
+        outs = [blk(x)[0] for x in inputs]
+        tsum(concat(outs, axis=0) * Tensor(w)).backward()
+        want = (np.concatenate([o.data for o in outs], axis=0),
+                np.concatenate([x.grad[0] for x in inputs], axis=0),
+                {n: p.grad.copy() for n, p in blk.named_parameters()})
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        assert close(got[0], want[0]) and close(got[1], want[1])
+        for name, g in want[2].items():
+            assert close(got[2][name], g), name
+
+    def test_sizes_must_cover_tokens(self):
+        with pytest.raises(ShapeError, match="sizes sum 4"):
+            him_fine(Tensor(np.ones((5, 3))), _block(seed=44), [2, 2])
 
 
 class TestHimCoarse:
     def test_singleton_groups_zero_block(self):
         blk = _block(seed=22)
-        rng = np.random.default_rng(23)
-        toks = [rng.normal(size=(1, 3)) for _ in range(4)]
-        refined = [(f"g{i}", Tensor(t)) for i, t in enumerate(toks)]
-        out = him_coarse(refined, blk)
-        assert np.array_equal(out.data, np.concatenate(toks, axis=0))
+        tokens = Tensor(np.random.default_rng(23).normal(size=(4, 3)))
+        out = him_coarse(tokens, blk, [1, 1, 1, 1])
+        assert np.array_equal(out.data, tokens.data)
 
     def test_mean_pooling_values(self):
-        blk = _block(seed=24)
-        refined = [("g", Tensor(np.array([[1.0, 3.0], [3.0, 1.0]])))]
+        tokens = Tensor(np.array([[1.0, 3.0], [3.0, 1.0], [5.0, -1.0]]))
         blk2 = _block(seed=25, d=2, e=4)
-        out = him_coarse(refined, blk2)
-        assert np.array_equal(out.data, [[2.0, 2.0]])  # zero block -> pooled token
+        out = him_coarse(tokens, blk2, [2, 1])
+        assert np.array_equal(out.data, [[2.0, 2.0], [5.0, -1.0]])  # zero block -> pooled tokens
 
     def test_group_count_preserved(self):
         blk = _block(seed=26, noise=27)
         rng = np.random.default_rng(28)
         for g in (1, 2, 5):
-            refined = [(f"g{i}", Tensor(rng.normal(size=(3, 3)))) for i in range(g)]
-            assert him_coarse(refined, blk).shape == (g, 3)
+            assert him_coarse(Tensor(rng.normal(size=(3 * g, 3))), blk, [3] * g).shape == (g, 3)
 
     def test_not_equivariant_to_group_order(self):
         blk = _block(seed=29, noise=30)
-        rng = np.random.default_rng(31)
-        refined = [(f"g{i}", Tensor(rng.normal(size=(3, 3)))) for i in range(4)]
-        out = him_coarse(refined, blk).data
-        out_rev = him_coarse(refined[::-1], blk).data
+        parts, tokens = _groups(np.random.default_rng(31), [3] * 4)
+        out = him_coarse(tokens, blk, [3] * 4).data
+        out_rev = him_coarse(Tensor(np.concatenate(parts[::-1], axis=0)), blk, [3] * 4).data
         assert np.max(np.abs(out - out_rev[::-1])) > 1e-6
 
     def test_constant_group_pools_exactly(self):
         vec = np.array([1.5, -2.0, 0.25])
         toks = np.tile(vec, (7, 1))
         blk = _block(seed=32)
-        out = him_coarse([("g", Tensor(toks))], blk)
+        out = him_coarse(Tensor(toks), blk, [7])
         assert np.array_equal(out.data, vec[None])
+
+
+class TestTapeSize:
+    def test_desk_patient_step_interior_nodes(self):
+        """One loss at the desk config (d=32, E=64, N=8) on 4x16 bags and
+        an 8x4 catalog, for an event in the first bin: the flat token
+        layout keeps the tape at its block and fusion nodes, with no
+        per-group slicing, pooling or stacking."""
+        from survmamba.synth import SynthSpec, synth_generate
+        from survmamba.training import TrainConfig, build_model
+
+        ds = synth_generate(SynthSpec(n_patients=12), seed=0)
+        model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
+        rec = next(r for r in ds.records if r.t_bin == 0 and not r.censored)
+        root = model.loss(rec)
+        seen, todo, interior = {id(root)}, [root], 0
+        while todo:
+            node = todo.pop()
+            interior += node._backward is not None
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        assert interior <= 225
 
 
 class TestHimGradient:
