@@ -144,8 +144,8 @@ class SurvMambaModel(Module):
 #   depthwise conv (T, E, W):   2*T*E*W + T*E
 #   layer norm (T, D):          5*T*D
 #   silu / sigmoid / softplus:  4 per element
-#   discretize (T, E, N):       4*T*E*N   (exp + scale for Abar; Bbar, formed
-#                                          per slab inside the scan)
+#   discretize (T, E, N):       4*T*E*N   (exp + scale for Abar and Bbar, both
+#                                          formed per slab inside the scan)
 #   scan (T, E, N):             5*T*E*N   (3 for the state update, 2 for y)
 #   gates + sum (T, E):         3*T*E
 

@@ -15,19 +15,24 @@ Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
 Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
-``discretize`` computes only Abar, off the tape, and records the sources
-it came from; ``DiscreteParams.Bbar`` is formed on first read, for the
-cross-checks. The recurrent scan never forms a (B, M, E, N) Bbar: it is
-one tape node with parents (x, delta, A, Bproj, Cproj) that runs in
-slabs of time steps, writing each slab's Bbar * x straight into one
-reused state buffer and stepping the states there. It keeps only the
-hidden state entering each slab. Backward walks the slabs in reverse
-with its own reused Abar, state and adjoint buffers: it recomputes Abar
-and the slab's states from that checkpoint, runs the adjoint recurrence
+``discretize`` checks and records its sources and computes nothing;
+``DiscreteParams.Abar`` and ``DiscreteParams.Bbar`` are formed as
+(B, M, E, N) arrays on first read, for the cross-checks. The recurrent
+scan never forms either: it is one tape node with parents
+(x, delta, A, Bproj, Cproj) that works time-major and state before
+channel. Its inputs are transposed once per call to (M, B, .), and it
+runs in slabs of time steps, held as (S, B, N, E) arrays. Per slab it
+writes Abar into one reused buffer and Bbar * x into one reused state
+buffer, then steps the states there over contiguous (B, N, E) blocks;
+forward does this in chunks of at most ``CHUNK_BYTES`` per array, so
+that its buffers stay in cache between passes. It keeps only the hidden
+state entering each slab. Backward walks the slabs in reverse with its
+own reused buffers: it recomputes Abar and the slab's states from that
+checkpoint, runs the adjoint recurrence over the same contiguous blocks
 and contracts through B and C once per slab into the five input
-gradients. A slab holds ``SLAB_BYTES`` per (B, slab, E, N) array, so
-short sequences are a single slab. Under ``no_grad`` nothing is recorded
-and no checkpoint is kept.
+gradients. A slab holds ``SLAB_BYTES`` per (S, B, N, E) array, so short
+sequences are a single slab. Under ``no_grad`` nothing is recorded and
+no checkpoint is kept.
 """
 
 from __future__ import annotations
@@ -42,13 +47,8 @@ from .errors import ConfigError, ShapeError
 from .numerics import Tensor, _grad_enabled, _node
 
 DISCRETIZE_MODES = ("euler", "zoh")
-SLAB_BYTES = 4 << 20  # bytes per (B, slab, E, N) float64 array in the scan
-
-
-def _abar(delta: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
-    """Abar = exp(delta * A) for delta (B, S, E) and A (E, N), in out if given."""
-    out = np.multiply(delta[..., None], a, out=out)
-    return np.exp(out, out=out)
+SLAB_BYTES = 4 << 20  # bytes per (S, B, N, E) float64 array in the scan
+CHUNK_BYTES = 256 << 10  # bytes per forward chunk array: a few fit in a 1-2 MiB L2 cache
 
 
 def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
@@ -57,48 +57,66 @@ def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
     return np.divide(out, a, out=out)
 
 
-def _bbar(delta: np.ndarray, abar: np.ndarray, a: np.ndarray, bproj: np.ndarray, mode: str, out=None) -> np.ndarray:
-    """Bbar = delta * Bproj (euler) or q * Bproj (zoh), (B, S, E, N), in out if given."""
-    if mode == "euler":
-        return np.multiply(delta[..., None], bproj[:, :, None, :], out=out)
-    out = _zoh_q(abar, a, out=out)
-    return np.multiply(out, bproj[:, :, None, :], out=out)
-
-
 @dataclass
 class DiscreteParams:
-    """Step operator Abar of shape (B, M, E, N), 0 < Abar < 1, held off
-    the tape, and the sources the scan differentiates through. ``Bbar``
-    is computed from the sources on first read and cached; the recurrent
-    scan never reads it."""
+    """The sources of the step operators: delta (B, M, E), A (E, N),
+    Bproj (B, M, N) and the mode. ``Abar`` (B, M, E, N), 0 < Abar < 1,
+    and ``Bbar`` are computed off the tape on first read and cached; the
+    recurrent scan reads neither."""
 
-    Abar: Tensor
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
 
     @cached_property
+    def Abar(self) -> Tensor:
+        return Tensor(np.exp(self.delta.data[..., None] * self.A.data))
+
+    @cached_property
     def Bbar(self) -> Tensor:
-        return Tensor(_bbar(self.delta.data, self.Abar.data, self.A.data, self.Bproj.data, self.mode))
+        if self.mode == "euler":
+            return Tensor(self.delta.data[..., None] * self.Bproj.data[:, :, None, :])
+        return Tensor(_zoh_q(self.Abar.data, self.A.data) * self.Bproj.data[:, :, None, :])
+
+
+def _check_a(where: str, delta: Tensor, A: Tensor, Bproj: Tensor):
+    """A must be (E, N), with E from delta (B, M, E) and N from Bproj (B, M, N)."""
+    en = delta.shape[-1:] + Bproj.shape[-1:]
+    if len(en) != 2 or A.shape != en:
+        raise ShapeError(f"{where}: A {A.shape} is not (E, N) = {en}, taking E from delta "
+                         f"{delta.shape} and N from Bproj {Bproj.shape}")
 
 
 def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler") -> DiscreteParams:
-    """Broadcast delta (B, M, E) against A (E, N) into the (B, M, E, N)
-    step operator Abar; Bproj (B, M, N) is kept for Bbar."""
+    """Bundle delta (B, M, E), A (E, N) and Bproj (B, M, N) for the scan,
+    which forms the step operators per slab itself."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
-    return DiscreteParams(Abar=Tensor(_abar(delta.data, A.data)), delta=delta, A=A, Bproj=Bproj, mode=mode)
+    _check_a("discretize", delta, A, Bproj)
+    return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode)
 
 
-def _slab_states(hs, abar, delta, a, bproj, x, mode, tmp):
-    """Fill hs (B, S + 1, E, N), whose slot 0 holds the entry state, with
-    the slab's states: Bbar * x goes into slots 1..S, then each step adds
-    Abar_t * h_{t-1} in place. tmp is a (B, E, N) scratch."""
-    bx = _bbar(delta, abar, a, bproj, mode, out=hs[:, 1:])
-    bx *= x[..., None]
-    steps = hs.swapaxes(0, 1)  # per-step (B, E, N) views
-    for a_t, h_prev, h in zip(abar.swapaxes(0, 1), steps, steps[1:]):
+def _tm(a: np.ndarray) -> np.ndarray:
+    """Time-major contiguous (M, B, ...) copy of a (B, M, ...) array; a view when B = 1."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
+
+
+def _slab_states(hs, abar, delta, at, bproj, x, mode, tmp):
+    """Fill abar (S, B, N, E) with the slab's step operators and hs
+    (S + 1, B, N, E), whose slot 0 holds the entry state, with its states:
+    Bbar * x goes into slots 1..S, then each step adds Abar_t * h_{t-1} in
+    place. delta and x are (S, B, E) and bproj (S, B, N) time-major slab
+    slices, at is A transposed to (N, E) and tmp a (B, N, E) scratch."""
+    np.exp(np.einsum("tbe,ne->tbne", delta, at, out=abar), out=abar)
+    bx = hs[1:]
+    if mode == "euler":
+        np.einsum("tbe,tbn->tbne", delta, bproj, out=bx)
+    else:
+        _zoh_q(abar, at, out=bx)
+        bx *= bproj[..., None]
+    bx *= x[:, :, None, :]
+    for a_t, h_prev, h in zip(abar, hs, bx):
         np.multiply(a_t, h_prev, out=tmp)
         h += tmp
 
@@ -147,15 +165,71 @@ def _scan_parallel_states_impl(abar, bx):
 
 
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor):
-    abar = dp.Abar.data
     if x.ndim != 3:
         raise ShapeError(f"scan: expected (B, M, E) input, got {x.shape}")
-    bmn = x.shape[:2] + (abar.shape[-1],)
-    if abar.shape[:3] != x.shape or dp.delta.shape != x.shape or dp.Bproj.shape != bmn:
-        raise ShapeError(f"scan: Abar {abar.shape} / delta {dp.delta.shape} / Bproj {dp.Bproj.shape} "
-                         f"do not match x {x.shape}")
+    _check_a("scan", dp.delta, dp.A, dp.Bproj)
+    bmn = x.shape[:2] + dp.A.shape[-1:]
+    if dp.delta.shape != x.shape or dp.Bproj.shape != bmn:
+        raise ShapeError(f"scan: delta {dp.delta.shape} / Bproj {dp.Bproj.shape} do not match x {x.shape}")
     if cproj.shape != bmn:
         raise ShapeError(f"scan: Cproj {cproj.shape} does not match (B, M, N)")
+
+
+def _slab_grads(g, src, at, mode, slabs, checkpoints):
+    """The scan's input gradients (dx, ddelta, dA, dBproj, dCproj) for the
+    output gradient g (B, M, E), shaped like the inputs. src holds the
+    (B, M, .) arrays of x, delta, Bproj and Cproj, at is A transposed to
+    (N, E) and checkpoints the state entering each slab. Walks the slabs
+    in reverse in the forward's time-major layout; the slab buffers are
+    freed on return."""
+    xt, dt, bt, ct, gt = map(_tm, src + (g,))  # transposed again rather than kept on the tape
+    m, b, e = xt.shape
+    n = at.shape[0]
+    step = slabs[0].stop  # the first slab is a full one
+    dx, ddelta = np.empty((m, b, e)), np.zeros((m, b, e))
+    dbp, dc = np.empty((m, b, n)), np.empty((m, b, n))
+    da = np.zeros((n, e))
+    abar_buf, dh_buf = np.empty((step, b, n, e)), np.empty((step, b, n, e))
+    hs = np.empty((step + 1, b, n, e))
+    q_buf = np.empty((step, b, n, e)) if mode == "zoh" else None
+    tmp = np.empty((b, n, e))
+    carry = np.zeros((b, n, e))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
+    for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
+        s = sl.stop - sl.start
+        ds, xs, bs, gs, cs = dt[sl], xt[sl], bt[sl], gt[sl], ct[sl]
+        ab, h = abar_buf[:s], hs[: s + 1]
+        h[0] = h0
+        _slab_states(h, ab, ds, at, bs, xs, mode, tmp)
+        dh = np.einsum("tbe,tbn->tbne", gs, cs, out=dh_buf[:s])  # dL/dh_t from y_t
+        dh[-1] += carry
+        for d, a_t, d_prev in zip(dh[:0:-1], ab[:0:-1], dh[-2::-1]):  # in reverse
+            np.multiply(d, a_t, out=tmp)
+            d_prev += tmp
+        np.multiply(dh[0], ab[0], out=carry)
+        np.matmul(h[1:], gs[..., None], out=dc[sl, :, :, None])
+        if mode == "euler":
+            gb = np.matmul(bs[:, :, None, :], dh)[:, :, 0, :]  # sum_n Bproj * dh
+            np.multiply(ds, gb, out=dx[sl])
+            np.multiply(xs, gb, out=ddelta[sl])  # through Bbar = delta * Bproj
+            np.matmul(dh, (ds * xs)[..., None], out=dbp[sl, :, :, None])
+            dh *= h[:-1]  # dL/dAbar
+        else:
+            dhq = _zoh_q(ab, at, out=q_buf[:s])
+            dhq *= dh
+            np.matmul(bs[:, :, None, :], dhq, out=dx[sl, :, None, :])  # sum_n Bproj * dh * q
+            np.matmul(dhq, xs[..., None], out=dbp[sl, :, :, None])
+            dhq *= bs[..., None]
+            # dL/dA through q, where dq/dA = -q / A and dL/dq = dh * x * Bproj
+            da -= np.einsum("tbne,tbe->ne", dhq, xs) / at
+            # dL/dAbar = dh * (h_{t-1} + x * Bproj / A): the recurrence and q
+            w = np.einsum("tbe,tbn->tbne", xs, bs, out=q_buf[:s])
+            w /= at
+            w += h[:-1]
+            dh *= w
+        dh *= ab  # dL/d(delta * A)
+        ddelta[sl] += np.einsum("tbne,ne->tbe", dh, at)
+        da += np.einsum("tbne,tbe->ne", dh, ds)
+    return dx.swapaxes(0, 1), ddelta.swapaxes(0, 1), da.T, dbp.swapaxes(0, 1), dc.swapaxes(0, 1)
 
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
@@ -164,77 +238,40 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
-    abar = dp.Abar.data
-    xd, dd, ad, bd, cd, mode = x.data, dp.delta.data, dp.A.data, dp.Bproj.data, cproj.data, dp.mode
-    b, m, e = xd.shape
-    n = ad.shape[-1]
-    step = min(m, max(1, SLAB_BYTES // (8 * b * e * n)))
+    mode = dp.mode
+    # time-major, state before channel: x, delta (M, B, E); Bproj, Cproj (M, B, N); A^T (N, E)
+    src = (x.data, dp.delta.data, dp.Bproj.data, cproj.data)
+    xt, dt, bt, ct = map(_tm, src)
+    at = np.ascontiguousarray(dp.A.data.T)
+    m, b, e = xt.shape
+    n = at.shape[0]
+    step_bytes = 8 * b * e * n
+    step = min(m, max(1, SLAB_BYTES // step_bytes))
+    chunk = min(step, max(1, CHUNK_BYTES // step_bytes))
     slabs = [slice(s0, min(m, s0 + step)) for s0 in range(0, m, step)]
     checkpoints = []  # the state entering each slab, kept only when recording
-    y = np.empty((b, m, e))
-    hs = np.empty((b, step + 1, e, n))  # slot 0 holds the state entering the slab
-    hs[:, 0] = 0.0
-    tmp = np.empty((b, e, n))
+    y = np.empty((m, b, e))
+    abar_buf = np.empty((chunk, b, n, e))
+    hs = np.empty((chunk + 1, b, n, e))  # slot 0 holds the state entering the chunk
+    hs[0] = 0.0
+    tmp = np.empty((b, n, e))
     for sl in slabs:
-        s = sl.stop - sl.start
         if record:
-            checkpoints.append(hs[:, 0].copy())
-        _slab_states(hs[:, : s + 1], abar[:, sl], dd[:, sl], ad, bd[:, sl], xd[:, sl], mode, tmp)
-        # y[b,t,e] = sum_n h[b,t,e,n] * c[b,t,n]
-        y[:, sl] = np.matmul(hs[:, 1 : s + 1], cd[:, sl, :, None])[..., 0]
-        hs[:, 0] = hs[:, s]
+            checkpoints.append(hs[0].copy())
+        for c0 in range(sl.start, sl.stop, chunk):
+            ck = slice(c0, min(sl.stop, c0 + chunk))
+            s = ck.stop - c0
+            _slab_states(hs[: s + 1], abar_buf[:s], dt[ck], at, bt[ck], xt[ck], mode, tmp)
+            # y[t,b,e] = sum_n c[t,b,n] * h[t,b,n,e]
+            np.matmul(ct[ck, :, None, :], hs[1 : s + 1], out=y[ck, :, None, :])
+            hs[0] = hs[s]
 
     def backward(g):
-        dx, ddelta = np.empty((b, m, e)), np.zeros((b, m, e))
-        dbp, dc = np.empty((b, m, n)), np.empty((b, m, n))
-        da = np.zeros((e, n))
-        abar_buf, dh_buf = np.empty((b, step, e, n)), np.empty((b, step, e, n))
-        hs = np.empty((b, step + 1, e, n))
-        q_buf = np.empty((b, step, e, n)) if mode == "zoh" else None
-        tmp = np.empty((b, e, n))
-        carry = np.zeros((b, e, n))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
-        for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
-            s = sl.stop - sl.start
-            ds, xs, bs, gs, cs = dd[:, sl], xd[:, sl], bd[:, sl], g[:, sl], cd[:, sl]
-            ab = _abar(ds, ad, out=abar_buf[:, :s])
-            h = hs[:, : s + 1]
-            h[:, 0] = h0
-            _slab_states(h, ab, ds, ad, bs, xs, mode, tmp)
-            dh = np.multiply(gs[..., None], cs[:, :, None, :], out=dh_buf[:, :s])  # dL/dh_t from y_t
-            dh_steps = dh.swapaxes(0, 1)  # per-step (B, E, N) views, walked in reverse
-            dh_steps[-1] += carry
-            for d, a_t, d_prev in zip(dh_steps[:0:-1], ab.swapaxes(0, 1)[:0:-1], dh_steps[-2::-1]):
-                np.multiply(d, a_t, out=tmp)
-                d_prev += tmp
-            np.multiply(dh[:, 0], ab[:, 0], out=carry)
-            dc[:, sl] = np.matmul(gs[:, :, None, :], h[:, 1:])[:, :, 0, :]
-            if mode == "euler":
-                gb = np.matmul(dh, bs[..., None])[..., 0]  # sum_n dh * Bproj
-                np.multiply(ds, gb, out=dx[:, sl])
-                np.multiply(xs, gb, out=ddelta[:, sl])  # through Bbar = delta * Bproj
-                dbp[:, sl] = np.matmul((ds * xs)[:, :, None, :], dh)[:, :, 0, :]
-                dh *= h[:, :-1]  # dL/dAbar
-            else:
-                dhq = _zoh_q(ab, ad, out=q_buf[:, :s])
-                dhq *= dh
-                dx[:, sl] = np.matmul(dhq, bs[..., None])[..., 0]  # sum_n dh * q * Bproj
-                dbp[:, sl] = np.matmul(xs[:, :, None, :], dhq)[:, :, 0, :]
-                dhq *= bs[:, :, None, :]
-                # dL/dA through q, where dq/dA = -q / A and dL/dq = dh * x * Bproj
-                da -= np.einsum("bten,bte->en", dhq, xs) / ad
-                # dL/dAbar = dh * (h_{t-1} + x * Bproj / A): the recurrence and q
-                w = np.multiply(xs[..., None], bs[:, :, None, :], out=q_buf[:, :s])
-                w /= ad
-                w += h[:, :-1]
-                dh *= w
-            dh *= ab  # dL/d(delta * A)
-            ddelta[:, sl] += np.einsum("bten,en->bte", dh, ad)
-            da += np.einsum("bten,bte->en", dh, ds)
-        for p, grad in zip(parents, (dx, ddelta, da, dbp, dc)):
+        for p, grad in zip(parents, _slab_grads(g, src, at, mode, slabs, checkpoints)):
             if p.requires_grad:
                 p._accum(grad)
 
-    return _node(y, parents, backward)
+    return _node(y.swapaxes(0, 1), parents, backward)
 
 
 def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
@@ -271,7 +308,9 @@ def apply_lti_kernel(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def bench_scan(lengths, channels: int = 8, state: int = 8, modes=("recurrent", "parallel", "conv"), reps: int = 5, seed: int = 0, reduce: str = "median"):
-    """Time each scan route on a shared LTI instance per length.
+    """Time each scan route on a shared LTI instance per length. Both scan
+    routes run a fresh ``discretize`` inside each timed call, so each pays
+    for forming its own step operators.
 
     Returns a list of row dicts {mode, length, seconds, max_dev}; max_dev
     is each mode's worst absolute deviation from the recurrent output.
@@ -289,13 +328,14 @@ def bench_scan(lengths, channels: int = 8, state: int = 8, modes=("recurrent", "
         delta = Tensor(np.broadcast_to(delta0, (1, m, channels)).copy())
         bproj = Tensor(np.broadcast_to(bproj0, (1, m, state)).copy())
         cproj = Tensor(np.broadcast_to(c0, (1, m, state)).copy())
-        dp = discretize(delta, Tensor(a_cont), bproj, "euler")
+        src = (delta, Tensor(a_cont), bproj, "euler")
+        dp = discretize(*src)
         xt = Tensor(x)
         ref = selective_scan_recurrent(xt, dp, cproj).data
         kern = lti_kernel(dp.Abar.data[0, 0], dp.Bbar.data[0, 0], c0, m)
         routes = {
-            "recurrent": lambda xt=xt, dp=dp, cproj=cproj: selective_scan_recurrent(xt, dp, cproj).data,
-            "parallel": lambda xt=xt, dp=dp, cproj=cproj: selective_scan_parallel(xt, dp, cproj).data,
+            "recurrent": lambda xt=xt, src=src, cproj=cproj: selective_scan_recurrent(xt, discretize(*src), cproj).data,
+            "parallel": lambda xt=xt, src=src, cproj=cproj: selective_scan_parallel(xt, discretize(*src), cproj).data,
             "conv": lambda x=x, kern=kern: apply_lti_kernel(x, kern),
         }
         for mode in modes:

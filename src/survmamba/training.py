@@ -80,7 +80,6 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
         order = shuffle_rng.permutation(len(records))
         total = 0.0
         pending = 0
-        optim.zero_grad()
         for k, idx in enumerate(order, start=1):
             rec = records[idx]
             loss = model.loss(rec)
@@ -88,13 +87,14 @@ def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
             if not math.isfinite(val):
                 raise NonFiniteError(f"non-finite loss for patient {rec.patient_id}")
             total += val
+            if pending == 0:  # the batch's first backward
+                optim.zero_grad()
             loss.backward()
             pending += 1
             if pending == cfg.batch_size or k == len(order):  # a full batch, or the epoch's last
                 if pending > 1:
                     optim.grad /= pending
                 optim.step()
-                optim.zero_grad()
                 pending = 0
         trace.append(total / max(1, len(records)))
     model.zero_grad()  # drop the views into the optimizer's gradient buffer

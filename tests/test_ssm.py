@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survmamba.ssm as ssm
-from survmamba.errors import ConfigError
+from survmamba.errors import ConfigError, ShapeError
 from survmamba.gradsuite import check_scan
 from survmamba.numerics import Tensor, grad_check, no_grad, silu, tsum
 from survmamba.ssm import (
@@ -61,6 +61,20 @@ class TestDiscretize:
         dt, a, b, _ = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
         with pytest.raises(ConfigError, match="mode"):
             discretize(dt, a, b, "bilinear")
+
+    @pytest.mark.parametrize("a_shape", [(1, 2), (5, 2), (4, 3), (4,)])
+    def test_a_must_be_e_by_n(self, a_shape):
+        # an A of (1, N) used to broadcast silently and leave A.grad (E, N);
+        # an (E', N) A used to end in a raw numpy ValueError
+        rng = np.random.default_rng(1)
+        x, dt = Tensor(rng.normal(size=(1, 3, 4))), Tensor(np.full((1, 3, 4), 0.2))
+        bp, cp = Tensor(rng.normal(size=(1, 3, 2))), Tensor(rng.normal(size=(1, 3, 2)))
+        a = Tensor(-np.ones(a_shape), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"discretize: A \(.*\) is not \(E, N\) = \(4, 2\)"):
+            discretize(dt, a, bp, "euler")
+        dp = ssm.DiscreteParams(delta=dt, A=a, Bproj=bp, mode="euler")
+        with pytest.raises(ShapeError, match=r"scan: A \(.*\) is not \(E, N\) = \(4, 2\)"):
+            selective_scan_recurrent(x, dp, cp)
 
     def test_abar_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -341,9 +355,9 @@ class TestFusedScan:
 
 
 class TestLeanScan:
-    """Bbar leaves discretize: dp.Bbar is computed on first read for the
-    cross-checks, the recurrent scan never reads it, and one scan call
-    holds one (B, M, E, N) array, Abar, plus slab-sized buffers."""
+    """Abar and Bbar leave discretize: dp.Abar and dp.Bbar are computed on
+    first read for the cross-checks, the recurrent scan reads neither, and
+    one scan call holds only slab-sized (S, B, N, E) buffers."""
 
     @staticmethod
     def _vals(rng, b, m, e, n):
@@ -373,7 +387,7 @@ class TestLeanScan:
         dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
         tsum(selective_scan_recurrent(ts["x"], dp, ts["Cproj"])).backward()
         assert ts["A"].grad is not None
-        assert "Bbar" not in vars(dp)
+        assert "Abar" not in vars(dp) and "Bbar" not in vars(dp)
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(b=st.integers(1, 3), m=st.integers(1, 13), e=st.integers(1, 5), n=st.integers(1, 4),
@@ -400,23 +414,49 @@ class TestLeanScan:
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    def test_forward_chunks_within_slabs(self, monkeypatch, mode):
+        """Forward chunks of 1, 2 and 3 steps inside 5-step slabs over 12
+        steps give the output and gradients of whole-slab chunks, bit for
+        bit: chunking changes where the forward pauses, not its arithmetic."""
+        b, m, e, n = 2, 12, 3, 4
+        step_bytes = 8 * b * e * n
+        monkeypatch.setattr(ssm, "SLAB_BYTES", 5 * step_bytes)
+        vals = self._vals(np.random.default_rng(14), b, m, e, n)
+        weight = np.random.default_rng(15).normal(size=(b, m, e))
+
+        def fused(ts):
+            dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
+            return selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
+
+        runs = []
+        for chunk in (5, 1, 2, 3):
+            monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
+            runs.append(TestFusedScan._run(vals, fused, weight))
+        for got in runs[1:]:
+            for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, runs[0]):
+                assert np.array_equal(g, r), name
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
     def test_peak_allocation(self, monkeypatch, mode):
         """Peak traced allocation of discretize + forward + backward on
-        8 slabs of 8 steps stays under Abar, the (B, M, E)- and (B, M, N)-
-        sized output and gradients, and eight slab buffers. Those eight
-        cover backward's Abar, state, adjoint and zoh q buffers (4 1/8),
-        the eight (B, E, N) slab checkpoints (one more here) and the small
-        per-slab temporaries and numpy iteration buffers. Measured: 5.7
-        (euler) and 6.7 (zoh) slab buffers. When discretize also built
-        Bbar, discretize alone peaked at 2.06 (euler) and 3.03 (zoh) full
-        (B, M, E, N) arrays, and the sequence at 16.8 and 18.6 slab
-        buffers beyond the same terms."""
+        8 slabs of 8 steps stays under the (B, M, E)- and (B, M, N)-sized
+        output and gradients and eight slab buffers; no (B, M, E, N)
+        array is formed. The slab buffers cover backward's Abar, state,
+        adjoint and zoh q buffers (3 1/8 euler, 4 1/8 zoh), the eight
+        (B, N, E) slab checkpoints (one more), the time-major copies of x,
+        delta, g, Bproj and Cproj (1 5/8), and the small per-slab
+        temporaries and numpy iteration buffers. Measured: 6.5 (euler)
+        and 7.4 (zoh) slab buffers. While discretize still built the full
+        Abar, the peak was that array plus 5.7 (euler) and 6.7 (zoh) slab
+        buffers; while it also built Bbar, discretize alone peaked at 2.06
+        (euler) and 3.03 (zoh) full arrays, and the sequence at 16.8 and
+        18.6 slab buffers beyond them."""
         b, m, e, n, step = 2, 64, 128, 16, 8
         monkeypatch.setattr(ssm, "SLAB_BYTES", step * 8 * b * e * n)
         vals = self._vals(np.random.default_rng(13), b, m, e, n)
         ts = {k: Tensor(v, requires_grad=True) for k, v in vals.items()}
         g = np.ones((b, m, e))
-        full, slab = 8 * b * m * e * n, 8 * b * step * e * n
+        slab = 8 * b * step * e * n
         outputs = 8 * (3 * b * m * e + 2 * b * m * n)  # y, dx, ddelta, dBproj, dCproj
         tracemalloc.start()
         try:
@@ -426,7 +466,7 @@ class TestLeanScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= full + outputs + 8 * slab, (peak - full - outputs) / slab
+        assert peak <= outputs + 8 * slab, (peak - outputs) / slab
 
 
 def test_gradsuite_scan_checks():

@@ -224,6 +224,30 @@ class TestTrain:
         _, trace = train(ds, 0, cfg)
         assert len(trace) == 1 and np.isfinite(trace[0])
 
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_one_gradient_zero_fill_per_batch(self, monkeypatch, batch_size):
+        # each batch: one zero-fill, then its backward passes, then one step
+        _, ds = _small_ds()
+        events = []
+
+        def spy(owner, name):
+            orig = getattr(owner, name)
+
+            def wrapper(self):
+                events.append(name)
+                return orig(self)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((RAdam, "zero_grad"), (RAdam, "step"), (Tensor, "backward")):
+            spy(owner, name)
+        train(ds, 0, _small_cfg(batch_size=batch_size))  # 2 epochs over 24 in-fold records
+        sizes = [batch_size] * (24 // batch_size) + ([24 % batch_size] if 24 % batch_size else [])
+        expected = []
+        for _ in range(2):
+            for k in sizes:
+                expected += ["zero_grad"] + ["backward"] * k + ["step"]
+        assert events == expected
+
     @pytest.mark.parametrize("batch_size", [1, 3, 5])
     def test_matches_gather_reference_bitwise(self, batch_size):
         # 24 in-fold records: batch 5 leaves a partial last batch per epoch
