@@ -4,8 +4,10 @@ Histology arrives as regions of patch embeddings, genomics as one
 expression vector that a grouping catalog (process -> function -> genes)
 turns into function tokens. Each encoder returns one (L, D) token
 tensor, its groups laid end to end, and the list of group sizes. One
-shared bidirectional block refines the tokens inside every group;
-mean-pooling plus a second block mixes the group sequence. The scan is order-sensitive on purpose: shuffling tokens
+shared bidirectional block refines the tokens inside every group in one
+call: equal groups as a batch, ragged ones as the flat tokens with the
+group sizes as run lengths. Mean-pooling plus a second block mixes the
+group sequence. The scan is order-sensitive on purpose: shuffling tokens
 inside a group changes its refined tokens, while reordering whole groups
 only reorders the fine outputs.
 """
@@ -53,10 +55,28 @@ for b in (fine_block, coarse_block):
     for _, p in b.named_parameters():
         p.data += noise.normal(scale=0.3, size=p.shape)
 
+# count the block calls of each stage: one per level, whatever the sizes
+calls = []
+plain_call = BiMambaBlock.__call__
+
+
+def counted_call(block, tokens, lengths=None):
+    stage = "fine" if block is fine_block else "coarse"
+    calls.append((stage, tokens.shape, lengths))
+    return plain_call(block, tokens, lengths)
+
+
+BiMambaBlock.__call__ = counted_call
 refined = him_fine(img_tokens, fine_block, img_sizes)
 coarse = him_coarse(refined, coarse_block, img_sizes)
+him_coarse(him_fine(gen_tokens, fine_block, gen_sizes), coarse_block, gen_sizes)
+BiMambaBlock.__call__ = plain_call
 print("refined tokens:", refined.shape, "(same layout as the input)")
 print("coarse tokens: ", coarse.shape, "(one row per region)")
+print("block calls:", len(calls), "for 2 modalities x 2 levels")
+for modality, (stage, shape, lengths) in zip(["histology"] * 2 + ["genomics"] * 2, calls):
+    layout = "one sequence per row" if lengths is None else f"runs of lengths {lengths}"
+    print(f"  {modality} {stage}: {shape} tokens, {layout}")
 
 # group order only permutes fine outputs...
 regions = np.split(img_tokens.data, np.cumsum(img_sizes)[:-1])

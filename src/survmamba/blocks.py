@@ -6,10 +6,13 @@ input-dependent B/C/timescale projections, discretization, selective
 scan. The bidirectional block runs one branch forward and one on the
 reversed sequence (re-reversing its output), gates both by SiLU of a
 shared z-projection, sums, projects back to the token dim and adds the
-residual. The fusion block runs one branch per modality and cross-gates:
-each modality's scan output is gated by SiLU of the *other* modality's
-z-projection; gated outputs are concatenated and projected, with no
-residual path.
+residual. Given lengths, the bidirectional block runs a flat (L, D)
+input holding runs of those lengths end to end, each its own sequence:
+the conv and the scan restart at every run, and the reverse branch flips
+each run in place. The fusion block runs one branch per modality and
+cross-gates: each modality's scan output is gated by SiLU of the *other*
+modality's z-projection; gated outputs are concatenated and projected,
+with no residual path.
 
 Output projections are zero-initialized, so a freshly built
 bidirectional block is an exact identity and a fresh fusion block
@@ -31,14 +34,14 @@ from .numerics import (
     causal_depthwise_conv1d,
     concat,
     exp,
-    flip,
+    flip_runs,
     linear,
     neg,
     silu,
     softplus,
     uniform_init,
 )
-from .ssm import discretize, selective_scan_recurrent
+from .ssm import check_lengths, discretize, selective_scan_recurrent
 
 
 def _init_a_log(e: int, n: int) -> np.ndarray:
@@ -71,18 +74,20 @@ class ScanBranch(Module):
         self.a_log = Tensor(_init_a_log(e, n), requires_grad=True)
         self.disc_mode = disc_mode
 
-    def __call__(self, x: Tensor) -> Tensor:
-        xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias))
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+        xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias, lengths))
         bproj = self.linear_b(xs)
         cproj = self.linear_c(xs)
         delta = softplus(linear(xs, self.linear_delta) + self.delta_bias)
         a = neg(exp(self.a_log))
-        dp = discretize(delta, a, bproj, self.disc_mode)
+        dp = discretize(delta, a, bproj, self.disc_mode, lengths=lengths)
         return selective_scan_recurrent(xs, dp, cproj)
 
 
 class BiMambaBlock(Module):
-    """Bidirectional block over (B, M, D) token sequences.
+    """Bidirectional block over (B, M, D) token sequences or, with
+    ``lengths``, over a flat (L, D) input of runs of those lengths laid end
+    to end, each its own sequence.
 
     The norm, x/z projections and the output projection are shared
     between directions; each direction owns its conv, B/C/delta
@@ -103,18 +108,20 @@ class BiMambaBlock(Module):
         self.bwd = ScanBranch(e, n_state, conv_width, rng, disc_mode)
         self.linear_out = LinearLayer(e, d_model, rng, zero_init=True)
 
-    def __call__(self, tokens: Tensor) -> Tensor:
-        if tokens.ndim != 3 or tokens.shape[-1] != self.d_model:
+    def __call__(self, tokens: Tensor, lengths=None) -> Tensor:
+        layout = "(B, M, D)" if lengths is None else "(L, D) with lengths"
+        if tokens.ndim != (3 if lengths is None else 2) or tokens.shape[-1] != self.d_model:
             raise ShapeError(
-                f"bi-mamba: expected (B, M, {self.d_model}) input, got {tokens.shape}"
+                f"bi-mamba: expected {layout} input, D = {self.d_model}, got {tokens.shape}"
             )
-        if tokens.shape[1] < 1:
+        if tokens.shape[-2] < 1:
             raise ShapeError("bi-mamba: sequence length must be >= 1")
+        lengths = check_lengths("bi-mamba", lengths, tokens.shape)
         normed = self.norm(tokens)
         x = self.linear_x(normed)
         gate = silu(self.linear_z(normed))
-        y_f = self.fwd(x)
-        y_b = flip(self.bwd(flip(x, 1)), 1)
+        y_f = self.fwd(x, lengths)
+        y_b = flip_runs(self.bwd(flip_runs(x, lengths), lengths), lengths)
         return self.linear_out(y_f * gate + y_b * gate) + tokens
 
 

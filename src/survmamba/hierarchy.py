@@ -13,6 +13,9 @@ module alone knows that layout. The dual-level pipeline refines the
 tokens inside each group with one shared bidirectional block
 (`him_fine`), mean-pools every group to a single token, and runs a
 second bidirectional block over the group sequence (`him_coarse`).
+Either level is one block call per block of the stack, whatever the
+sizes: `him_fine` hands the block ragged groups in the flat layout, with
+the sizes as its run lengths.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from .blocks import BiMambaBlock
 from .errors import DataError, ShapeError
-from .numerics import (LinearLayer, Module, Namespace, Tensor, concat, reshape, segment_mean, silu,
-                       stacked_linear, uniform_init)
+from .numerics import (LinearLayer, Module, Namespace, Tensor, check_group_sizes, concat, reshape,
+                       segment_mean, silu, stacked_linear, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
 DEFAULT_N_PROCESSES = 42
@@ -215,25 +218,25 @@ class HistologyEncoder(Module):
 
 
 def him_fine(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
-    """Refine each group's token run with the same shared block.
+    """Refine each group's token run with the same shared block, in one
+    block call.
 
     tokens is (L, D) with groups of the given sizes laid end to end; the
-    result has the same layout. Equal-length groups run as one batch: by
-    one reshape when all groups are equal, else by one gather per distinct
-    length and one inverse gather. Groups are independent, so the result
-    does not depend on the batching (equivariant to group reordering).
+    result has the same layout. Equal groups are a (G, K, D) batch, one
+    reshape away. Otherwise the block takes the flat layout with the sizes
+    as its run lengths and treats every group as its own sequence, with no
+    padding: its scan packs the groups time-major, longest first, and
+    steps only the groups still running. Groups are independent, so the
+    result does not depend on the batching (equivariant to group
+    reordering).
     """
     n, d = tokens.shape
     if d != block.d_model:
         raise ShapeError(f"him_fine: token dim {d} != block dim {block.d_model}")
-    if sum(sizes) != n:
-        raise ShapeError(f"him_fine: group sizes sum {sum(sizes)} != {n} tokens")
+    check_group_sizes("him_fine", sizes, n)
     if len(set(sizes)) == 1:
         return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
-    lens = np.repeat(sizes, sizes)  # each token's group length
-    runs = [(k, np.flatnonzero(lens == k)) for k in sorted(set(sizes))]
-    outs = [reshape(block(reshape(tokens[idx], (-1, k, d))), (idx.size, d)) for k, idx in runs]
-    return concat(outs, axis=0)[np.argsort(np.concatenate([idx for _, idx in runs]))]
+    return block(tokens, lengths=sizes)
 
 
 def him_coarse(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
@@ -242,7 +245,6 @@ def him_coarse(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
     Returns a (G, D) tensor, one row per group, in group order. The
     coarse block sees group order, so this stage is order-sensitive.
     """
-    if not sizes:
-        raise ShapeError("him_coarse: need at least one group")
+    check_group_sizes("him_coarse", sizes, tokens.shape[0])
     seq = reshape(segment_mean(tokens, sizes), (1, len(sizes), tokens.shape[1]))
     return reshape(block(seq), (len(sizes), tokens.shape[1]))

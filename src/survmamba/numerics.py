@@ -373,38 +373,53 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out, (x, gamma, beta), backward)
 
 
-def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel causal 1-d convolution over (B, M, E) sequences.
+def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> Tensor:
+    """Per-channel causal 1-d convolution over (B, M, E) sequences or, with
+    lengths, over each run of a flat (L, E) input that lays runs of those
+    lengths end to end.
 
     y[b, t, e] = bias[e] + sum_k kernel[e, k] * x[b, t - W + 1 + k, e],
-    with positions before the sequence start read as zero. Output at t
-    never sees input beyond t.
+    with positions before the sequence (run) start read as zero. Output at
+    t never sees input beyond t.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv1d: expected (B, M, E) input, got {x.data.shape}")
-    b_, m, e = x.data.shape
+    flat = lengths is not None
+    if x.data.ndim != (2 if flat else 3):
+        raise ShapeError(f"conv1d: expected {'(L, E)' if flat else '(B, M, E)'} input, got {x.data.shape}")
+    e = x.data.shape[-1]
     if kernel.data.ndim != 2 or kernel.data.shape[0] != e:
         raise ShapeError(f"conv1d: kernel {kernel.data.shape} does not match channels {e}")
     w = kernel.data.shape[1]
-    xp = np.zeros((b_, m + w - 1, e))
-    xp[:, w - 1 :, :] = x.data
-    out = np.broadcast_to(bias.data, (b_, m, e)).copy()
+    if flat:  # tap k reads w - 1 - k rows back in the same run, else the zero row appended at n
+        n = x.data.shape[0]
+        check_group_sizes("conv1d: lengths", lengths, n)
+        back = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # steps since run start
+        xp = np.zeros((n + 1, e))
+        inner = slice(0, n)
+        taps = [np.where(back >= w - 1 - k, np.arange(n) - (w - 1 - k), n) for k in range(w)]
+    else:
+        b_, m = x.data.shape[:2]
+        xp = np.zeros((b_, m + w - 1, e))
+        inner = (slice(None), slice(w - 1, None))
+        taps = [(slice(None), slice(k, k + m)) for k in range(w)]
+    xp[inner] = x.data
+    sum_axes = tuple(range(x.data.ndim - 1))
+    out = np.broadcast_to(bias.data, x.data.shape).copy()
     for k in range(w):
-        out += kernel.data[:, k] * xp[:, k : k + m, :]
+        out += kernel.data[:, k] * xp[taps[k]]
 
     def backward(g):
         if bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 1)))
+            bias._accum(g.sum(axis=sum_axes))
         if kernel.requires_grad:
             dk = np.empty((e, w))
             for k in range(w):
-                dk[:, k] = (g * xp[:, k : k + m, :]).sum(axis=(0, 1))
+                dk[:, k] = (g * xp[taps[k]]).sum(axis=sum_axes)
             kernel._accum(dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for k in range(w):
-                dxp[:, k : k + m, :] += g * kernel.data[:, k]
-            x._accum(dxp[:, w - 1 :, :])
+                dxp[taps[k]] += g * kernel.data[:, k]  # a run's rows are distinct; only the zero row repeats
+            x._accum(dxp[inner])
 
     return _node(out, (x, kernel, bias), backward)
 
@@ -424,6 +439,23 @@ def flip(a: Tensor, axis: int) -> Tensor:
         a._accum(np.flip(g, axis=axis))
 
     return _node(np.flip(a.data, axis=axis), (a,), backward)
+
+
+def flip_runs(a: Tensor, lengths=None) -> Tensor:
+    """Reverse every sequence in time: axis 1 of a (B, M, ...) tensor or,
+    with lengths, each run of a flat (L, ...) tensor that lays runs of
+    those lengths end to end. The permutation is its own inverse, so
+    backward applies it again."""
+    if lengths is None:
+        return flip(a, 1)
+    check_group_sizes("flip_runs: lengths", lengths, a.data.shape[0])
+    ends = np.cumsum(lengths)
+    idx = np.repeat(2 * ends - lengths - 1, lengths) - np.arange(a.data.shape[0])  # start + end - 1 - row
+
+    def backward(g):
+        a._accum(g[idx])
+
+    return _node(a.data[idx], (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -492,13 +524,26 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
+def check_group_sizes(where: str, sizes, rows: int):
+    """Raise a ShapeError naming where unless sizes lists at least one
+    group, every group has at least one row and the sizes sum to rows."""
+    arr = np.asarray(sizes)
+    if arr.size == 0:
+        raise ShapeError(f"{where}: need at least one group")
+    bad = np.flatnonzero(arr < 1)
+    if bad.size:
+        raise ShapeError(f"{where}: group {bad[0]} has size {arr[bad[0]]}; every group needs at least one row")
+    if arr.sum() != rows:
+        raise ShapeError(f"{where}: group sizes sum {arr.sum()} != {rows} rows")
+
+
 def segment_mean(a: Tensor, sizes: list[int]) -> Tensor:
     """Mean-pool contiguous row segments of a (L, D) tensor.
 
-    sizes must sum to L; output row s is the mean of its segment.
+    sizes must be positive and sum to L; output row s is the mean of its
+    segment.
     """
-    if sum(sizes) != a.data.shape[0]:
-        raise ShapeError(f"segment_mean: sizes sum {sum(sizes)} != rows {a.data.shape[0]}")
+    check_group_sizes("segment_mean", sizes, a.data.shape[0])
     bounds = np.cumsum([0] + list(sizes))[:-1]
     sums = np.add.reduceat(a.data, bounds, axis=0)
     sz = np.asarray(sizes, dtype=np.float64)[:, None]

@@ -17,26 +17,39 @@ Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
 ``discretize`` checks and records its sources and computes nothing;
 ``DiscreteParams.Abar`` and ``DiscreteParams.Bbar`` are formed as
-(B, M, E, N) arrays on first read, for the cross-checks. The recurrent
+(.., E, N) arrays on first read, for the cross-checks. The recurrent
 scan never forms either: it is one tape node with parents
 (x, delta, A, Bproj, Cproj) that works time-major and state before
-channel. Its inputs are transposed once per call to (M, B, .), and it
-runs in slabs of time steps, held as (S, B, N, E) arrays. Per slab it
-writes Abar into one reused buffer and Bbar * x into one reused state
-buffer, then steps the states there over contiguous (B, N, E) blocks;
-forward does this in chunks of at most ``CHUNK_BYTES`` per array, so
-that its buffers stay in cache between passes. It keeps only the hidden
-state entering each slab. Backward walks the slabs in reverse with its
-own reused buffers: it recomputes Abar and the slab's states from that
-checkpoint, runs the adjoint recurrence over the same contiguous blocks
-and contracts through B and C once per slab into the five input
-gradients. A slab holds ``SLAB_BYTES`` per (S, B, N, E) array, so short
-sequences are a single slab. Under ``no_grad`` nothing is recorded and
-no checkpoint is kept.
+channel.
+
+It takes a (B, M, E) batch, or one flat (L, E) input holding sequences
+of different lengths end to end, with their ``lengths`` passed through
+``discretize(..., lengths=)``. Either way it first packs its inputs once
+per call into (T, .) rows, time-major, as PyTorch's PackedSequence does:
+sequences sorted longest first (stable), step t one contiguous block of
+the n_t sequences still running, rows [:n_t] of the step before. A batch
+packs by a transpose (n_t = B), flat runs by a gather. No padding is
+formed, so forward and backward step only the rows still running and
+every (., N, E) array covers real steps only.
+
+The scan runs in slabs of time steps, held as (rows, N, E) arrays. Per
+slab it writes Abar into one reused buffer and Bbar * x into one reused
+state buffer, then steps the states there, one contiguous (n_t, N, E)
+block per step; forward does this in chunks of at most ``CHUNK_BYTES``
+per array (sized for n_0 rows a step), so that its buffers stay in cache
+between passes. It keeps only the hidden state entering each slab.
+Backward walks the slabs in reverse with its own reused buffers: it
+recomputes Abar and the slab's states from that checkpoint, runs the
+adjoint recurrence over the same blocks and contracts through B and C
+once per slab into the five input gradients, unpacked to the input
+layout. A slab holds ``SLAB_BYTES`` per array, so short sequences are a
+single slab. Under ``no_grad`` nothing is recorded and no checkpoint is
+kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,10 +57,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, _grad_enabled, _node
+from .numerics import Tensor, _grad_enabled, _node, check_group_sizes
 
 DISCRETIZE_MODES = ("euler", "zoh")
-SLAB_BYTES = 4 << 20  # bytes per (S, B, N, E) float64 array in the scan
+SLAB_BYTES = 4 << 20  # bytes per (S steps x n_0 rows, N, E) float64 array in the scan
 CHUNK_BYTES = 256 << 10  # bytes per forward chunk array: a few fit in a 1-2 MiB L2 cache
 
 
@@ -60,14 +73,17 @@ def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
 @dataclass
 class DiscreteParams:
     """The sources of the step operators: delta (B, M, E), A (E, N),
-    Bproj (B, M, N) and the mode. ``Abar`` (B, M, E, N), 0 < Abar < 1,
-    and ``Bbar`` are computed off the tape on first read and cached; the
-    recurrent scan reads neither."""
+    Bproj (B, M, N) and the mode; or, with ``lengths``, flat delta (L, E)
+    and Bproj (L, N) holding runs of those lengths end to end, each its own
+    sequence. ``Abar`` (.., E, N), 0 < Abar < 1, and ``Bbar`` are computed
+    off the tape on first read and cached; the recurrent scan reads
+    neither."""
 
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
+    lengths: np.ndarray | None = None
 
     @cached_property
     def Abar(self) -> Tensor:
@@ -76,25 +92,41 @@ class DiscreteParams:
     @cached_property
     def Bbar(self) -> Tensor:
         if self.mode == "euler":
-            return Tensor(self.delta.data[..., None] * self.Bproj.data[:, :, None, :])
-        return Tensor(_zoh_q(self.Abar.data, self.A.data) * self.Bproj.data[:, :, None, :])
+            return Tensor(self.delta.data[..., None] * self.Bproj.data[..., None, :])
+        return Tensor(_zoh_q(self.Abar.data, self.A.data) * self.Bproj.data[..., None, :])
 
 
 def _check_a(where: str, delta: Tensor, A: Tensor, Bproj: Tensor):
-    """A must be (E, N), with E from delta (B, M, E) and N from Bproj (B, M, N)."""
+    """A must be (E, N), with E from delta (.., E) and N from Bproj (.., N)."""
     en = delta.shape[-1:] + Bproj.shape[-1:]
     if len(en) != 2 or A.shape != en:
         raise ShapeError(f"{where}: A {A.shape} is not (E, N) = {en}, taking E from delta "
                          f"{delta.shape} and N from Bproj {Bproj.shape}")
 
 
-def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler") -> DiscreteParams:
-    """Bundle delta (B, M, E), A (E, N) and Bproj (B, M, N) for the scan,
-    which forms the step operators per slab itself."""
+def check_lengths(where: str, lengths, shape) -> np.ndarray | None:
+    """The run lengths of a flat (L, ...) input as an int64 array: positive
+    integers summing to L. None, for a (B, M, ...) batch, stays None."""
+    if lengths is None:
+        return None
+    arr = np.asarray(lengths)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or len(shape) != 2:
+        raise ShapeError(f"{where}: lengths must be integers, one per run of a flat (L, .) input; "
+                         f"got {arr.dtype} {arr.shape} for input {shape}")
+    check_group_sizes(f"{where}: lengths", arr, shape[0])
+    return arr.astype(np.int64, copy=False)
+
+
+def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler",
+               lengths=None) -> DiscreteParams:
+    """Bundle delta (B, M, E), A (E, N) and Bproj (B, M, N), or flat delta
+    (L, E) and Bproj (L, N) with their run lengths, for the scan, which
+    forms the step operators per slab itself."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
     _check_a("discretize", delta, A, Bproj)
-    return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode)
+    lengths = check_lengths("discretize", lengths, delta.shape)
+    return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode, lengths=lengths)
 
 
 def _tm(a: np.ndarray) -> np.ndarray:
@@ -102,23 +134,91 @@ def _tm(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(0, 1))
 
 
-def _slab_states(hs, abar, delta, at, bproj, x, mode, tmp):
-    """Fill abar (S, B, N, E) with the slab's step operators and hs
-    (S + 1, B, N, E), whose slot 0 holds the entry state, with its states:
-    Bbar * x goes into slots 1..S, then each step adds Abar_t * h_{t-1} in
-    place. delta and x are (S, B, E) and bproj (S, B, N) time-major slab
-    slices, at is A transposed to (N, E) and tmp a (B, N, E) scratch."""
-    np.exp(np.einsum("tbe,ne->tbne", delta, at, out=abar), out=abar)
-    bx = hs[1:]
+@dataclass
+class _Packing:
+    """The scan's time-major packed layout: sequences sorted longest first
+    (stable), and at step t the width[t] sequences still running in packed
+    rows off[t]..off[t+1]-1, sequence b at row off[t] + b. ``runs`` groups
+    consecutive steps of equal width: (t0, t1, k)."""
+
+    width: list
+    off: list
+    runs: list
+    pack: object  # input layout (B, M, .) or (L, .) -> packed (T, .)
+    unpack: object  # packed (T, .) -> input layout
+
+    @classmethod
+    def of(cls, shape, lengths):
+        if lengths is None:  # B equal sequences: a transpose packs them
+            b, m = shape[:2]
+            return cls([b] * m, list(range(0, (m + 1) * b, b)), [(0, m, b)],
+                       lambda a: _tm(a).reshape((m * b,) + a.shape[2:]),
+                       lambda p: p.reshape((m, b) + p.shape[1:]).swapaxes(0, 1))
+        order = np.argsort(-lengths, kind="stable")
+        ranked = lengths[order]
+        counts = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]  # sequences running at each step
+        steps = np.arange(ranked[0])[:, None]
+        starts = (np.cumsum(lengths) - lengths)[order]
+        idx = (starts + steps)[steps < ranked]  # the input row of each packed row, step after step
+        width = counts.tolist()
+        ends = sorted(set(lengths.tolist()))  # a run of equal width ends where a sequence does
+        runs = [(t0, t1, width[t0]) for t0, t1 in zip([0] + ends[:-1], ends)]
+
+        def unpack(p):
+            out = np.empty_like(p)
+            out[idx] = p
+            return out
+
+        return cls(width, list(itertools.accumulate(width, initial=0)), runs, lambda a: a[idx], unpack)
+
+    def spans(self, lo: int, hi: int) -> list:
+        """The runs within steps lo..hi-1 as (r0, r1, k) packed row ranges
+        counted from row off[lo]: k rows per step."""
+        base = self.off[lo]
+        return [(self.off[max(t0, lo)] - base, self.off[min(t1, hi)] - base, k)
+                for t0, t1, k in self.runs if t0 < hi and t1 > lo]
+
+
+def _slab_states(h, abar, delta, at, bproj, x, mode, tmp, spans):
+    """Fill abar (R, N, E) with the step operators of R packed rows and h
+    (K + R, N, E), whose first K rows hold the state entering the first
+    step, with their states: Bbar * x goes into rows K.., then each step
+    adds Abar_t * h_{t-1} in place, one contiguous (k, N, E) block per
+    step for the k sequences still running. delta and x are (R, E) and
+    bproj (R, N) packed slices, spans their runs from ``_Packing.spans``,
+    at is A transposed to (N, E) and tmp a (B, N, E) scratch."""
+    np.exp(np.einsum("le,ne->lne", delta, at, out=abar), out=abar)
+    k0 = h.shape[0] - abar.shape[0]
+    bx = h[k0:]
     if mode == "euler":
-        np.einsum("tbe,tbn->tbne", delta, bproj, out=bx)
+        np.einsum("le,ln->lne", delta, bproj, out=bx)
     else:
         _zoh_q(abar, at, out=bx)
         bx *= bproj[..., None]
-    bx *= x[:, :, None, :]
-    for a_t, h_prev, h in zip(abar, hs, bx):
-        np.multiply(a_t, h_prev, out=tmp)
-        h += tmp
+    bx *= x[:, None, :]
+    prev = h[:k0]
+    for r0, r1, k in spans:
+        a, s = abar[r0:r1].reshape(-1, k, *tmp.shape[1:]), bx[r0:r1].reshape(-1, k, *tmp.shape[1:])
+        part = tmp[:k]
+        for a_t, h_prev, h_t in zip(a, itertools.chain((prev[:k],), s), s):
+            np.multiply(a_t, h_prev, out=part)
+            h_t += part
+        prev = s[-1]
+
+
+def _with_prev(op, v, h, spans):
+    """v = op(v, h_{t-1}) in place for R packed rows v, where h (K + R, N, E)
+    holds the K rows entering the first step and then the rows' states;
+    spans as from ``_Packing.spans``. Within a run the previous step sits k
+    rows back; a later run's first step reads the head of the block before."""
+    k0 = h.shape[0] - v.shape[0]
+    for i, (r0, r1, k) in enumerate(spans):
+        lo = r0
+        if i:
+            kp = spans[i - 1][2]
+            lo = r0 + k
+            op(v[r0:lo], h[k0 + r0 - kp : k0 + r0 - kp + k], out=v[r0:lo])
+        op(v[lo:r1], h[k0 + lo - k : k0 + r1 - k], out=v[lo:r1])
 
 
 def _scan_parallel_states_impl(abar, bx):
@@ -165,120 +265,140 @@ def _scan_parallel_states_impl(abar, bx):
 
 
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor):
-    if x.ndim != 3:
-        raise ShapeError(f"scan: expected (B, M, E) input, got {x.shape}")
+    flat = dp.lengths is not None
+    if x.ndim != (2 if flat else 3):
+        raise ShapeError(f"scan: expected {'(L, E) input with lengths' if flat else '(B, M, E) input'}, got {x.shape}")
     _check_a("scan", dp.delta, dp.A, dp.Bproj)
-    bmn = x.shape[:2] + dp.A.shape[-1:]
-    if dp.delta.shape != x.shape or dp.Bproj.shape != bmn:
+    lead_n = x.shape[:-1] + dp.A.shape[-1:]
+    if dp.delta.shape != x.shape or dp.Bproj.shape != lead_n:
         raise ShapeError(f"scan: delta {dp.delta.shape} / Bproj {dp.Bproj.shape} do not match x {x.shape}")
-    if cproj.shape != bmn:
-        raise ShapeError(f"scan: Cproj {cproj.shape} does not match (B, M, N)")
+    if cproj.shape != lead_n:
+        raise ShapeError(f"scan: Cproj {cproj.shape} does not match x {x.shape} and N = {lead_n[-1]}")
+    check_lengths("scan", dp.lengths, x.shape)
 
 
-def _slab_grads(g, src, at, mode, slabs, checkpoints):
+def _slab_grads(g, src, at, mode, lay, slabs, checkpoints):
     """The scan's input gradients (dx, ddelta, dA, dBproj, dCproj) for the
-    output gradient g (B, M, E), shaped like the inputs. src holds the
-    (B, M, .) arrays of x, delta, Bproj and Cproj, at is A transposed to
-    (N, E) and checkpoints the state entering each slab. Walks the slabs
-    in reverse in the forward's time-major layout; the slab buffers are
-    freed on return."""
-    xt, dt, bt, ct, gt = map(_tm, src + (g,))  # transposed again rather than kept on the tape
-    m, b, e = xt.shape
+    output gradient g, shaped like the inputs. src holds the arrays of x,
+    delta, Bproj and Cproj, at is A transposed to (N, E), lay the packed
+    layout and checkpoints the state entering each slab. Walks the slabs
+    in reverse in the forward's packed layout; the slab buffers are freed
+    on return."""
+    xt, dt, bt, ct, gt = map(lay.pack, src + (g,))  # packed again rather than kept on the tape
+    rows_all, e = xt.shape
     n = at.shape[0]
-    step = slabs[0].stop  # the first slab is a full one
-    dx, ddelta = np.empty((m, b, e)), np.zeros((m, b, e))
-    dbp, dc = np.empty((m, b, n)), np.empty((m, b, n))
+    b = lay.width[0]
+    size = lay.off[slabs[0].stop]  # rows of the first slab, the largest
+    dx, ddelta = np.empty((rows_all, e)), np.zeros((rows_all, e))
+    dbp, dc = np.empty((rows_all, n)), np.empty((rows_all, n))
     da = np.zeros((n, e))
-    abar_buf, dh_buf = np.empty((step, b, n, e)), np.empty((step, b, n, e))
-    hs = np.empty((step + 1, b, n, e))
-    q_buf = np.empty((step, b, n, e)) if mode == "zoh" else None
+    abar_buf, dh_buf = np.empty((size, n, e)), np.empty((size, n, e))
+    hs_buf = np.empty((b + size, n, e))
+    q_buf = np.empty((size, n, e)) if mode == "zoh" else None
     tmp = np.empty((b, n, e))
     carry = np.zeros((b, n, e))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
     for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
-        s = sl.stop - sl.start
-        ds, xs, bs, gs, cs = dt[sl], xt[sl], bt[sl], gt[sl], ct[sl]
-        ab, h = abar_buf[:s], hs[: s + 1]
-        h[0] = h0
-        _slab_states(h, ab, ds, at, bs, xs, mode, tmp)
-        dh = np.einsum("tbe,tbn->tbne", gs, cs, out=dh_buf[:s])  # dL/dh_t from y_t
-        dh[-1] += carry
-        for d, a_t, d_prev in zip(dh[:0:-1], ab[:0:-1], dh[-2::-1]):  # in reverse
-            np.multiply(d, a_t, out=tmp)
-            d_prev += tmp
-        np.multiply(dh[0], ab[0], out=carry)
-        np.matmul(h[1:], gs[..., None], out=dc[sl, :, :, None])
+        rows = slice(lay.off[sl.start], lay.off[sl.stop])
+        r, k0, kl = rows.stop - rows.start, lay.width[sl.start], lay.width[sl.stop - 1]
+        spans = lay.spans(sl.start, sl.stop)
+        ds, xs, bs, gs, cs = dt[rows], xt[rows], bt[rows], gt[rows], ct[rows]
+        ab, h = abar_buf[:r], hs_buf[: k0 + r]
+        h[:k0] = h0
+        _slab_states(h, ab, ds, at, bs, xs, mode, tmp, spans)
+        dh = np.einsum("le,ln->lne", gs, cs, out=dh_buf[:r])  # dL/dh_t from y_t
+        dh[r - kl :] += carry[:kl]
+        for i in reversed(range(len(spans))):  # the adjoint recurrence, in reverse
+            r0, r1, k = spans[i]
+            d, a = dh[r0:r1].reshape(-1, k, n, e), ab[r0:r1].reshape(-1, k, n, e)
+            part = tmp[:k]
+            for d_t, a_t, d_prev in zip(d[:0:-1], a[:0:-1], d[-2::-1]):
+                np.multiply(d_t, a_t, out=part)
+                d_prev += part
+            if i:  # into the head of the previous step's wider block
+                kp = spans[i - 1][2]
+                np.multiply(d[0], a[0], out=part)
+                dh[r0 - kp : r0 - kp + k] += part
+            else:
+                np.multiply(d[0], a[0], out=carry[:k])
+        np.matmul(h[k0:], gs[:, :, None], out=dc[rows, :, None])
         if mode == "euler":
-            gb = np.matmul(bs[:, :, None, :], dh)[:, :, 0, :]  # sum_n Bproj * dh
-            np.multiply(ds, gb, out=dx[sl])
-            np.multiply(xs, gb, out=ddelta[sl])  # through Bbar = delta * Bproj
-            np.matmul(dh, (ds * xs)[..., None], out=dbp[sl, :, :, None])
-            dh *= h[:-1]  # dL/dAbar
+            gb = np.matmul(bs[:, None, :], dh)[:, 0, :]  # sum_n Bproj * dh
+            np.multiply(ds, gb, out=dx[rows])
+            np.multiply(xs, gb, out=ddelta[rows])  # through Bbar = delta * Bproj
+            np.matmul(dh, (ds * xs)[..., None], out=dbp[rows, :, None])
+            _with_prev(np.multiply, dh, h, spans)  # dL/dAbar
         else:
-            dhq = _zoh_q(ab, at, out=q_buf[:s])
+            dhq = _zoh_q(ab, at, out=q_buf[:r])
             dhq *= dh
-            np.matmul(bs[:, :, None, :], dhq, out=dx[sl, :, None, :])  # sum_n Bproj * dh * q
-            np.matmul(dhq, xs[..., None], out=dbp[sl, :, :, None])
+            np.matmul(bs[:, None, :], dhq, out=dx[rows, None, :])  # sum_n Bproj * dh * q
+            np.matmul(dhq, xs[..., None], out=dbp[rows, :, None])
             dhq *= bs[..., None]
             # dL/dA through q, where dq/dA = -q / A and dL/dq = dh * x * Bproj
-            da -= np.einsum("tbne,tbe->ne", dhq, xs) / at
+            da -= np.einsum("lne,le->ne", dhq, xs) / at
             # dL/dAbar = dh * (h_{t-1} + x * Bproj / A): the recurrence and q
-            w = np.einsum("tbe,tbn->tbne", xs, bs, out=q_buf[:s])
+            w = np.einsum("le,ln->lne", xs, bs, out=dhq)
             w /= at
-            w += h[:-1]
+            _with_prev(np.add, w, h, spans)
             dh *= w
         dh *= ab  # dL/d(delta * A)
-        ddelta[sl] += np.einsum("tbne,ne->tbe", dh, at)
-        da += np.einsum("tbne,tbe->ne", dh, ds)
-    return dx.swapaxes(0, 1), ddelta.swapaxes(0, 1), da.T, dbp.swapaxes(0, 1), dc.swapaxes(0, 1)
+        ddelta[rows] += np.einsum("lne,ne->le", dh, at)
+        da += np.einsum("lne,le->ne", dh, ds)
+    return lay.unpack(dx), lay.unpack(ddelta), da.T, lay.unpack(dbp), lay.unpack(dc)
 
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Sequential scan from h_0 = 0; the reference and the one route that
-    records a tape node."""
+    """Sequential scan from h_0 = 0 over each sequence: the B rows of a
+    (B, M, E) batch, or the runs of ``dp.lengths`` in a flat (L, E) input.
+    The reference and the one route that records a tape node."""
     _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
     mode = dp.mode
-    # time-major, state before channel: x, delta (M, B, E); Bproj, Cproj (M, B, N); A^T (N, E)
+    lay = _Packing.of(x.shape, dp.lengths)
+    # time-major packed, state before channel: x, delta (T, E); Bproj, Cproj (T, N); A^T (N, E)
     src = (x.data, dp.delta.data, dp.Bproj.data, cproj.data)
-    xt, dt, bt, ct = map(_tm, src)
+    xt, dt, bt, ct = map(lay.pack, src)
     at = np.ascontiguousarray(dp.A.data.T)
-    m, b, e = xt.shape
-    n = at.shape[0]
+    e, n = xt.shape[1], at.shape[0]
+    m, b = len(lay.width), lay.width[0]
     step_bytes = 8 * b * e * n
     step = min(m, max(1, SLAB_BYTES // step_bytes))
     chunk = min(step, max(1, CHUNK_BYTES // step_bytes))
     slabs = [slice(s0, min(m, s0 + step)) for s0 in range(0, m, step)]
     checkpoints = []  # the state entering each slab, kept only when recording
-    y = np.empty((m, b, e))
-    abar_buf = np.empty((chunk, b, n, e))
-    hs = np.empty((chunk + 1, b, n, e))  # slot 0 holds the state entering the chunk
-    hs[0] = 0.0
+    y = np.empty((xt.shape[0], e))
+    abar_buf = np.empty((chunk * b, n, e))
+    hs_buf = np.zeros(((chunk + 1) * b, n, e))  # the rows entering the chunk, then its states
     tmp = np.empty((b, n, e))
     for sl in slabs:
         if record:
-            checkpoints.append(hs[0].copy())
+            checkpoints.append(hs_buf[: lay.width[sl.start]].copy())
         for c0 in range(sl.start, sl.stop, chunk):
-            ck = slice(c0, min(sl.stop, c0 + chunk))
-            s = ck.stop - c0
-            _slab_states(hs[: s + 1], abar_buf[:s], dt[ck], at, bt[ck], xt[ck], mode, tmp)
-            # y[t,b,e] = sum_n c[t,b,n] * h[t,b,n,e]
-            np.matmul(ct[ck, :, None, :], hs[1 : s + 1], out=y[ck, :, None, :])
-            hs[0] = hs[s]
+            c1 = min(sl.stop, c0 + chunk)
+            rows = slice(lay.off[c0], lay.off[c1])
+            r, k0, kl = rows.stop - rows.start, lay.width[c0], lay.width[c1 - 1]
+            h = hs_buf[: k0 + r]
+            _slab_states(h, abar_buf[:r], dt[rows], at, bt[rows], xt[rows], mode, tmp, lay.spans(c0, c1))
+            # y[l,e] = sum_n c[l,n] * h[l,n,e]
+            np.matmul(ct[rows, None, :], h[k0:], out=y[rows, None, :])
+            h[:kl] = h[k0 + r - kl :]  # the last step's states enter the next chunk
 
     def backward(g):
-        for p, grad in zip(parents, _slab_grads(g, src, at, mode, slabs, checkpoints)):
+        for p, grad in zip(parents, _slab_grads(g, src, at, mode, lay, slabs, checkpoints)):
             if p.requires_grad:
                 p._accum(grad)
 
-    return _node(y.swapaxes(0, 1), parents, backward)
+    return _node(lay.unpack(y), parents, backward)
 
 
 def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Work-efficient parallel-scan route, forward only: a cross-check on
-    the recurrent scan that records no tape node. Matches the recurrent
-    output to ~1e-10 (same math, different summation bracketing)."""
+    """Work-efficient parallel-scan route over a (B, M, E) batch, forward
+    only: a cross-check on the recurrent scan that records no tape node.
+    Matches the recurrent output to ~1e-10 (same math, different summation
+    bracketing)."""
     _check_shapes(x, dp, cproj)
+    if dp.lengths is not None:
+        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs with lengths")
     h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
     return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
 

@@ -301,3 +301,19 @@ def backward_keep_graph(root):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def him_fine_per_length(tokens, block, sizes):
+    """him_fine as it was before one padded block call: one block call per
+    distinct group length (a single reshape when all groups are equal),
+    each length's groups gathered into one batch, and one inverse gather
+    over the concatenated outputs."""
+    from survmamba.numerics import concat, reshape
+
+    n, d = tokens.shape
+    if len(set(sizes)) == 1:
+        return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
+    lens = np.repeat(sizes, sizes)  # each token's group length
+    runs = [(k, np.flatnonzero(lens == k)) for k in sorted(set(sizes))]
+    outs = [reshape(block(reshape(tokens[idx], (-1, k, d))), (idx.size, d)) for k, idx in runs]
+    return concat(outs, axis=0)[np.argsort(np.concatenate([idx for _, idx in runs]))]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import survmamba.ssm as ssm
 from survmamba.blocks import BiMambaBlock
 from survmamba.errors import DataError, ShapeError
 from survmamba.hierarchy import (
@@ -15,13 +16,13 @@ from survmamba.hierarchy import (
     him_fine,
     make_grouping,
 )
-from survmamba.numerics import Tensor, concat, linear, silu, stack, tsum
+from survmamba.numerics import Tensor, concat, linear, segment_mean, silu, stack, tsum
 
 import _oracles as oracle
 
 
-def _block(seed, noise=None, d=3, e=4, n=2, w=2):
-    blk = BiMambaBlock(d, e, n, w, rng=np.random.default_rng(seed))
+def _block(seed, noise=None, d=3, e=4, n=2, w=2, disc_mode="euler"):
+    blk = BiMambaBlock(d, e, n, w, rng=np.random.default_rng(seed), disc_mode=disc_mode)
     if noise is not None:
         prng = np.random.default_rng(noise)
         for _, p in blk.named_parameters():
@@ -281,6 +282,78 @@ class TestHimFine:
             him_fine(Tensor(np.ones((5, 3))), _block(seed=44), [2, 2])
 
 
+class TestHimFineOneCall:
+    """One block call over the flat layout against the per-distinct-length
+    batching it replaced (tests/_oracles.py): output, input gradient and
+    every block parameter gradient to 1e-12 relative to max-abs."""
+
+    E, N = 4, 2
+
+    @staticmethod
+    def _run(fn, blk, sizes, seed):
+        rng = np.random.default_rng(seed)
+        _, tokens = _groups(rng, sizes)
+        tokens.requires_grad = True
+        weight = Tensor(rng.normal(size=tokens.shape))
+        blk.zero_grad()
+        out = fn(tokens, blk, sizes)
+        tsum(silu(out) * weight).backward()
+        return [("out", out.data), ("tokens", tokens.grad)] + [(n, p.grad) for n, p in blk.named_parameters()]
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    @pytest.mark.parametrize("sizes, slab, chunk", [
+        ([1, 1, 1], None, None),  # singletons
+        ([6], None, None),  # one group
+        ([4, 4, 4], None, None),  # all equal
+        ([3, 1, 5, 1, 2, 5], None, None),
+        # rows of 13 span five 3-step slabs and seven 2-step chunks; rows end
+        # inside chunks (1, 4, 7, 10) and on chunk edges (2)
+        ([2, 13, 1, 7, 13, 4, 10], 3, 2),
+    ], ids=["singletons", "one-group", "equal", "ragged", "slabs-and-chunks"])
+    def test_matches_per_length_oracle(self, monkeypatch, mode, sizes, slab, chunk):
+        step_bytes = 8 * len(sizes) * self.E * self.N  # one step with every group running
+        if slab is not None:
+            monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
+            monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
+        blk = _block(seed=50, noise=51, e=self.E, n=self.N, disc_mode=mode)
+        got = self._run(him_fine, blk, sizes, seed=52)
+        want = self._run(oracle.him_fine_per_length, blk, sizes, seed=52)
+        for (name, g), (_, w) in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+    @pytest.mark.parametrize("sizes", [[4, 4, 4], [3, 1, 5, 1, 2, 5]], ids=["equal", "ragged"])
+    def test_one_block_call(self, monkeypatch, sizes):
+        """Any grouping is one block call: equal groups as a (G, K, D)
+        batch, ragged ones on the flat tokens with the sizes as run
+        lengths."""
+        blk = _block(seed=53, noise=54)
+        calls = []
+
+        def spy(self, tokens, lengths=None):
+            calls.append((tokens.shape, lengths))
+            return orig(self, tokens, lengths)
+
+        orig = BiMambaBlock.__call__
+        monkeypatch.setattr(BiMambaBlock, "__call__", spy)
+        _, tokens = _groups(np.random.default_rng(55), sizes)
+        him_fine(tokens, blk, sizes)
+        want = (len(sizes), sizes[0], 3) if len(set(sizes)) == 1 else (sum(sizes), 3)
+        assert calls == [(want, None if len(set(sizes)) == 1 else sizes)]
+
+
+@pytest.mark.parametrize("sizes, bad", [([0, 5], 0), ([2, 0, 3], 1), ([6, -1], 1)])
+@pytest.mark.parametrize("where", ["segment_mean", "him_fine", "him_coarse"])
+def test_non_positive_group_size_named(where, sizes, bad):
+    """Sizes that still sum to the 5 rows: each names the function and the
+    group instead of returning nan/inf or failing inside numpy."""
+    tokens = Tensor(np.ones((5, 3)))
+    call = {"segment_mean": lambda: segment_mean(tokens, sizes),
+            "him_fine": lambda: him_fine(tokens, _block(seed=56), sizes),
+            "him_coarse": lambda: him_coarse(tokens, _block(seed=56), sizes)}[where]
+    with pytest.raises(ShapeError, match=f"{where}: group {bad} has size {sizes[bad]}"):
+        call()
+
+
 class TestHimCoarse:
     def test_singleton_groups_zero_block(self):
         blk = _block(seed=22)
@@ -337,6 +410,56 @@ class TestTapeSize:
                     seen.add(id(p))
                     todo.append(p)
         assert interior <= 225
+
+    def test_ragged_desk_patient_step_interior_nodes(self):
+        """The same bound on ragged bags: one patient at the desk config
+        with six regions of 1-12 patches and the ragged default catalog
+        (42 processes of 8-9 functions). One block call per modality
+        keeps the tape at the size it has on uniform bags."""
+        model, rec = _ragged_desk_patient(depth=1)
+        root = model.loss(rec)
+        seen, todo, interior = {id(root)}, [root], 0
+        while todo:
+            node = todo.pop()
+            interior += node._backward is not None
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        assert interior <= 225
+
+
+def _ragged_desk_patient(depth):
+    """A desk-config model (d=32, E=64, N=8) over the default catalog and
+    one patient with ragged regions, an event in the first bin."""
+    from survmamba.data import PatientRecord
+    from survmamba.model import ModelConfig, SurvMambaModel
+
+    grouping = default_catalog(2)
+    rng = np.random.default_rng(60)
+    bag = HierarchicalBag("histology", [(f"R{i}", rng.normal(size=(k, 16)))
+                                        for i, k in enumerate([5, 12, 3, 9, 1, 7])])
+    rec = PatientRecord("P0", bag, rng.normal(size=grouping.n_genes), 3.0, 0, t_bin=0)
+    model = SurvMambaModel(ModelConfig(d_model=32, e_expand=64, n_state=8, depth=depth), grouping, d_raw=16)
+    return model, rec
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_ragged_patient_forward_block_calls(monkeypatch, depth):
+    """A ragged patient's forward is one block call per block of each of
+    the four aggregation stacks (image and genomics, fine and coarse),
+    whatever its group sizes."""
+    model, rec = _ragged_desk_patient(depth)
+    calls = []
+    orig = BiMambaBlock.__call__
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiMambaBlock, "__call__", spy)
+    model.forward(rec)
+    assert len(calls) == 4 * depth
 
 
 class TestHimGradient:

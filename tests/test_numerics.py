@@ -10,9 +10,12 @@ from survmamba.errors import ConsumedGraphError, NonFiniteError, ShapeError
 from survmamba.numerics import (
     Tensor,
     causal_depthwise_conv1d,
+    concat,
+    flip_runs,
     grad_check,
     layer_norm,
     linear,
+    reshape,
     segment_mean,
     silu,
     softplus,
@@ -192,6 +195,48 @@ class TestShapeOps:
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
         out = segment_mean(x, [2, 2]).data
         assert np.array_equal(out[:, 0], [1.5, 3.5])
+
+    def test_flip_runs_reverses_each_run(self):
+        x = np.arange(6, dtype=np.float64)[:, None]
+        assert np.array_equal(flip_runs(Tensor(x), np.array([4, 2])).data[:, 0], [3, 2, 1, 0, 5, 4])
+        assert np.array_equal(flip_runs(Tensor(x), np.array([1, 3, 2])).data[:, 0], [0, 3, 2, 1, 5, 4])
+
+    def test_conv_on_runs_matches_per_run_conv(self):
+        """Each run of a flat input convolves as its own (1, K, E) sequence:
+        outputs and all three gradients, runs shorter than the kernel too."""
+        rng = np.random.default_rng(8)
+        sizes = [5, 1, 3, 2]
+        xs = [Tensor(rng.normal(size=(k, 3)), requires_grad=True) for k in sizes]
+        kern = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(size=3), requires_grad=True)
+        w = rng.normal(size=(sum(sizes), 3))
+        flat = Tensor(np.concatenate([x.data for x in xs]), requires_grad=True)
+        out = causal_depthwise_conv1d(flat, kern, bias, np.array(sizes))
+        tsum(out * Tensor(w)).backward()
+        got = (out.data, flat.grad, kern.grad, bias.grad)
+        kern.zero_grad(), bias.zero_grad()
+        outs = [causal_depthwise_conv1d(reshape(x, (1, k, 3)), kern, bias) for x, k in zip(xs, sizes)]
+        tsum(reshape(concat(outs, axis=1), (sum(sizes), 3)) * Tensor(w)).backward()
+        want = (np.concatenate([o.data[0] for o in outs]), np.concatenate([x.grad for x in xs]), kern.grad, bias.grad)
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+    def test_runs_must_cover_rows(self):
+        x = Tensor(np.ones((5, 2)))
+        with pytest.raises(ShapeError, match="conv1d: lengths: group sizes sum 4"):
+            causal_depthwise_conv1d(x, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), np.array([3, 1]))
+        with pytest.raises(ShapeError, match="flip_runs: lengths: group 1 has size 0"):
+            flip_runs(x, np.array([5, 0]))
+
+    def test_flip_runs_gradient(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 2)))
+
+        def f():
+            return tsum(flip_runs(x, np.array([3, 1, 2])) * w)
+
+        assert grad_check(f, [("x", x)], h=1e-6) <= 1e-8
 
     def test_segment_mean_sizes_must_cover(self):
         with pytest.raises(ShapeError):

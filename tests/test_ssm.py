@@ -469,6 +469,89 @@ class TestLeanScan:
         assert peak <= outputs + 8 * slab, (peak - outputs) / slab
 
 
+class TestLengths:
+    """Flat runs scanned with ``discretize(..., lengths=)`` against one
+    plain (1, K, E) scan per run: y and all five gradients, with runs given
+    in any order (the scan packs them longest first) and slabs and chunks
+    that end where runs do and in between."""
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    @pytest.mark.parametrize("lengths, slab, chunk", [
+        ([7, 4, 7, 1], 7, 7),  # one slab, one chunk
+        ([2, 9, 6, 1, 6], 2, 1),  # runs end on slab and chunk edges
+        ([3, 11, 5, 8], 4, 3),  # runs end inside slabs and chunks
+        ([6, 6], 2, 1),  # equal runs
+        ([1], 1, 1),
+    ])
+    def test_matches_per_run_scans(self, monkeypatch, mode, lengths, slab, chunk):
+        e, n = 3, 2
+        step_bytes = 8 * len(lengths) * e * n  # one step with every run going
+        monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
+        monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
+        rng = np.random.default_rng(lengths)
+        vals = {k: v[0] for k, v in TestLeanScan._vals(rng, 1, sum(lengths), e, n).items() if k != "A"}
+        vals["A"] = -np.exp(rng.normal(size=(e, n)))
+        weight = rng.normal(size=(sum(lengths), e))
+
+        def scan(ts, lens=None):
+            dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode, lengths=lens)
+            return selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
+
+        got = TestFusedScan._run(vals, lambda ts: scan(ts, lengths), weight)
+        want = [np.empty_like(g) for g in got]
+        want[3] = 0.0
+        for lo, hi in zip(np.cumsum([0] + lengths[:-1]), np.cumsum(lengths)):
+            run = {k: v if k == "A" else v[None, lo:hi] for k, v in vals.items()}
+            ref = TestFusedScan._run(run, scan, weight[None, lo:hi])
+            for i, r in enumerate(ref):
+                if i == 3:
+                    want[3] = want[3] + r  # dA sums over runs
+                else:
+                    want[i][lo:hi] = r[0]
+        for name, g, w in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+    def test_equal_runs_match_batch_bit_for_bit(self):
+        """B equal runs of a flat input are the (B, M, E) batch: same
+        output and gradients, bit for bit."""
+        b, m, e, n = 3, 5, 3, 2
+        vals = TestLeanScan._vals(np.random.default_rng(9), b, m, e, n)
+        weight = np.random.default_rng(10).normal(size=(b, m, e))
+        batch = TestFusedScan._run(vals, lambda ts: selective_scan_recurrent(
+            ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], "zoh"), ts["Cproj"]), weight)
+        flat = {k: v if k == "A" else v.reshape(b * m, -1) for k, v in vals.items()}
+        runs = TestFusedScan._run(flat, lambda ts: selective_scan_recurrent(
+            ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], "zoh", lengths=[m] * b), ts["Cproj"]),
+            weight.reshape(b * m, e))
+        for g, r in zip(runs, batch):
+            assert np.array_equal(g, r.reshape(g.shape))
+
+    @pytest.mark.parametrize("lengths, message", [
+        ([4, 0, 2], "group 1 has size 0"),
+        ([4, 3, -1], "group 2 has size -1"),
+        ([4, 3], "sum 7 != 6"),
+        ([[4, 2]], "integers"),
+        ([4.0, 2.0], "integers"),
+        (np.zeros(0, dtype=int), "at least one group"),
+    ])
+    def test_bad_lengths_named(self, lengths, message):
+        rng = np.random.default_rng(6)
+        ts = {k: Tensor(v[0]) if k != "A" else Tensor(v) for k, v in TestLeanScan._vals(rng, 1, 6, 2, 2).items()}
+        with pytest.raises(ShapeError, match=f"discretize: lengths.*{message}"):
+            discretize(ts["delta"], ts["A"], ts["Bproj"], lengths=lengths)
+        dp = ssm.DiscreteParams(delta=ts["delta"], A=ts["A"], Bproj=ts["Bproj"], mode="euler",
+                                lengths=np.asarray(lengths))
+        with pytest.raises(ShapeError, match=f"scan: lengths.*{message}"):
+            selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
+
+    def test_parallel_route_rejects_runs(self):
+        rng = np.random.default_rng(5)
+        ts = {k: Tensor(v[0]) if k != "A" else Tensor(v) for k, v in TestLeanScan._vals(rng, 1, 6, 2, 3).items()}
+        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], lengths=[4, 2])
+        with pytest.raises(ShapeError, match="parallel route"):
+            selective_scan_parallel(ts["x"], dp, ts["Cproj"])
+
+
 def test_gradsuite_scan_checks():
     """The gradient suite's scan checks (euler and zoh, B = 2), which the
     quick tier otherwise reaches only through criterion 2."""
