@@ -5,7 +5,8 @@ Layers of the library, bottom up:
 
 * ``numerics``  - float64 tensors with reverse-mode autodiff and the
   primitive ops (linear, SiLU, softplus, layer norm, causal depthwise
-  conv), plus finite-difference gradient verification.
+  conv), the ``Runs`` layout of independent sequences laid end to end,
+  plus finite-difference gradient verification.
 * ``ssm``       - selective-scan kernels: discretization, the sequential
   recurrence (the one differentiable route), and two forward-only
   cross-checks on it, the work-efficient parallel scan and the LTI
@@ -52,7 +53,7 @@ from .hierarchy import (
     make_grouping,
 )
 from .model import ModelConfig, SurvMambaModel, report_complexity
-from .numerics import Tensor, grad_check, no_grad
+from .numerics import Runs, Tensor, grad_check, no_grad
 from .optim import RAdam
 from .ssm import (
     DiscreteParams,

@@ -3,16 +3,16 @@ the two-modality interaction fusion block.
 
 Both follow the same per-branch recipe: causal depthwise conv, SiLU,
 input-dependent B/C/timescale projections, discretization, selective
-scan. The bidirectional block runs one branch forward and one on the
-reversed sequence (re-reversing its output), gates both by SiLU of a
-shared z-projection, sums, projects back to the token dim and adds the
-residual. Given lengths, the bidirectional block runs a flat (L, D)
-input holding runs of those lengths end to end, each its own sequence:
-the conv and the scan restart at every run, and the reverse branch flips
-each run in place. The fusion block runs one branch per modality and
-cross-gates: each modality's scan output is gated by SiLU of the *other*
-modality's z-projection; gated outputs are concatenated and projected,
-with no residual path.
+scan. Both take flat (L, D) tokens holding independent sequences end to
+end with their ``numerics.Runs``: the conv and the scan restart at every
+run. A (B, M, D) batch given without runs is B equal runs, one reshape
+away. The bidirectional block runs one branch forward and one on the
+reversed runs (re-reversing its output), gates both by SiLU of a shared
+z-projection, sums, projects back to the token dim and adds the
+residual. The fusion block runs one branch per modality and cross-gates:
+each modality's scan output is gated by SiLU of the *other* modality's
+z-projection; gated outputs are concatenated and projected, with no
+residual path.
 
 Output projections are zero-initialized, so a freshly built
 bidirectional block is an exact identity and a fresh fusion block
@@ -30,6 +30,7 @@ from .numerics import (
     LayerNorm,
     LinearLayer,
     Module,
+    Runs,
     Tensor,
     causal_depthwise_conv1d,
     concat,
@@ -37,11 +38,21 @@ from .numerics import (
     flip_runs,
     linear,
     neg,
+    reshape,
     silu,
     softplus,
     uniform_init,
 )
-from .ssm import check_lengths, discretize, selective_scan_recurrent
+from .ssm import discretize, selective_scan_recurrent
+
+
+def _flat(where: str, tokens: Tensor, runs: Runs | None, d: int):
+    """(flat (L, d) tokens, their runs): a (B, M, d) batch given without
+    runs becomes B equal runs through one reshape."""
+    if tokens.shape[-1:] != (d,):
+        raise ShapeError(f"{where}: expected tokens of dim D = {d}, got {tokens.shape}")
+    runs = Runs.of(where, tokens.shape, runs)
+    return (tokens if tokens.ndim == 2 else reshape(tokens, (runs.rows, d))), runs
 
 
 def _init_a_log(e: int, n: int) -> np.ndarray:
@@ -74,20 +85,20 @@ class ScanBranch(Module):
         self.a_log = Tensor(_init_a_log(e, n), requires_grad=True)
         self.disc_mode = disc_mode
 
-    def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias, lengths))
+    def __call__(self, x: Tensor, runs: Runs) -> Tensor:
+        """x: flat (L, E) runs."""
+        xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias, runs))
         bproj = self.linear_b(xs)
         cproj = self.linear_c(xs)
         delta = softplus(linear(xs, self.linear_delta) + self.delta_bias)
         a = neg(exp(self.a_log))
-        dp = discretize(delta, a, bproj, self.disc_mode, lengths=lengths)
+        dp = discretize(delta, a, bproj, self.disc_mode, runs=runs)
         return selective_scan_recurrent(xs, dp, cproj)
 
 
 class BiMambaBlock(Module):
-    """Bidirectional block over (B, M, D) token sequences or, with
-    ``lengths``, over a flat (L, D) input of runs of those lengths laid end
-    to end, each its own sequence.
+    """Bidirectional block over the runs of flat (L, D) tokens, or over a
+    (B, M, D) batch of B equal runs.
 
     The norm, x/z projections and the output projection are shared
     between directions; each direction owns its conv, B/C/delta
@@ -108,21 +119,15 @@ class BiMambaBlock(Module):
         self.bwd = ScanBranch(e, n_state, conv_width, rng, disc_mode)
         self.linear_out = LinearLayer(e, d_model, rng, zero_init=True)
 
-    def __call__(self, tokens: Tensor, lengths=None) -> Tensor:
-        layout = "(B, M, D)" if lengths is None else "(L, D) with lengths"
-        if tokens.ndim != (3 if lengths is None else 2) or tokens.shape[-1] != self.d_model:
-            raise ShapeError(
-                f"bi-mamba: expected {layout} input, D = {self.d_model}, got {tokens.shape}"
-            )
-        if tokens.shape[-2] < 1:
-            raise ShapeError("bi-mamba: sequence length must be >= 1")
-        lengths = check_lengths("bi-mamba", lengths, tokens.shape)
-        normed = self.norm(tokens)
+    def __call__(self, tokens: Tensor, runs: Runs | None = None) -> Tensor:
+        flat, runs = _flat("bi-mamba", tokens, runs, self.d_model)
+        normed = self.norm(flat)
         x = self.linear_x(normed)
         gate = silu(self.linear_z(normed))
-        y_f = self.fwd(x, lengths)
-        y_b = flip_runs(self.bwd(flip_runs(x, lengths), lengths), lengths)
-        return self.linear_out(y_f * gate + y_b * gate) + tokens
+        y_f = self.fwd(x, runs)
+        y_b = flip_runs(self.bwd(flip_runs(x, runs), runs), runs)
+        out = self.linear_out(y_f * gate + y_b * gate) + flat
+        return out if flat is tokens else reshape(out, tokens.shape)
 
 
 class IFMModality(Module):
@@ -136,7 +141,8 @@ class IFMModality(Module):
 
 
 class IFMBlock(Module):
-    """Cross-gated two-modality fusion over equal-shape (B, M, D) inputs."""
+    """Cross-gated two-modality fusion over equal-shape inputs: flat (L, D)
+    tokens sharing one set of runs, or (B, M, D) batches."""
 
     def __init__(self, d_model: int, e_expand: int | None = None, n_state: int = 16,
                  conv_width: int = 4, rng: np.random.Generator | None = None,
@@ -150,19 +156,19 @@ class IFMBlock(Module):
         self.linear_z = LinearLayer(d_model, e, rng)
         self.linear_out = LinearLayer(2 * e, d_model, rng, zero_init=True)
 
-    def __call__(self, tokens_a: Tensor, tokens_b: Tensor) -> Tensor:
+    def __call__(self, tokens_a: Tensor, tokens_b: Tensor, runs: Runs | None = None) -> Tensor:
         if tokens_a.shape != tokens_b.shape:
             raise ShapeError(
                 f"ifm: modality shapes differ, {tokens_a.shape} vs {tokens_b.shape}; "
                 "align sequence lengths before fusing"
             )
-        if tokens_a.ndim != 3 or tokens_a.shape[-1] != self.d_model:
-            raise ShapeError(f"ifm: expected (B, M, {self.d_model}) inputs, got {tokens_a.shape}")
-        n1 = self.m1.norm(tokens_a)
-        n2 = self.m2.norm(tokens_b)
-        y1 = self.m1.branch(self.m1.in_proj(n1))
-        y2 = self.m2.branch(self.m2.in_proj(n2))
+        flat_a, runs = _flat("ifm", tokens_a, runs, self.d_model)
+        flat_b = tokens_b if flat_a is tokens_a else reshape(tokens_b, flat_a.shape)
+        n1 = self.m1.norm(flat_a)
+        n2 = self.m2.norm(flat_b)
+        y1 = self.m1.branch(self.m1.in_proj(n1), runs)
+        y2 = self.m2.branch(self.m2.in_proj(n2), runs)
         z1 = silu(self.linear_z(n1))
         z2 = silu(self.linear_z(n2))
-        fused = concat([y1 * z2, y2 * z1], axis=-1)
-        return self.linear_out(fused)
+        out = self.linear_out(concat([y1 * z2, y2 * z1], axis=-1))
+        return out if flat_a is tokens_a else reshape(out, tokens_a.shape)

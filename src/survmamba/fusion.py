@@ -20,9 +20,9 @@ from .errors import ConfigError, ShapeError
 from .numerics import (
     LinearLayer,
     Module,
+    Runs,
     Tensor,
     log_clamped,
-    reshape,
     segment_mean,
     sigmoid,
     stack,
@@ -53,15 +53,14 @@ def align_fine_tokens(tokens_a: Tensor, tokens_b: Tensor, length: int):
     def pool(t: Tensor, n: int) -> Tensor:
         if n == length:
             return t
-        return segment_mean(t, _segment_sizes(n, length))
+        return segment_mean(t, Runs(_segment_sizes(n, length)))
 
     return pool(tokens_a, la), pool(tokens_b, lb)
 
 
 def _fuse(aligned_a: Tensor, aligned_b: Tensor, ifm: IFMBlock) -> Tensor:
-    l, d = aligned_a.shape
-    out = ifm(reshape(aligned_a, (1, l, d)), reshape(aligned_b, (1, l, d)))
-    return tmean(reshape(out, (l, d)), axis=0)
+    """Both aligned (l, D) modalities as one run each, fused and mean-pooled."""
+    return tmean(ifm(aligned_a, aligned_b, Runs([aligned_a.shape[0]])), axis=0)
 
 
 def fuse_fine(tokens_a: Tensor, tokens_b: Tensor, ifm: IFMBlock, length: int) -> Tensor:

@@ -18,6 +18,7 @@ from .fusion import survival_nll
 from .hierarchy import HierarchicalBag, him_coarse, him_fine, make_grouping
 from .model import ModelConfig, SurvMambaModel
 from .numerics import (
+    Runs,
     Tensor,
     causal_depthwise_conv1d,
     grad_check,
@@ -73,13 +74,14 @@ def check_primitives() -> list:
         PRIMITIVE_BOUND,
     ))
 
-    xc = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+    xc = Tensor(rng.normal(size=(12, 3)), requires_grad=True)  # two runs of 6
     ker = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     cb = Tensor(rng.normal(size=3), requires_grad=True)
+    runs = Runs([6, 6])
     out.append((
         "primitive.causal_conv1d",
         grad_check(
-            lambda: tsum(silu(causal_depthwise_conv1d(xc, ker, cb))),
+            lambda: tsum(silu(causal_depthwise_conv1d(xc, ker, cb, runs))),
             [("x", xc), ("k", ker), ("b", cb)],
             h=1e-6,
         ),
@@ -148,13 +150,13 @@ def check_him() -> list:
         blk.fwd.delta_bias.data += 2.0
         blk.bwd.delta_bias.data += 2.0
     tokens = Tensor(np.random.default_rng(250).normal(size=(9, 3)))
-    sizes = [5, 4]
+    runs = Runs([5, 4])
 
     def f():
         # loss reads both paths: the pooled coarse tokens and the
         # refined fine tokens
-        refined = him_fine(tokens, fine, sizes)
-        pooled = him_coarse(refined, coarse, sizes)
+        refined = him_fine(tokens, fine, runs)
+        pooled = him_coarse(refined, coarse, runs)
         return tmean(silu(pooled)) + 0.1 * tsum(silu(refined))
 
     params = [(f"fine.{n}", p) for n, p in fine.named_parameters()]
@@ -191,25 +193,10 @@ def toy_pipeline_model():
     )
     model = SurvMambaModel(cfg, dataset.grouping, d_raw=3, seed=14)
     _perturb(model, 510, scale=0.5)
-    for _, branch in _iter_branches(model):
-        branch.delta_bias.data += 0.5
+    for name, p in model.named_parameters():
+        if name.endswith(".delta_bias"):  # every scan branch's timescale bias
+            p.data += 0.5
     return model, dataset
-
-
-def _iter_branches(model):
-    for name, stack in (
-        ("him.image.fine", model.him.image.fine),
-        ("him.image.coarse", model.him.image.coarse),
-        ("him.genomics.fine", model.him.genomics.fine),
-        ("him.genomics.coarse", model.him.genomics.coarse),
-    ):
-        for blk in stack.blocks:
-            yield name + ".fwd", blk.fwd
-            yield name + ".bwd", blk.bwd
-    yield "ifm.fine.m1", model.ifm.fine.m1.branch
-    yield "ifm.fine.m2", model.ifm.fine.m2.branch
-    yield "ifm.coarse.m1", model.ifm.coarse.m1.branch
-    yield "ifm.coarse.m2", model.ifm.coarse.m2.branch
 
 
 def check_pipeline() -> list:

@@ -8,14 +8,13 @@ order-sensitive: raster order for regions and patches, catalog order for
 processes and functions.
 
 Past the encoders a modality is one (L, D) token tensor, its groups laid
-end to end in order, plus `sizes`, the list of group lengths; this
-module alone knows that layout. The dual-level pipeline refines the
-tokens inside each group with one shared bidirectional block
-(`him_fine`), mean-pools every group to a single token, and runs a
-second bidirectional block over the group sequence (`him_coarse`).
-Either level is one block call per block of the stack, whatever the
-sizes: `him_fine` hands the block ragged groups in the flat layout, with
-the sizes as its run lengths.
+end to end in order, plus the `numerics.Runs` of those groups, built
+once: at construction for the fixed genomics catalog, once per bag for
+histology. The dual-level pipeline refines the tokens inside each group
+with one shared bidirectional block (`him_fine`), mean-pools every group
+to a single token, and runs a second bidirectional block over the group
+sequence, one run of G tokens (`him_coarse`). Either level is one block
+call per block of the stack, whatever the group sizes.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BiMambaBlock
-from .errors import DataError, ShapeError
-from .numerics import (LinearLayer, Module, Namespace, Tensor, check_group_sizes, concat, reshape,
-                       segment_mean, silu, stacked_linear, uniform_init)
+from .errors import DataError
+from .numerics import (LinearLayer, Module, Namespace, Runs, Tensor, concat, segment_mean, silu,
+                       stacked_linear, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
 DEFAULT_N_PROCESSES = 42
@@ -155,8 +154,8 @@ class GenomicsEncoder(Module):
     """Per-function two-layer MLPs producing D-dim tokens, grouped by
     process in catalog order. Functions with equal gene counts share one
     stacked bank (same math, one batched call); one gather, built at
-    construction, puts the banks' rows in process order. `sizes` holds
-    each process's function count."""
+    construction, puts the banks' rows in process order. `runs` holds
+    each process's function count, one run per process."""
 
     def __init__(self, grouping: GroupingConfig, d_model: int, hidden: int, rng):
         super().__init__()
@@ -178,7 +177,7 @@ class GenomicsEncoder(Module):
         rank = {fid: r for r, fid in enumerate(self._slot)}
         order = [rank[fid] for _, fids in grouping.processes for fid in fids]
         self._order = None if order == list(range(len(rank))) else np.asarray(order, dtype=np.int64)
-        self.sizes = [len(fids) for _, fids in grouping.processes]
+        self.runs = Runs([len(fids) for _, fids in grouping.processes])
         self._max_gene = max(g for _, genes in grouping.functions for g in genes)
 
     def set_function_mlp(self, fid: str, w1, b1, w2, b2):
@@ -191,7 +190,7 @@ class GenomicsEncoder(Module):
 
     def __call__(self, expr: np.ndarray) -> tuple:
         """expr: 1-d gene expression vector -> ((n_functions, D) tokens in
-        process order, sizes)."""
+        process order, runs)."""
         expr = np.asarray(expr, dtype=np.float64)
         if self._max_gene >= expr.shape[0]:
             fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= expr.shape[0])
@@ -201,7 +200,7 @@ class GenomicsEncoder(Module):
         tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=0)
         if self._order is not None:
             tokens = tokens[self._order]
-        return tokens, self.sizes
+        return tokens, self.runs
 
 
 class HistologyEncoder(Module):
@@ -212,39 +211,30 @@ class HistologyEncoder(Module):
         self.proj = LinearLayer(d_raw, d_model, rng)
 
     def __call__(self, bag: HierarchicalBag) -> tuple:
-        """bag -> ((n_patches, D) tokens in region order, sizes)."""
+        """bag -> ((n_patches, D) tokens in region order, runs)."""
         flat = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in bag.groups], axis=0)
-        return self.proj(Tensor(flat)), [len(t) for _, t in bag.groups]
+        return self.proj(Tensor(flat)), Runs([len(t) for _, t in bag.groups])
 
 
-def him_fine(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
+def him_fine(tokens: Tensor, block: BiMambaBlock, runs: Runs) -> Tensor:
     """Refine each group's token run with the same shared block, in one
     block call.
 
-    tokens is (L, D) with groups of the given sizes laid end to end; the
-    result has the same layout. Equal groups are a (G, K, D) batch, one
-    reshape away. Otherwise the block takes the flat layout with the sizes
-    as its run lengths and treats every group as its own sequence, with no
-    padding: its scan packs the groups time-major, longest first, and
-    steps only the groups still running. Groups are independent, so the
-    result does not depend on the batching (equivariant to group
-    reordering).
+    tokens is (L, D) with the groups of runs laid end to end; the result
+    has the same layout. The block treats every group as its own sequence,
+    with no padding: its scan packs the groups time-major, longest first,
+    and steps only the groups still running. Groups are independent, so
+    the result is equivariant to group reordering.
     """
-    n, d = tokens.shape
-    if d != block.d_model:
-        raise ShapeError(f"him_fine: token dim {d} != block dim {block.d_model}")
-    check_group_sizes("him_fine", sizes, n)
-    if len(set(sizes)) == 1:
-        return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
-    return block(tokens, lengths=sizes)
+    runs.check("him_fine", tokens.shape[0])
+    return block(tokens, runs)
 
 
-def him_coarse(tokens: Tensor, block: BiMambaBlock, sizes: list) -> Tensor:
+def him_coarse(tokens: Tensor, block: BiMambaBlock, runs: Runs) -> Tensor:
     """Mean-pool each group of the (L, D) tokens and mix the group sequence.
 
     Returns a (G, D) tensor, one row per group, in group order. The
     coarse block sees group order, so this stage is order-sensitive.
     """
-    check_group_sizes("him_coarse", sizes, tokens.shape[0])
-    seq = reshape(segment_mean(tokens, sizes), (1, len(sizes), tokens.shape[1]))
-    return reshape(block(seq), (len(sizes), tokens.shape[1]))
+    runs.check("him_coarse", tokens.shape[0])
+    return block(segment_mean(tokens, runs), runs.pooled)

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
-from .numerics import Module, Namespace, Tensor, no_grad, reshape
+from .numerics import Module, Namespace, Tensor, no_grad
 
 
 @dataclass
@@ -54,11 +54,6 @@ class _Stack(Module):
         else:
             for i, blk in enumerate(self.blocks):
                 self._children[f"s{i}"] = blk
-
-    def __call__(self, x):
-        for b in self.blocks:
-            x = b(x)
-        return x
 
 
 class SurvMambaModel(Module):
@@ -99,14 +94,13 @@ class SurvMambaModel(Module):
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in registry")
 
-    def _him_modality(self, tokens, sizes, fine_stack, coarse_stack):
+    def _him_modality(self, tokens, runs, fine_stack, coarse_stack):
         for blk in fine_stack.blocks:
-            tokens = him_fine(tokens, blk, sizes)
+            tokens = him_fine(tokens, blk, runs)
         first, *rest = coarse_stack.blocks
-        pooled_seq = him_coarse(tokens, first, sizes)
+        pooled_seq = him_coarse(tokens, first, runs)
         for blk in rest:
-            g, d = pooled_seq.shape
-            pooled_seq = reshape(blk(reshape(pooled_seq, (1, g, d))), (g, d))
+            pooled_seq = blk(pooled_seq, runs.pooled)
         return tokens, pooled_seq
 
     def fuse_features(self, record) -> FusedFeatures:

@@ -11,12 +11,19 @@ once; leaves keep their gradients. All storage is 64-bit; there is no
 broadcasting API beyond what the primitives themselves need (bias
 vectors over trailing dims, and the timescale/state broadcasts inside
 the SSM discretization).
+
+Sets of independent sequences travel as one flat (L, ...) array, the
+sequences laid end to end, plus a ``Runs`` value built once per set: the
+conv, the flip, segment pooling and the scan take it and rebuild no
+index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+from functools import cached_property
 
 import numpy as np
 
@@ -269,10 +276,9 @@ def softplus(a: Tensor) -> Tensor:
     """Overflow-safe ln(1 + e^x); returns ~x for large x, ~0 for very negative x."""
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    s = _sigmoid_np(x)
 
     def backward(g):
-        a._accum(g * s)
+        a._accum(g * _sigmoid_np(x))
 
     return _node(out, (a,), backward)
 
@@ -373,53 +379,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out, (x, gamma, beta), backward)
 
 
-def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> Tensor:
-    """Per-channel causal 1-d convolution over (B, M, E) sequences or, with
-    lengths, over each run of a flat (L, E) input that lays runs of those
-    lengths end to end.
-
-    y[b, t, e] = bias[e] + sum_k kernel[e, k] * x[b, t - W + 1 + k, e],
-    with positions before the sequence (run) start read as zero. Output at
-    t never sees input beyond t.
-    """
-    flat = lengths is not None
-    if x.data.ndim != (2 if flat else 3):
-        raise ShapeError(f"conv1d: expected {'(L, E)' if flat else '(B, M, E)'} input, got {x.data.shape}")
-    e = x.data.shape[-1]
+def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, runs: Runs) -> Tensor:
+    """Per-channel causal 1-d convolution over each run of a flat (L, E)
+    input: y[l, e] = bias[e] + sum_k kernel[e, k] * x[l - W + 1 + k, e],
+    with rows before the run's start read as zero. Tap k reads a shifted
+    view of the input with its run-crossing rows zeroed."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.data.shape}")
+    runs.check("conv1d", x.data.shape[0])
+    n, e = x.data.shape
     if kernel.data.ndim != 2 or kernel.data.shape[0] != e:
         raise ShapeError(f"conv1d: kernel {kernel.data.shape} does not match channels {e}")
     w = kernel.data.shape[1]
-    if flat:  # tap k reads w - 1 - k rows back in the same run, else the zero row appended at n
-        n = x.data.shape[0]
-        check_group_sizes("conv1d: lengths", lengths, n)
-        back = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # steps since run start
-        xp = np.zeros((n + 1, e))
-        inner = slice(0, n)
-        taps = [np.where(back >= w - 1 - k, np.arange(n) - (w - 1 - k), n) for k in range(w)]
-    else:
-        b_, m = x.data.shape[:2]
-        xp = np.zeros((b_, m + w - 1, e))
-        inner = (slice(None), slice(w - 1, None))
-        taps = [(slice(None), slice(k, k + m)) for k in range(w)]
-    xp[inner] = x.data
-    sum_axes = tuple(range(x.data.ndim - 1))
+    cross = runs.conv_cross(w)
+    xp = np.zeros((n + w - 1, e))
+    xp[w - 1 :] = x.data
+
+    def tap(k, a, b, buf):
+        """a * b for tap k in buf, its run-crossing rows zeroed."""
+        np.multiply(a, b, out=buf)
+        if cross[k].size:
+            buf[cross[k]] = 0.0
+        return buf
+
+    buf = np.empty((n, e))
     out = np.broadcast_to(bias.data, x.data.shape).copy()
     for k in range(w):
-        out += kernel.data[:, k] * xp[taps[k]]
+        out += tap(k, kernel.data[:, k], xp[k : k + n], buf)
 
     def backward(g):
+        buf = np.empty((n, e))
         if bias.requires_grad:
-            bias._accum(g.sum(axis=sum_axes))
+            bias._accum(g.sum(axis=0))
         if kernel.requires_grad:
             dk = np.empty((e, w))
             for k in range(w):
-                dk[:, k] = (g * xp[taps[k]]).sum(axis=sum_axes)
+                dk[:, k] = tap(k, g, xp[k : k + n], buf).sum(axis=0)
             kernel._accum(dk)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for k in range(w):
-                dxp[taps[k]] += g * kernel.data[:, k]  # a run's rows are distinct; only the zero row repeats
-            x._accum(dxp[inner])
+                dxp[k : k + n] += tap(k, g, kernel.data[:, k], buf)
+            x._accum(dxp[w - 1 :])
 
     return _node(out, (x, kernel, bias), backward)
 
@@ -434,28 +435,15 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), backward)
 
 
-def flip(a: Tensor, axis: int) -> Tensor:
-    def backward(g):
-        a._accum(np.flip(g, axis=axis))
-
-    return _node(np.flip(a.data, axis=axis), (a,), backward)
-
-
-def flip_runs(a: Tensor, lengths=None) -> Tensor:
-    """Reverse every sequence in time: axis 1 of a (B, M, ...) tensor or,
-    with lengths, each run of a flat (L, ...) tensor that lays runs of
-    those lengths end to end. The permutation is its own inverse, so
-    backward applies it again."""
-    if lengths is None:
-        return flip(a, 1)
-    check_group_sizes("flip_runs: lengths", lengths, a.data.shape[0])
-    ends = np.cumsum(lengths)
-    idx = np.repeat(2 * ends - lengths - 1, lengths) - np.arange(a.data.shape[0])  # start + end - 1 - row
+def flip_runs(a: Tensor, runs: Runs) -> Tensor:
+    """Reverse each run of a flat (L, ...) tensor in time. The permutation
+    is its own inverse, so backward applies it again."""
+    runs.check("flip_runs", a.data.shape[0])
 
     def backward(g):
-        a._accum(g[idx])
+        a._accum(runs.flip(g))
 
-    return _node(a.data[idx], (a,), backward)
+    return _node(runs.flip(a.data), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -524,33 +512,126 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def check_group_sizes(where: str, sizes, rows: int):
-    """Raise a ShapeError naming where unless sizes lists at least one
-    group, every group has at least one row and the sizes sum to rows."""
-    arr = np.asarray(sizes)
-    if arr.size == 0:
-        raise ShapeError(f"{where}: need at least one group")
-    bad = np.flatnonzero(arr < 1)
-    if bad.size:
-        raise ShapeError(f"{where}: group {bad[0]} has size {arr[bad[0]]}; every group needs at least one row")
-    if arr.sum() != rows:
-        raise ShapeError(f"{where}: group sizes sum {arr.sum()} != {rows} rows")
+class Runs:
+    """Independent sequences ("runs") laid end to end along axis 0 of a
+    flat (L, ...) array: the one layout of every sequence op. Built once
+    per set of run lengths, which the constructor validates; what the ops
+    need is formed on first use and kept. The scan's time-major packing
+    sorts the runs longest first (stable) and puts the width[t] runs still
+    running at step t in packed rows off[t]..off[t+1]-1, as PyTorch's
+    PackedSequence does. Equal runs pack and flip by a transpose and a
+    reversed axis (views for one run), other runs by a gather."""
+
+    def __init__(self, sizes):
+        arr = np.asarray(sizes)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ShapeError(f"runs: group sizes must be integers, one per group; got {arr.dtype} {arr.shape}")
+        if arr.size == 0:
+            raise ShapeError("runs: need at least one group")
+        bad = np.flatnonzero(arr < 1)
+        if bad.size:
+            raise ShapeError(f"runs: group {bad[0]} has size {arr[bad[0]]}; every group needs at least one row")
+        self.sizes = arr.astype(np.int64, copy=False)
+        self.rows = int(self.sizes.sum())
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        m = int(self.sizes[0])
+        self._grid = (len(self.sizes), m) if (self.sizes == m).all() else None  # equal runs: (B, M)
+        self._cross = {}
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def check(self, where: str, rows: int):
+        if rows != self.rows:
+            raise ShapeError(f"{where}: runs cover {self.rows} rows, input has {rows}")
+
+    @classmethod
+    def of(cls, where: str, shape, runs: Runs | None) -> Runs:
+        """The given runs of a flat (L, .) input, or the B equal runs of a
+        (B, M, .) batch given without runs."""
+        if runs is None and len(shape) == 3:
+            return cls([shape[1]] * shape[0])
+        if runs is None or len(shape) != 2:
+            raise ShapeError(f"{where}: expected a (B, M, .) batch, or flat (L, .) rows and runs; got {shape}")
+        runs.check(where, shape[0])
+        return runs
+
+    @cached_property
+    def pooled(self) -> Runs:
+        """One run of len(self) rows: the sequence of the runs' pooled rows."""
+        return Runs([len(self)])
+
+    @cached_property
+    def width(self) -> list:
+        return (len(self.sizes) - np.cumsum(np.bincount(self.sizes))[:-1]).tolist()
+
+    @cached_property
+    def off(self) -> list:
+        return list(itertools.accumulate(self.width, initial=0))
+
+    @cached_property
+    def _ends(self) -> list:
+        return sorted(set(self.sizes.tolist()))  # the step width changes where a run ends
+
+    def spans(self, lo: int, hi: int) -> list:
+        """Steps lo..hi-1 as (r0, r1, k) spans of equal width k, in packed
+        rows counted from row off[lo]."""
+        base, ends = self.off[lo], self._ends
+        return [(self.off[max(t0, lo)] - base, self.off[min(t1, hi)] - base, self.width[t0])
+                for t0, t1 in zip([0] + ends[:-1], ends) if t0 < hi and t1 > lo]
+
+    @cached_property
+    def _gathers(self) -> tuple:
+        """The input row of each packed row and of each flipped row."""
+        order = np.argsort(-self.sizes, kind="stable")
+        steps = np.arange(self.sizes[order[0]])[:, None]
+        packed = (self.starts[order] + steps)[steps < self.sizes[order]]
+        return packed, np.repeat(2 * self.starts + self.sizes - 1, self.sizes) - np.arange(self.rows)
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """Flat (L, ...) rows -> time-major packed rows."""
+        if self._grid:
+            return np.ascontiguousarray(a.reshape(self._grid + a.shape[1:]).swapaxes(0, 1)).reshape(a.shape)
+        return a[self._gathers[0]]
+
+    def unpack(self, p: np.ndarray, shape=None) -> np.ndarray:
+        """Time-major packed rows -> the rows in input order, flat (L, ...)
+        or shaped as given (a view of p where it can be one)."""
+        shape = p.shape if shape is None else shape
+        if self._grid:
+            return p.reshape(self._grid[::-1] + p.shape[1:]).swapaxes(0, 1).reshape(shape)
+        out = np.empty_like(p)
+        out[self._gathers[0]] = p
+        return out.reshape(shape)
+
+    def flip(self, a: np.ndarray) -> np.ndarray:
+        """a (L, ...) with each run reversed in time."""
+        if self._grid:
+            return a.reshape(self._grid + a.shape[1:])[:, ::-1].reshape(a.shape)
+        return a[self._gathers[1]]
+
+    def conv_cross(self, w: int) -> list:
+        """Per tap k of a width-w causal conv, which reads w - 1 - k rows
+        back, the rows whose read crosses into the run before: the first
+        w - 1 - k rows of every run after the first."""
+        cross = self._cross.get(w)
+        if cross is None:
+            rest = np.arange(int(self.sizes[0]), self.rows)
+            back = rest - np.repeat(self.starts[1:], self.sizes[1:])  # steps since the run's start
+            cross = self._cross[w] = [rest[back < w - 1 - k] for k in range(w)]
+        return cross
 
 
-def segment_mean(a: Tensor, sizes: list[int]) -> Tensor:
-    """Mean-pool contiguous row segments of a (L, D) tensor.
-
-    sizes must be positive and sum to L; output row s is the mean of its
-    segment.
-    """
-    check_group_sizes("segment_mean", sizes, a.data.shape[0])
-    bounds = np.cumsum([0] + list(sizes))[:-1]
-    sums = np.add.reduceat(a.data, bounds, axis=0)
-    sz = np.asarray(sizes, dtype=np.float64)[:, None]
+def segment_mean(a: Tensor, runs: Runs) -> Tensor:
+    """Mean-pool each run of a flat (L, D) tensor: output row s is the mean
+    of run s."""
+    runs.check("segment_mean", a.data.shape[0])
+    sums = np.add.reduceat(a.data, runs.starts, axis=0)
+    sz = runs.sizes.astype(np.float64)[:, None]
     out = sums / sz
 
     def backward(g):
-        a._accum(np.repeat(g / sz, sizes, axis=0))
+        a._accum(np.repeat(g / sz, runs.sizes, axis=0))
 
     return _node(out, (a,), backward)
 

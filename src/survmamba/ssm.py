@@ -22,15 +22,14 @@ scan never forms either: it is one tape node with parents
 (x, delta, A, Bproj, Cproj) that works time-major and state before
 channel.
 
-It takes a (B, M, E) batch, or one flat (L, E) input holding sequences
-of different lengths end to end, with their ``lengths`` passed through
-``discretize(..., lengths=)``. Either way it first packs its inputs once
-per call into (T, .) rows, time-major, as PyTorch's PackedSequence does:
-sequences sorted longest first (stable), step t one contiguous block of
-the n_t sequences still running, rows [:n_t] of the step before. A batch
-packs by a transpose (n_t = B), flat runs by a gather. No padding is
-formed, so forward and backward step only the rows still running and
-every (., N, E) array covers real steps only.
+It takes flat (L, E) runs, independent sequences laid end to end, with
+their ``numerics.Runs`` passed through ``discretize(..., runs=)``; a
+(B, M, E) batch given without runs is B equal runs. It packs its inputs
+once per call, time-major as the Runs lays out: runs sorted longest
+first (stable), step t one contiguous block of the n_t runs still
+running, rows [:n_t] of the step before. No padding is formed, so
+forward and backward step only the rows still running and every
+(., N, E) array covers real steps only.
 
 The scan runs in slabs of time steps, held as (rows, N, E) arrays. Per
 slab it writes Abar into one reused buffer and Bbar * x into one reused
@@ -57,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, _grad_enabled, _node, check_group_sizes
+from .numerics import Runs, Tensor, _grad_enabled, _node
 
 DISCRETIZE_MODES = ("euler", "zoh")
 SLAB_BYTES = 4 << 20  # bytes per (S steps x n_0 rows, N, E) float64 array in the scan
@@ -73,17 +72,16 @@ def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
 @dataclass
 class DiscreteParams:
     """The sources of the step operators: delta (B, M, E), A (E, N),
-    Bproj (B, M, N) and the mode; or, with ``lengths``, flat delta (L, E)
-    and Bproj (L, N) holding runs of those lengths end to end, each its own
-    sequence. ``Abar`` (.., E, N), 0 < Abar < 1, and ``Bbar`` are computed
-    off the tape on first read and cached; the recurrent scan reads
-    neither."""
+    Bproj (B, M, N) and the mode; or, with ``runs``, flat delta (L, E) and
+    Bproj (L, N) holding those runs end to end. ``Abar`` (.., E, N),
+    0 < Abar < 1, and ``Bbar`` are computed off the tape on first read and
+    cached; the recurrent scan reads neither."""
 
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
-    lengths: np.ndarray | None = None
+    runs: Runs | None = None
 
     @cached_property
     def Abar(self) -> Tensor:
@@ -104,79 +102,15 @@ def _check_a(where: str, delta: Tensor, A: Tensor, Bproj: Tensor):
                          f"{delta.shape} and N from Bproj {Bproj.shape}")
 
 
-def check_lengths(where: str, lengths, shape) -> np.ndarray | None:
-    """The run lengths of a flat (L, ...) input as an int64 array: positive
-    integers summing to L. None, for a (B, M, ...) batch, stays None."""
-    if lengths is None:
-        return None
-    arr = np.asarray(lengths)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu" or len(shape) != 2:
-        raise ShapeError(f"{where}: lengths must be integers, one per run of a flat (L, .) input; "
-                         f"got {arr.dtype} {arr.shape} for input {shape}")
-    check_group_sizes(f"{where}: lengths", arr, shape[0])
-    return arr.astype(np.int64, copy=False)
-
-
 def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler",
-               lengths=None) -> DiscreteParams:
+               runs: Runs | None = None) -> DiscreteParams:
     """Bundle delta (B, M, E), A (E, N) and Bproj (B, M, N), or flat delta
-    (L, E) and Bproj (L, N) with their run lengths, for the scan, which
-    forms the step operators per slab itself."""
+    (L, E) and Bproj (L, N) with their runs, for the scan, which forms the
+    step operators per slab itself."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
     _check_a("discretize", delta, A, Bproj)
-    lengths = check_lengths("discretize", lengths, delta.shape)
-    return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode, lengths=lengths)
-
-
-def _tm(a: np.ndarray) -> np.ndarray:
-    """Time-major contiguous (M, B, ...) copy of a (B, M, ...) array; a view when B = 1."""
-    return np.ascontiguousarray(a.swapaxes(0, 1))
-
-
-@dataclass
-class _Packing:
-    """The scan's time-major packed layout: sequences sorted longest first
-    (stable), and at step t the width[t] sequences still running in packed
-    rows off[t]..off[t+1]-1, sequence b at row off[t] + b. ``runs`` groups
-    consecutive steps of equal width: (t0, t1, k)."""
-
-    width: list
-    off: list
-    runs: list
-    pack: object  # input layout (B, M, .) or (L, .) -> packed (T, .)
-    unpack: object  # packed (T, .) -> input layout
-
-    @classmethod
-    def of(cls, shape, lengths):
-        if lengths is None:  # B equal sequences: a transpose packs them
-            b, m = shape[:2]
-            return cls([b] * m, list(range(0, (m + 1) * b, b)), [(0, m, b)],
-                       lambda a: _tm(a).reshape((m * b,) + a.shape[2:]),
-                       lambda p: p.reshape((m, b) + p.shape[1:]).swapaxes(0, 1))
-        order = np.argsort(-lengths, kind="stable")
-        ranked = lengths[order]
-        counts = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]  # sequences running at each step
-        steps = np.arange(ranked[0])[:, None]
-        starts = (np.cumsum(lengths) - lengths)[order]
-        idx = (starts + steps)[steps < ranked]  # the input row of each packed row, step after step
-        width = counts.tolist()
-        ends = sorted(set(lengths.tolist()))  # a run of equal width ends where a sequence does
-        runs = [(t0, t1, width[t0]) for t0, t1 in zip([0] + ends[:-1], ends)]
-
-        def unpack(p):
-            out = np.empty_like(p)
-            out[idx] = p
-            return out
-
-        return cls(width, list(itertools.accumulate(width, initial=0)), runs, lambda a: a[idx], unpack)
-
-    def spans(self, lo: int, hi: int) -> list:
-        """The runs within steps lo..hi-1 as (r0, r1, k) packed row ranges
-        counted from row off[lo]: k rows per step."""
-        base = self.off[lo]
-        return [(self.off[max(t0, lo)] - base, self.off[min(t1, hi)] - base, k)
-                for t0, t1, k in self.runs if t0 < hi and t1 > lo]
+    return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode, runs=runs)
 
 
 def _slab_states(h, abar, delta, at, bproj, x, mode, tmp, spans):
@@ -185,7 +119,7 @@ def _slab_states(h, abar, delta, at, bproj, x, mode, tmp, spans):
     step, with their states: Bbar * x goes into rows K.., then each step
     adds Abar_t * h_{t-1} in place, one contiguous (k, N, E) block per
     step for the k sequences still running. delta and x are (R, E) and
-    bproj (R, N) packed slices, spans their runs from ``_Packing.spans``,
+    bproj (R, N) packed slices, spans their spans from ``Runs.spans``,
     at is A transposed to (N, E) and tmp a (B, N, E) scratch."""
     np.exp(np.einsum("le,ne->lne", delta, at, out=abar), out=abar)
     k0 = h.shape[0] - abar.shape[0]
@@ -209,7 +143,7 @@ def _slab_states(h, abar, delta, at, bproj, x, mode, tmp, spans):
 def _with_prev(op, v, h, spans):
     """v = op(v, h_{t-1}) in place for R packed rows v, where h (K + R, N, E)
     holds the K rows entering the first step and then the rows' states;
-    spans as from ``_Packing.spans``. Within a run the previous step sits k
+    spans as from ``Runs.spans``. Within a run the previous step sits k
     rows back; a later run's first step reads the head of the block before."""
     k0 = h.shape[0] - v.shape[0]
     for i, (r0, r1, k) in enumerate(spans):
@@ -264,31 +198,31 @@ def _scan_parallel_states_impl(abar, bx):
     return abar * v[:, :m] + bx
 
 
-def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor):
-    flat = dp.lengths is not None
-    if x.ndim != (2 if flat else 3):
-        raise ShapeError(f"scan: expected {'(L, E) input with lengths' if flat else '(B, M, E) input'}, got {x.shape}")
+def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Runs:
+    """The runs of the scan's input, after checking the shapes of its
+    sources against it."""
+    runs = Runs.of("scan", x.shape, dp.runs)
     _check_a("scan", dp.delta, dp.A, dp.Bproj)
     lead_n = x.shape[:-1] + dp.A.shape[-1:]
     if dp.delta.shape != x.shape or dp.Bproj.shape != lead_n:
         raise ShapeError(f"scan: delta {dp.delta.shape} / Bproj {dp.Bproj.shape} do not match x {x.shape}")
     if cproj.shape != lead_n:
         raise ShapeError(f"scan: Cproj {cproj.shape} does not match x {x.shape} and N = {lead_n[-1]}")
-    check_lengths("scan", dp.lengths, x.shape)
+    return runs
 
 
-def _slab_grads(g, src, at, mode, lay, slabs, checkpoints):
+def _slab_grads(g, src, at, mode, runs, slabs, checkpoints):
     """The scan's input gradients (dx, ddelta, dA, dBproj, dCproj) for the
-    output gradient g, shaped like the inputs. src holds the arrays of x,
-    delta, Bproj and Cproj, at is A transposed to (N, E), lay the packed
-    layout and checkpoints the state entering each slab. Walks the slabs
-    in reverse in the forward's packed layout; the slab buffers are freed
-    on return."""
-    xt, dt, bt, ct, gt = map(lay.pack, src + (g,))  # packed again rather than kept on the tape
+    flat output gradient g, all but dA in packed rows.
+    src holds the flat arrays of x, delta, Bproj and Cproj, at is A
+    transposed to (N, E) and checkpoints the state entering each slab.
+    Walks the slabs in reverse in the forward's packed layout; the slab
+    buffers are freed on return."""
+    xt, dt, bt, ct, gt = map(runs.pack, src + (g,))  # packed again rather than kept on the tape
     rows_all, e = xt.shape
     n = at.shape[0]
-    b = lay.width[0]
-    size = lay.off[slabs[0].stop]  # rows of the first slab, the largest
+    b = runs.width[0]
+    size = runs.off[slabs[0].stop]  # rows of the first slab, the largest
     dx, ddelta = np.empty((rows_all, e)), np.zeros((rows_all, e))
     dbp, dc = np.empty((rows_all, n)), np.empty((rows_all, n))
     da = np.zeros((n, e))
@@ -298,9 +232,9 @@ def _slab_grads(g, src, at, mode, lay, slabs, checkpoints):
     tmp = np.empty((b, n, e))
     carry = np.zeros((b, n, e))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
     for sl, h0 in zip(reversed(slabs), reversed(checkpoints)):
-        rows = slice(lay.off[sl.start], lay.off[sl.stop])
-        r, k0, kl = rows.stop - rows.start, lay.width[sl.start], lay.width[sl.stop - 1]
-        spans = lay.spans(sl.start, sl.stop)
+        rows = slice(runs.off[sl.start], runs.off[sl.stop])
+        r, k0, kl = rows.stop - rows.start, runs.width[sl.start], runs.width[sl.stop - 1]
+        spans = runs.spans(sl.start, sl.stop)
         ds, xs, bs, gs, cs = dt[rows], xt[rows], bt[rows], gt[rows], ct[rows]
         ab, h = abar_buf[:r], hs_buf[: k0 + r]
         h[:k0] = h0
@@ -343,24 +277,24 @@ def _slab_grads(g, src, at, mode, lay, slabs, checkpoints):
         dh *= ab  # dL/d(delta * A)
         ddelta[rows] += np.einsum("lne,ne->le", dh, at)
         da += np.einsum("lne,le->ne", dh, ds)
-    return lay.unpack(dx), lay.unpack(ddelta), da.T, lay.unpack(dbp), lay.unpack(dc)
+    return dx, ddelta, da.T, dbp, dc
 
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Sequential scan from h_0 = 0 over each sequence: the B rows of a
-    (B, M, E) batch, or the runs of ``dp.lengths`` in a flat (L, E) input.
-    The reference and the one route that records a tape node."""
-    _check_shapes(x, dp, cproj)
+    """Sequential scan from h_0 = 0 over each run of ``dp.runs`` in a flat
+    (L, E) input, or over the B rows of a (B, M, E) batch. The reference
+    and the one route that records a tape node."""
+    runs = _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
     mode = dp.mode
-    lay = _Packing.of(x.shape, dp.lengths)
-    # time-major packed, state before channel: x, delta (T, E); Bproj, Cproj (T, N); A^T (N, E)
-    src = (x.data, dp.delta.data, dp.Bproj.data, cproj.data)
-    xt, dt, bt, ct = map(lay.pack, src)
+    # flat (L, .) views, then time-major packed, state before channel:
+    # x, delta (L, E); Bproj, Cproj (L, N); A^T (N, E)
+    src = tuple(p.data.reshape(runs.rows, -1) for p in (x, dp.delta, dp.Bproj, cproj))
+    xt, dt, bt, ct = map(runs.pack, src)
     at = np.ascontiguousarray(dp.A.data.T)
     e, n = xt.shape[1], at.shape[0]
-    m, b = len(lay.width), lay.width[0]
+    m, b = len(runs.width), runs.width[0]
     step_bytes = 8 * b * e * n
     step = min(m, max(1, SLAB_BYTES // step_bytes))
     chunk = min(step, max(1, CHUNK_BYTES // step_bytes))
@@ -372,23 +306,24 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     tmp = np.empty((b, n, e))
     for sl in slabs:
         if record:
-            checkpoints.append(hs_buf[: lay.width[sl.start]].copy())
+            checkpoints.append(hs_buf[: runs.width[sl.start]].copy())
         for c0 in range(sl.start, sl.stop, chunk):
             c1 = min(sl.stop, c0 + chunk)
-            rows = slice(lay.off[c0], lay.off[c1])
-            r, k0, kl = rows.stop - rows.start, lay.width[c0], lay.width[c1 - 1]
+            rows = slice(runs.off[c0], runs.off[c1])
+            r, k0, kl = rows.stop - rows.start, runs.width[c0], runs.width[c1 - 1]
             h = hs_buf[: k0 + r]
-            _slab_states(h, abar_buf[:r], dt[rows], at, bt[rows], xt[rows], mode, tmp, lay.spans(c0, c1))
+            _slab_states(h, abar_buf[:r], dt[rows], at, bt[rows], xt[rows], mode, tmp, runs.spans(c0, c1))
             # y[l,e] = sum_n c[l,n] * h[l,n,e]
             np.matmul(ct[rows, None, :], h[k0:], out=y[rows, None, :])
             h[:kl] = h[k0 + r - kl :]  # the last step's states enter the next chunk
 
     def backward(g):
-        for p, grad in zip(parents, _slab_grads(g, src, at, mode, lay, slabs, checkpoints)):
+        grads = _slab_grads(g.reshape(runs.rows, e), src, at, mode, runs, slabs, checkpoints)
+        for p, grad in zip(parents, grads):  # unpacked once the slab buffers are freed
             if p.requires_grad:
-                p._accum(grad)
+                p._accum(grad if p is dp.A else runs.unpack(grad, p.shape))
 
-    return _node(lay.unpack(y), parents, backward)
+    return _node(runs.unpack(y, x.shape), parents, backward)
 
 
 def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
@@ -396,9 +331,9 @@ def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Ten
     only: a cross-check on the recurrent scan that records no tape node.
     Matches the recurrent output to ~1e-10 (same math, different summation
     bracketing)."""
+    if dp.runs is not None:
+        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs")
     _check_shapes(x, dp, cproj)
-    if dp.lengths is not None:
-        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs with lengths")
     h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
     return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
 

@@ -134,7 +134,12 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
     records = dataset.fold_records(fold, held_out=True)
     if len(records) < 2:
         raise ConfigError(f"fold {fold} has {len(records)} held-out records; the median split needs 2")
-    risks = np.asarray([model.predict_risk(r) for r in records])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises below
+        risks = np.asarray([model.predict_risk(r) for r in records])
+    bad = np.flatnonzero(~np.isfinite(risks))
+    if bad.size:
+        raise NonFiniteError(f"evaluate: fold {fold}: non-finite risk {risks[bad[0]]} for patient "
+                             f"{records[bad[0]].patient_id}")
 
     outcomes = [r.outcome for r in records]
     diagnostic = ""

@@ -303,13 +303,14 @@ def backward_keep_graph(root):
             node._backward(node.grad)
 
 
-def him_fine_per_length(tokens, block, sizes):
+def him_fine_per_length(tokens, block, runs):
     """him_fine as it was before one padded block call: one block call per
     distinct group length (a single reshape when all groups are equal),
     each length's groups gathered into one batch, and one inverse gather
     over the concatenated outputs."""
     from survmamba.numerics import concat, reshape
 
+    sizes = runs.sizes.tolist()
     n, d = tokens.shape
     if len(set(sizes)) == 1:
         return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
@@ -317,3 +318,35 @@ def him_fine_per_length(tokens, block, sizes):
     runs = [(k, np.flatnonzero(lens == k)) for k in sorted(set(sizes))]
     outs = [reshape(block(reshape(tokens[idx], (-1, k, d))), (idx.size, d)) for k, idx in runs]
     return concat(outs, axis=0)[np.argsort(np.concatenate([idx for _, idx in runs]))]
+
+
+def padded_causal_conv(x, kernel, bias):
+    """The causal conv as it ran on (B, M, E) batches before every
+    sequence set became flat runs: one zero-padded copy of the input and
+    one slice of it per tap, as one tape node over Tensors x, kernel and
+    bias."""
+    from survmamba.numerics import _node
+
+    b, m, e = x.data.shape
+    w = kernel.data.shape[1]
+    xp = np.zeros((b, m + w - 1, e))
+    xp[:, w - 1 :] = x.data
+    out = np.broadcast_to(bias.data, x.data.shape).copy()
+    for k in range(w):
+        out += kernel.data[:, k] * xp[:, k : k + m]
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accum(g.sum(axis=(0, 1)))
+        if kernel.requires_grad:
+            dk = np.empty((e, w))
+            for k in range(w):
+                dk[:, k] = (g * xp[:, k : k + m]).sum(axis=(0, 1))
+            kernel._accum(dk)
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for k in range(w):
+                dxp[:, k : k + m] += g * kernel.data[:, k]
+            x._accum(dxp[:, w - 1 :])
+
+    return _node(out, (x, kernel, bias), backward)

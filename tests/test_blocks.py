@@ -9,7 +9,7 @@ import pytest
 from survmamba.blocks import BiMambaBlock, IFMBlock
 from survmamba.errors import ShapeError
 from survmamba.gradsuite import check_blocks
-from survmamba.numerics import Tensor, grad_check, silu, tmean, tsum
+from survmamba.numerics import Runs, Tensor, grad_check, silu, tmean, tsum
 
 import _oracles as oracle
 
@@ -42,12 +42,47 @@ class TestBiMamba:
         # both directions produce the same contribution
         blk = _randomized_bimamba()
         blk.bwd = blk.fwd
-        x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 3)))
+        x = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
         normed = blk.norm(x)
         xe = blk.linear_x(normed)
-        y_f = blk.fwd(xe)
-        y_b = blk.bwd(xe)
+        y_f = blk.fwd(xe, Runs([1]))
+        y_b = blk.bwd(xe, Runs([1]))
         assert np.array_equal(y_f.data, y_b.data)
+
+    def test_prebuilt_runs_build_and_check_nothing(self, monkeypatch):
+        """A block call on a prebuilt Runs, forward and backward, builds no
+        Runs, and so validates no group sizes: the layout is built once per
+        sequence set, not per call."""
+        blk = _randomized_bimamba()
+        runs = Runs([3, 1, 4])
+        calls = []
+        init = Runs.__init__
+        monkeypatch.setattr(Runs, "__init__", lambda self, *a: calls.append("Runs") or init(self, *a))
+        tokens = Tensor(np.random.default_rng(3).normal(size=(8, 3)), requires_grad=True)
+        tsum(blk(tokens, runs)).backward()
+        assert calls == [] and tokens.grad is not None
+        Runs([2])
+        assert calls == ["Runs"]  # the spy is live
+
+    def test_runs_must_cover_tokens(self):
+        with pytest.raises(ShapeError, match="bi-mamba: runs cover 7 rows, input has 8"):
+            _randomized_bimamba()(Tensor(np.zeros((8, 3))), Runs([3, 4]))
+        with pytest.raises(ShapeError, match="bi-mamba: expected a"):
+            _randomized_bimamba()(Tensor(np.zeros((8, 3))))
+
+    def test_batch_equals_equal_runs_bit_for_bit(self):
+        """A (B, M, D) batch is B equal runs of the flat tokens: output and
+        every gradient, bit for bit."""
+        x = np.random.default_rng(4).normal(size=(3, 5, 3))
+        w = np.random.default_rng(5).normal(size=x.shape)
+        got = []
+        for tokens, runs in [(x, None), (x.reshape(15, 3), Runs([5, 5, 5]))]:
+            blk = _randomized_bimamba()
+            t = Tensor(tokens, requires_grad=True)
+            tsum(blk(t, runs) * Tensor(w.reshape(tokens.shape))).backward()
+            got.append([t.grad.reshape(x.shape)] + [p.grad for p in blk.parameters()])
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
 
     def test_matches_straight_line_oracle_ones(self):
         blk = BiMambaBlock(4, 8, 2, 2, rng=np.random.default_rng(42))

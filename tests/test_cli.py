@@ -258,3 +258,29 @@ def test_console_entry_reports_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and "synth spec" in err[0]
+
+
+def test_eval_non_finite_risk_is_one_error_line(tiny_dataset_dir, tmp_path):
+    """A finite checkpoint whose histology projection overflows scores
+    non-finite risks: `eval` prints one `error:` line naming the fold and
+    a patient, no numpy warning, and exits 2."""
+    from survmamba.dataio import load_dataset, save_checkpoint
+    from survmamba.training import TrainConfig, build_model
+
+    cfg = {"d_model": 6, "e_expand": 8, "n_state": 2, "conv_width": 2, "genomics_hidden": 4,
+           "align_len": 8, "epochs": 0, "seed": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    manifest = str(tiny_dataset_dir / "data" / "manifest.json")
+    model = build_model(load_dataset(manifest), TrainConfig(**cfg))
+    model.enc.histology.proj.weight.data[:] = 1e308
+    save_checkpoint(model, tmp_path / "huge.smck")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "survmamba.cli", "eval", "--data", manifest, "--fold", "0",
+                           "--ckpt", str(tmp_path / "huge.smck"), "--config", str(tmp_path / "cfg.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch(r"error: evaluate: fold 0: non-finite risk nan for patient P\d{4}", line), line

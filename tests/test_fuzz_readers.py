@@ -27,8 +27,8 @@ TYPED = (DataError, ConfigError)
 
 
 def fuzz(n):
-    return settings(max_examples=n, derandomize=True, deadline=None, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+    # derandomize, deadline and database come from the profile in conftest.py
+    return settings(max_examples=n, suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")

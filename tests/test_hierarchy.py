@@ -16,7 +16,7 @@ from survmamba.hierarchy import (
     him_fine,
     make_grouping,
 )
-from survmamba.numerics import Tensor, concat, linear, segment_mean, silu, stack, tsum
+from survmamba.numerics import Runs, Tensor, concat, linear, segment_mean, silu, stack, tsum
 
 import _oracles as oracle
 
@@ -64,8 +64,8 @@ class TestGenomicsEncoder:
         cfg = GroupingConfig(processes=[("p0", ["f0"])], functions=[("f0", [0, 1])])
         enc = GenomicsEncoder(cfg, d_model=3, hidden=2, rng=np.random.default_rng(0))
         enc.set_function_mlp("f0", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)), np.full(3, 1.5))
-        tokens, sizes = enc(np.array([4.0, 5.0]))
-        assert sizes == [1]
+        tokens, runs = enc(np.array([4.0, 5.0]))
+        assert runs.sizes.tolist() == [1]
         assert np.array_equal(tokens.data, [[1.5, 1.5, 1.5]])
 
     def test_shapes_follow_catalog(self):
@@ -76,8 +76,8 @@ class TestGenomicsEncoder:
             functions=cfg.functions,
         )
         enc = GenomicsEncoder(cfg2, d_model=4, hidden=3, rng=np.random.default_rng(1))
-        tokens, sizes = enc(np.random.default_rng(2).normal(size=12))
-        assert tokens.shape == (5, 4) and sizes == [3, 2]
+        tokens, runs = enc(np.random.default_rng(2).normal(size=12))
+        assert tokens.shape == (5, 4) and runs.sizes.tolist() == [3, 2]
 
     def test_hand_traced_mlp(self):
         # one function over genes [0, 2], one hidden unit, hand-set weights
@@ -107,8 +107,8 @@ class TestGenomicsEncoder:
             functions=[("f0", [0]), ("f1", [1, 2]), ("f2", [3])],
         )
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(5))
-        tokens, sizes = enc(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert tokens.shape == (3, 2) and sizes == [3]
+        tokens, runs = enc(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert tokens.shape == (3, 2) and runs.sizes.tolist() == [3]
 
 
 def _per_function_reference(enc, grouping, expr):
@@ -148,8 +148,8 @@ class TestGenomicsEncoderGather:
         g = self.RAGGED
         enc = GenomicsEncoder(g, d_model=4, hidden=3, rng=np.random.default_rng(0))
         expr = np.random.default_rng(1).normal(size=8)
-        tokens, sizes = enc(expr)
-        assert sizes == [2, 1, 3]
+        tokens, runs = enc(expr)
+        assert runs.sizes.tolist() == [2, 1, 3]
         out, grads = self._outputs_and_grads(enc, tokens)
         ref_out, ref_grads = self._outputs_and_grads(enc, _per_function_reference(enc, g, expr))
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
@@ -164,9 +164,10 @@ class TestGenomicsEncoderGather:
         (bank, gene_idx), = enc._banks
         assert enc._order is None
         expr = np.random.default_rng(7).normal(size=grouping.n_genes)
-        tokens, sizes = enc(expr)
+        tokens, runs = enc(expr)
         assert np.array_equal(tokens.data, bank(Tensor(expr[gene_idx])).data)
-        assert sizes == [len(fids) for _, fids in grouping.processes]
+        assert runs.sizes.tolist() == [len(fids) for _, fids in grouping.processes]
+        assert enc(expr)[1] is runs  # built once, with the encoder
 
 
 class TestHistologyEncoder:
@@ -175,15 +176,15 @@ class TestHistologyEncoder:
         enc.proj.weight.data[:] = np.eye(2)
         enc.proj.bias.data[:] = 0.0
         bag = HierarchicalBag("histology", [("r0", np.array([[1.0, 2.0], [3.0, 4.0]]))])
-        tokens, sizes = enc(bag)
-        assert np.array_equal(tokens.data, bag.groups[0][1]) and sizes == [2]
+        tokens, runs = enc(bag)
+        assert np.array_equal(tokens.data, bag.groups[0][1]) and runs.sizes.tolist() == [2]
 
     def test_shape_bookkeeping(self):
         rng = np.random.default_rng(7)
         bag = HierarchicalBag("histology", [(f"r{i}", rng.normal(size=(k, 768))) for i, k in enumerate([5, 2, 5])])
         enc = HistologyEncoder(768, 512, rng=rng)
-        tokens, sizes = enc(bag)
-        assert tokens.shape == (12, 512) and sizes == [5, 2, 5]
+        tokens, runs = enc(bag)
+        assert tokens.shape == (12, 512) and runs.sizes.tolist() == [5, 2, 5]
 
     def test_hand_projection(self):
         enc = HistologyEncoder(2, 2, rng=np.random.default_rng(8))
@@ -207,18 +208,18 @@ class TestHimFine:
     def test_zero_out_projection_is_identity(self):
         blk = _block(seed=9)
         _, tokens = _groups(np.random.default_rng(10), [4, 2])
-        refined = him_fine(tokens, blk, [4, 2])
+        refined = him_fine(tokens, blk, Runs([4, 2]))
         assert np.array_equal(refined.data, tokens.data)
 
     def test_group_reorder_equivariance(self):
         blk = _block(seed=11, noise=12)
         sizes = [3, 5, 3, 2]
         parts, tokens = _groups(np.random.default_rng(13), sizes)
-        fwd = _split(him_fine(tokens, blk, sizes), sizes)
+        fwd = _split(him_fine(tokens, blk, Runs(sizes)), sizes)
         perm = [2, 0, 3, 1]
         sizes_perm = [sizes[i] for i in perm]
         tokens_perm = Tensor(np.concatenate([parts[i] for i in perm], axis=0))
-        refined_perm = _split(him_fine(tokens_perm, blk, sizes_perm), sizes_perm)
+        refined_perm = _split(him_fine(tokens_perm, blk, Runs(sizes_perm)), sizes_perm)
         for j, i in enumerate(perm):
             assert np.max(np.abs(refined_perm[j] - fwd[i])) < 1e-12
 
@@ -227,22 +228,22 @@ class TestHimFine:
         blk = _block(seed=14, noise=15)
         rng = np.random.default_rng(16)
         toks = rng.normal(size=(5, 3))
-        out1 = him_fine(Tensor(toks), blk, [5]).data
-        out2 = him_fine(Tensor(toks[::-1].copy()), blk, [5]).data
+        out1 = him_fine(Tensor(toks), blk, Runs([5])).data
+        out2 = him_fine(Tensor(toks[::-1].copy()), blk, Runs([5])).data
         assert np.max(np.abs(out1 - out2[::-1])) > 1e-6
 
     def test_matches_direct_block_call(self):
         blk = _block(seed=17, noise=18)
         toks = np.ones((4, 3))
-        refined = him_fine(Tensor(toks), blk, [4]).data
+        refined = him_fine(Tensor(toks), blk, Runs([4])).data
         direct = blk(Tensor(toks[None]))[0].data
         assert np.array_equal(refined, direct)
 
     def test_batched_lengths_match_unbatched(self):
-        # equal-length groups run as one batch; must equal one-by-one calls
+        # equal-length groups run as equal runs; must equal one-by-one calls
         blk = _block(seed=19, noise=20)
         parts, tokens = _groups(np.random.default_rng(21), [4, 4, 4])
-        batched = _split(him_fine(tokens, blk, [4, 4, 4]), [4, 4, 4])
+        batched = _split(him_fine(tokens, blk, Runs([4, 4, 4])), [4, 4, 4])
         for got, toks in zip(batched, parts):
             single = blk(Tensor(toks[None]))[0].data
             assert np.max(np.abs(got - single)) < 1e-12
@@ -258,7 +259,7 @@ class TestHimFine:
         w = np.random.default_rng(43).normal(size=tokens.shape)
 
         blk.zero_grad()
-        out = him_fine(tokens, blk, sizes)
+        out = him_fine(tokens, blk, Runs(sizes))
         tsum(out * Tensor(w)).backward()
         got = (out.data, tokens.grad.copy(), {n: p.grad.copy() for n, p in blk.named_parameters()})
 
@@ -277,9 +278,9 @@ class TestHimFine:
         for name, g in want[2].items():
             assert close(got[2][name], g), name
 
-    def test_sizes_must_cover_tokens(self):
-        with pytest.raises(ShapeError, match="sizes sum 4"):
-            him_fine(Tensor(np.ones((5, 3))), _block(seed=44), [2, 2])
+    def test_runs_must_cover_tokens(self):
+        with pytest.raises(ShapeError, match="him_fine: runs cover 4 rows, input has 5"):
+            him_fine(Tensor(np.ones((5, 3))), _block(seed=44), Runs([2, 2]))
 
 
 class TestHimFineOneCall:
@@ -296,7 +297,7 @@ class TestHimFineOneCall:
         tokens.requires_grad = True
         weight = Tensor(rng.normal(size=tokens.shape))
         blk.zero_grad()
-        out = fn(tokens, blk, sizes)
+        out = fn(tokens, blk, Runs(sizes))
         tsum(silu(out) * weight).backward()
         return [("out", out.data), ("tokens", tokens.grad)] + [(n, p.grad) for n, p in blk.named_parameters()]
 
@@ -323,34 +324,39 @@ class TestHimFineOneCall:
 
     @pytest.mark.parametrize("sizes", [[4, 4, 4], [3, 1, 5, 1, 2, 5]], ids=["equal", "ragged"])
     def test_one_block_call(self, monkeypatch, sizes):
-        """Any grouping is one block call: equal groups as a (G, K, D)
-        batch, ragged ones on the flat tokens with the sizes as run
-        lengths."""
+        """Any grouping is one block call on the flat tokens with the
+        modality's runs."""
         blk = _block(seed=53, noise=54)
         calls = []
 
-        def spy(self, tokens, lengths=None):
-            calls.append((tokens.shape, lengths))
-            return orig(self, tokens, lengths)
+        def spy(self, tokens, runs=None):
+            calls.append((tokens.shape, runs))
+            return orig(self, tokens, runs)
 
         orig = BiMambaBlock.__call__
         monkeypatch.setattr(BiMambaBlock, "__call__", spy)
         _, tokens = _groups(np.random.default_rng(55), sizes)
-        him_fine(tokens, blk, sizes)
-        want = (len(sizes), sizes[0], 3) if len(set(sizes)) == 1 else (sum(sizes), 3)
-        assert calls == [(want, None if len(set(sizes)) == 1 else sizes)]
+        runs = Runs(sizes)
+        him_fine(tokens, blk, runs)
+        assert calls == [((sum(sizes), 3), runs)]
 
 
 @pytest.mark.parametrize("sizes, bad", [([0, 5], 0), ([2, 0, 3], 1), ([6, -1], 1)])
-@pytest.mark.parametrize("where", ["segment_mean", "him_fine", "him_coarse"])
-def test_non_positive_group_size_named(where, sizes, bad):
-    """Sizes that still sum to the 5 rows: each names the function and the
+def test_non_positive_group_size_named(sizes, bad):
+    """Sizes that still sum to 5 rows: building their runs names the
     group instead of returning nan/inf or failing inside numpy."""
-    tokens = Tensor(np.ones((5, 3)))
-    call = {"segment_mean": lambda: segment_mean(tokens, sizes),
-            "him_fine": lambda: him_fine(tokens, _block(seed=56), sizes),
-            "him_coarse": lambda: him_coarse(tokens, _block(seed=56), sizes)}[where]
-    with pytest.raises(ShapeError, match=f"{where}: group {bad} has size {sizes[bad]}"):
+    with pytest.raises(ShapeError, match=f"runs: group {bad} has size {sizes[bad]}"):
+        Runs(sizes)
+
+
+@pytest.mark.parametrize("where", ["segment_mean", "him_fine", "him_coarse"])
+def test_runs_not_covering_tokens_named(where):
+    """Runs of 4 rows against 5 tokens: each stage names itself."""
+    tokens, runs = Tensor(np.ones((5, 3))), Runs([3, 1])
+    call = {"segment_mean": lambda: segment_mean(tokens, runs),
+            "him_fine": lambda: him_fine(tokens, _block(seed=56), runs),
+            "him_coarse": lambda: him_coarse(tokens, _block(seed=56), runs)}[where]
+    with pytest.raises(ShapeError, match=f"{where}: runs cover 4 rows, input has 5"):
         call()
 
 
@@ -358,33 +364,33 @@ class TestHimCoarse:
     def test_singleton_groups_zero_block(self):
         blk = _block(seed=22)
         tokens = Tensor(np.random.default_rng(23).normal(size=(4, 3)))
-        out = him_coarse(tokens, blk, [1, 1, 1, 1])
+        out = him_coarse(tokens, blk, Runs([1, 1, 1, 1]))
         assert np.array_equal(out.data, tokens.data)
 
     def test_mean_pooling_values(self):
         tokens = Tensor(np.array([[1.0, 3.0], [3.0, 1.0], [5.0, -1.0]]))
         blk2 = _block(seed=25, d=2, e=4)
-        out = him_coarse(tokens, blk2, [2, 1])
+        out = him_coarse(tokens, blk2, Runs([2, 1]))
         assert np.array_equal(out.data, [[2.0, 2.0], [5.0, -1.0]])  # zero block -> pooled tokens
 
     def test_group_count_preserved(self):
         blk = _block(seed=26, noise=27)
         rng = np.random.default_rng(28)
         for g in (1, 2, 5):
-            assert him_coarse(Tensor(rng.normal(size=(3 * g, 3))), blk, [3] * g).shape == (g, 3)
+            assert him_coarse(Tensor(rng.normal(size=(3 * g, 3))), blk, Runs([3] * g)).shape == (g, 3)
 
     def test_not_equivariant_to_group_order(self):
         blk = _block(seed=29, noise=30)
         parts, tokens = _groups(np.random.default_rng(31), [3] * 4)
-        out = him_coarse(tokens, blk, [3] * 4).data
-        out_rev = him_coarse(Tensor(np.concatenate(parts[::-1], axis=0)), blk, [3] * 4).data
+        out = him_coarse(tokens, blk, Runs([3] * 4)).data
+        out_rev = him_coarse(Tensor(np.concatenate(parts[::-1], axis=0)), blk, Runs([3] * 4)).data
         assert np.max(np.abs(out - out_rev[::-1])) > 1e-6
 
     def test_constant_group_pools_exactly(self):
         vec = np.array([1.5, -2.0, 0.25])
         toks = np.tile(vec, (7, 1))
         blk = _block(seed=32)
-        out = him_coarse(Tensor(toks), blk, [7])
+        out = him_coarse(Tensor(toks), blk, Runs([7]))
         assert np.array_equal(out.data, vec[None])
 
 

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import survmamba.numerics as numerics
 from survmamba.blocks import BiMambaBlock
 from survmamba.errors import ConsumedGraphError, NonFiniteError, ShapeError
 from survmamba.numerics import (
+    Runs,
     Tensor,
     causal_depthwise_conv1d,
     concat,
@@ -15,7 +19,7 @@ from survmamba.numerics import (
     grad_check,
     layer_norm,
     linear,
-    reshape,
+    no_grad,
     segment_mean,
     silu,
     softplus,
@@ -73,6 +77,19 @@ class TestElementwise:
         x = np.linspace(-30, 30, 101)
         assert np.all(softplus(Tensor(x)).data > 0)
 
+    def test_softplus_forms_its_sigmoid_in_backward_only(self, monkeypatch):
+        calls = []
+        sig = numerics._sigmoid_np
+        monkeypatch.setattr(numerics, "_sigmoid_np", lambda x: calls.append(x.shape) or sig(x))
+        x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+        with no_grad():
+            softplus(x)
+        assert calls == []
+        out = softplus(x)
+        assert calls == []
+        tsum(out).backward()
+        assert calls == [(7,)] and np.array_equal(x.grad, sig(x.data))
+
 
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
@@ -107,38 +124,42 @@ class TestLayerNorm:
         assert np.max(np.abs(mine - oracle.layer_norm(x, g, b))) < 1e-12
 
 
+def _conv_batch(x, kern, bias):
+    """The conv over a (B, M, E) batch as B equal runs, reshaped back."""
+    b, m, e = x.shape
+    out = causal_depthwise_conv1d(Tensor(x.reshape(b * m, e)), Tensor(kern), Tensor(bias), Runs([m] * b))
+    return out.data.reshape(x.shape)
+
+
 class TestCausalConv:
     def test_identity_tap(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5, 3))
         kern = np.zeros((3, 4))
         kern[:, -1] = 1.0
-        out = causal_depthwise_conv1d(Tensor(x), Tensor(kern), Tensor(np.zeros(3))).data
-        assert np.array_equal(out, x)
+        assert np.array_equal(_conv_batch(x, kern, np.zeros(3)), x)
 
     def test_pure_delay(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        kern = np.array([[1.0, 0.0]])
-        out = causal_depthwise_conv1d(Tensor(x), Tensor(kern), Tensor(np.zeros(1))).data
+        out = _conv_batch(x, np.array([[1.0, 0.0]]), np.zeros(1))
         assert np.array_equal(out[0, :, 0], [0.0, 1.0, 2.0])
 
     def test_hand_convolution(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        kern = np.array([[1.0, 1.0]])
-        out = causal_depthwise_conv1d(Tensor(x), Tensor(kern), Tensor(np.zeros(1))).data
+        out = _conv_batch(x, np.array([[1.0, 1.0]]), np.zeros(1))
         assert np.array_equal(out[0, :, 0], [1.0, 3.0, 5.0])
 
     def test_causality(self):
         # output at t must be invariant to any change at positions > t
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 8, 2))
-        kern = Tensor(rng.normal(size=(2, 3)))
-        bias = Tensor(rng.normal(size=2))
-        base = causal_depthwise_conv1d(Tensor(x), kern, bias).data
+        kern = rng.normal(size=(2, 3))
+        bias = rng.normal(size=2)
+        base = _conv_batch(x, kern, bias)
         for t in range(7):
             x2 = x.copy()
             x2[0, t + 1 :, :] = rng.normal(size=x2[0, t + 1 :, :].shape)
-            out2 = causal_depthwise_conv1d(Tensor(x2), kern, bias).data
+            out2 = _conv_batch(x2, kern, bias)
             assert np.array_equal(out2[0, : t + 1], base[0, : t + 1])
 
     def test_matches_oracle(self):
@@ -146,7 +167,7 @@ class TestCausalConv:
         x = rng.normal(size=(2, 6, 3))
         kern = rng.normal(size=(3, 4))
         bias = rng.normal(size=3)
-        mine = causal_depthwise_conv1d(Tensor(x), Tensor(kern), Tensor(bias)).data
+        mine = _conv_batch(x, kern, bias)
         assert np.max(np.abs(mine - oracle.causal_conv(x, kern, bias))) < 1e-12
 
 
@@ -190,19 +211,83 @@ class TestGradCheck:
         assert err <= 1e-6
 
 
+class TestRuns:
+    """The one flat-run layout: validation at construction, and the
+    packing, flip and conv it serves, against their plain counterparts."""
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([4, 0, 2], "group 1 has size 0"),
+        ([4, 3, -1], "group 2 has size -1"),
+        ([[4, 2]], "integers"),
+        ([4.0, 2.0], "integers"),
+        (np.zeros(0, dtype=int), "at least one group"),
+    ])
+    def test_bad_sizes_named_at_construction(self, sizes, message):
+        with pytest.raises(ShapeError, match=f"runs: .*{message}"):
+            Runs(sizes)
+
+    def test_batch_shape_becomes_equal_runs(self):
+        runs = Runs.of("here", (3, 4, 2), None)
+        assert runs.sizes.tolist() == [4, 4, 4]
+        given = Runs([5, 7])
+        assert Runs.of("here", (12, 2), given) is given
+        with pytest.raises(ShapeError, match="here: runs cover 12 rows, input has 11"):
+            Runs.of("here", (11, 2), given)
+        with pytest.raises(ShapeError, match="here: expected a"):
+            Runs.of("here", (12, 2), None)
+
+    @settings(max_examples=60)
+    @given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=12), w=st.integers(1, 5))
+    def test_layout_properties(self, sizes, w):
+        """Unpack after pack is the identity; the flip reverses each run
+        and is its own inverse; the conv over the runs equals the padded
+        batch conv with each run right-padded to its own row, bit for bit,
+        in value and in all three gradients."""
+        runs, e = Runs(sizes), 3
+        rng = np.random.default_rng(sizes + [w])
+        x = rng.normal(size=(runs.rows, e))
+        assert np.array_equal(runs.unpack(runs.pack(x)), x)
+        flipped = runs.flip(x)
+        for lo, k in zip(runs.starts, sizes):
+            assert np.array_equal(flipped[lo : lo + k], x[lo : lo + k][::-1])
+        assert np.array_equal(runs.flip(flipped), x)
+
+        kern, bias = rng.normal(size=(e, w)), rng.normal(size=e)
+        g = rng.normal(size=(runs.rows, e))
+        m = max(sizes)
+        pad = np.zeros((len(sizes), m), dtype=bool)
+        for r, k in enumerate(sizes):
+            pad[r, :k] = True  # each run in its own row, zeros after it
+
+        def run(conv, xv, gv):
+            ts = [Tensor(xv, requires_grad=True), Tensor(kern, requires_grad=True),
+                  Tensor(bias, requires_grad=True)]
+            out = conv(*ts)
+            out._backward(gv)
+            return [out.data] + [t.grad for t in ts]
+
+        got = run(lambda *ts: causal_depthwise_conv1d(*ts, runs), x, g)
+        xb, gb = np.zeros(pad.shape + (e,)), np.zeros(pad.shape + (e,))
+        xb[pad], gb[pad] = x, g
+        want = run(oracle.padded_causal_conv, xb, gb)
+        for name, a, b in zip(("y", "x", "kernel", "bias"), got, want):
+            assert np.array_equal(a, b[pad] if b.ndim == 3 else b), name
+
+
 class TestShapeOps:
     def test_segment_mean_exact(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        out = segment_mean(x, [2, 2]).data
+        out = segment_mean(x, Runs([2, 2])).data
         assert np.array_equal(out[:, 0], [1.5, 3.5])
 
     def test_flip_runs_reverses_each_run(self):
         x = np.arange(6, dtype=np.float64)[:, None]
-        assert np.array_equal(flip_runs(Tensor(x), np.array([4, 2])).data[:, 0], [3, 2, 1, 0, 5, 4])
-        assert np.array_equal(flip_runs(Tensor(x), np.array([1, 3, 2])).data[:, 0], [0, 3, 2, 1, 5, 4])
+        for sizes, want in [([4, 2], [3, 2, 1, 0, 5, 4]), ([1, 3, 2], [0, 3, 2, 1, 5, 4]),
+                            ([3, 3], [2, 1, 0, 5, 4, 3]), ([6], [5, 4, 3, 2, 1, 0])]:
+            assert np.array_equal(flip_runs(Tensor(x), Runs(sizes)).data[:, 0], want), sizes
 
     def test_conv_on_runs_matches_per_run_conv(self):
-        """Each run of a flat input convolves as its own (1, K, E) sequence:
+        """Each run of a flat input convolves as its own one-run input:
         outputs and all three gradients, runs shorter than the kernel too."""
         rng = np.random.default_rng(8)
         sizes = [5, 1, 3, 2]
@@ -211,36 +296,37 @@ class TestShapeOps:
         bias = Tensor(rng.normal(size=3), requires_grad=True)
         w = rng.normal(size=(sum(sizes), 3))
         flat = Tensor(np.concatenate([x.data for x in xs]), requires_grad=True)
-        out = causal_depthwise_conv1d(flat, kern, bias, np.array(sizes))
+        out = causal_depthwise_conv1d(flat, kern, bias, Runs(sizes))
         tsum(out * Tensor(w)).backward()
         got = (out.data, flat.grad, kern.grad, bias.grad)
         kern.zero_grad(), bias.zero_grad()
-        outs = [causal_depthwise_conv1d(reshape(x, (1, k, 3)), kern, bias) for x, k in zip(xs, sizes)]
-        tsum(reshape(concat(outs, axis=1), (sum(sizes), 3)) * Tensor(w)).backward()
-        want = (np.concatenate([o.data[0] for o in outs]), np.concatenate([x.grad for x in xs]), kern.grad, bias.grad)
+        outs = [causal_depthwise_conv1d(x, kern, bias, Runs([k])) for x, k in zip(xs, sizes)]
+        tsum(concat(outs, axis=0) * Tensor(w)).backward()
+        want = (np.concatenate([o.data for o in outs]), np.concatenate([x.grad for x in xs]), kern.grad, bias.grad)
         for g, r in zip(got, want):
             assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
 
     def test_runs_must_cover_rows(self):
         x = Tensor(np.ones((5, 2)))
-        with pytest.raises(ShapeError, match="conv1d: lengths: group sizes sum 4"):
-            causal_depthwise_conv1d(x, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), np.array([3, 1]))
-        with pytest.raises(ShapeError, match="flip_runs: lengths: group 1 has size 0"):
-            flip_runs(x, np.array([5, 0]))
+        with pytest.raises(ShapeError, match="conv1d: runs cover 4 rows, input has 5"):
+            causal_depthwise_conv1d(x, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), Runs([3, 1]))
+        with pytest.raises(ShapeError, match="flip_runs: runs cover 6 rows, input has 5"):
+            flip_runs(x, Runs([5, 1]))
 
     def test_flip_runs_gradient(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=(6, 2)))
+        runs = Runs([3, 1, 2])
 
         def f():
-            return tsum(flip_runs(x, np.array([3, 1, 2])) * w)
+            return tsum(flip_runs(x, runs) * w)
 
         assert grad_check(f, [("x", x)], h=1e-6) <= 1e-8
 
-    def test_segment_mean_sizes_must_cover(self):
-        with pytest.raises(ShapeError):
-            segment_mean(Tensor(np.zeros((4, 2))), [3, 2])
+    def test_segment_mean_runs_must_cover(self):
+        with pytest.raises(ShapeError, match="segment_mean: runs cover 5 rows"):
+            segment_mean(Tensor(np.zeros((4, 2))), Runs([3, 2]))
 
     def test_stacked_linear_matches_per_row(self):
         rng = np.random.default_rng(7)

@@ -369,6 +369,25 @@ class TestEvaluate:
         feats = model.fuse_features(ds.records[0])
         assert feats.fine.shape == feats.coarse.shape == feats.mixed.shape == (cfg.d_model,)
 
+    def test_non_finite_risk_names_fold_and_patient(self):
+        _, ds = _small_ds()
+        second = ds.fold_records(1, held_out=True)[1].patient_id
+
+        class OneNan:
+            def predict_risk(self, rec):
+                return np.nan if rec.patient_id == second else 1.0
+
+        with pytest.raises(NonFiniteError, match=f"fold 1: non-finite risk nan for patient {second}$"):
+            evaluate(OneNan(), ds, fold=1)
+
+    def test_nan_head_weight_raises(self):
+        _, ds = _small_ds()
+        model, _ = train(ds, 0, _small_cfg(epochs=0))
+        model.head.lin.weight.data[0, 0] = np.nan
+        first = ds.fold_records(0, held_out=True)[0].patient_id
+        with pytest.raises(NonFiniteError, match=f"fold 0: .* for patient {first}"):
+            evaluate(model, ds, fold=0)
+
     def test_save_load_identical_risks(self, tmp_path):
         from survmamba.dataio import load_checkpoint, save_checkpoint
 
