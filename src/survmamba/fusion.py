@@ -3,7 +3,10 @@ discrete hazard head, and the survival likelihood.
 
 Fine fusion consumes the concatenated refined tokens of each modality,
 segment-mean-pooled to a common length; coarse fusion consumes the
-per-group token sequences, aligned to the shorter one. The fused vectors
+per-group token sequences, aligned to the shorter one. Both take a list
+of patients: each patient is aligned on its own rows, all of them are
+fused in one IFM call with one run per patient, and each patient's
+output rows are mean-pooled to its own vector. The fused vectors
 H_f and H_c are mixed by a learned gate alpha = sigmoid(raw), and a
 linear-sigmoid head turns the mix into per-bin hazards, survival
 products and a scalar risk.
@@ -22,9 +25,11 @@ from .numerics import (
     Module,
     Runs,
     Tensor,
+    join_rows,
     log_clamped,
     segment_mean,
     sigmoid,
+    split_rows,
     stack,
     tmean,
     tsum,
@@ -53,27 +58,30 @@ def align_fine_tokens(tokens_a: Tensor, tokens_b: Tensor, length: int):
     def pool(t: Tensor, n: int) -> Tensor:
         if n == length:
             return t
-        return segment_mean(t, Runs(_segment_sizes(n, length)))
+        return segment_mean(t, Runs.cached(tuple(_segment_sizes(n, length))))
 
     return pool(tokens_a, la), pool(tokens_b, lb)
 
 
-def _fuse(aligned_a: Tensor, aligned_b: Tensor, ifm: IFMBlock) -> Tensor:
-    """Both aligned (l, D) modalities as one run each, fused and mean-pooled."""
-    return tmean(ifm(aligned_a, aligned_b, Runs([aligned_a.shape[0]])), axis=0)
+def _fuse(pairs: list, ifm: IFMBlock) -> list:
+    """Each patient's aligned (l, D) pair as one run, all patients joined
+    in one IFM call; each patient's output rows mean-pooled."""
+    lengths = [a.shape[0] for a, _ in pairs]
+    out = ifm(join_rows([a for a, _ in pairs]), join_rows([b for _, b in pairs]), Runs.cached(tuple(lengths)))
+    return [tmean(rows, axis=0) for rows in split_rows(out, lengths)]
 
 
-def fuse_fine(tokens_a: Tensor, tokens_b: Tensor, ifm: IFMBlock, length: int) -> Tensor:
-    """Fuse fine-grained token runs, aligned to `length` tokens, into a
-    single D-vector."""
-    a, b = align_fine_tokens(tokens_a, tokens_b, length)
-    return _fuse(a, b, ifm)
+def fuse_fine(tokens_a: list, tokens_b: list, ifm: IFMBlock, lengths: list) -> list:
+    """Fuse each patient's fine-grained token runs, aligned to its length
+    in `lengths`, into a single D-vector per patient."""
+    return _fuse([align_fine_tokens(a, b, n) for a, b, n in zip(tokens_a, tokens_b, lengths)], ifm)
 
 
-def fuse_coarse(groups_a: Tensor, groups_b: Tensor, ifm: IFMBlock) -> Tensor:
-    """Fuse the (G, D) coarse sequences; aligned internally to the shorter."""
-    a, b = align_fine_tokens(groups_a, groups_b, min(groups_a.shape[0], groups_b.shape[0]))
-    return _fuse(a, b, ifm)
+def fuse_coarse(groups_a: list, groups_b: list, ifm: IFMBlock) -> list:
+    """Fuse each patient's (G, D) coarse sequences, aligned to the shorter
+    one, into a single D-vector per patient."""
+    return _fuse([align_fine_tokens(a, b, min(a.shape[0], b.shape[0])) for a, b in zip(groups_a, groups_b)],
+                 ifm)
 
 
 @dataclass

@@ -14,7 +14,10 @@ histology. The dual-level pipeline refines the tokens inside each group
 with one shared bidirectional block (`him_fine`), mean-pools every group
 to a single token, and runs a second bidirectional block over the group
 sequence, one run of G tokens (`him_coarse`). Either level is one block
-call per block of the stack, whatever the group sizes.
+call per block of the stack, whatever the group sizes. Several patients'
+tokens and runs can be joined end to end into one call at either level:
+the runs stay independent, and `him_coarse` takes the runs of the pooled
+rows, one sequence per patient.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 
 from .blocks import BiMambaBlock
 from .errors import DataError
-from .numerics import (LinearLayer, Module, Namespace, Runs, Tensor, concat, segment_mean, silu,
-                       stacked_linear, uniform_init)
+from .numerics import (LinearLayer, Module, Namespace, Runs, Tensor, concat, reshape, segment_mean,
+                       silu, stacked_linear, uniform_init)
 
 # full-scale catalog defaults (the synthetic generator uses smaller ones)
 DEFAULT_N_PROCESSES = 42
@@ -188,17 +191,27 @@ class GenomicsEncoder(Module):
         bank.w2.data[row] = w2
         bank.b2.data[row] = b2
 
-    def __call__(self, expr: np.ndarray) -> tuple:
-        """expr: 1-d gene expression vector -> ((n_functions, D) tokens in
-        process order, runs)."""
-        expr = np.asarray(expr, dtype=np.float64)
-        if self._max_gene >= expr.shape[0]:
-            fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= expr.shape[0])
-            raise DataError(f"genomics: function {fid!r} needs gene index {top} "
-                            f"but expression vector has {expr.shape[0]} genes")
-        tokens = [bank(Tensor(expr[gene_idx])) for bank, gene_idx in self._banks]
-        tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=0)
-        if self._order is not None:
+    def __call__(self, expr) -> tuple:
+        """expr: one patient's 1-d gene expression vector -> ((n_functions,
+        D) tokens in process order, runs); or a list of P patients'
+        vectors, whose banks run once on their stack -> ((P * n_functions,
+        D) tokens, the patients end to end, and each patient's runs)."""
+        many = isinstance(expr, list)
+        vectors = [np.asarray(e, dtype=np.float64) for e in (expr if many else [expr])]
+        for v in vectors:
+            if self._max_gene >= v.shape[0]:
+                fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= v.shape[0])
+                raise DataError(f"genomics: function {fid!r} needs gene index {top} "
+                                f"but expression vector has {v.shape[0]} genes")
+        x = np.stack([v[: self._max_gene + 1] for v in vectors]) if many else vectors[0]
+        tokens = [bank(Tensor(x[..., gene_idx])) for bank, gene_idx in self._banks]
+        tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=-2)
+        if many:
+            p, f, d = tokens.shape
+            tokens = reshape(tokens, (p * f, d))
+            if self._order is not None:
+                tokens = tokens[(f * np.arange(p)[:, None] + self._order).ravel()]
+        elif self._order is not None:
             tokens = tokens[self._order]
         return tokens, self.runs
 
@@ -230,11 +243,13 @@ def him_fine(tokens: Tensor, block: BiMambaBlock, runs: Runs) -> Tensor:
     return block(tokens, runs)
 
 
-def him_coarse(tokens: Tensor, block: BiMambaBlock, runs: Runs) -> Tensor:
+def him_coarse(tokens: Tensor, block: BiMambaBlock, runs: Runs, pooled: Runs | None = None) -> Tensor:
     """Mean-pool each group of the (L, D) tokens and mix the group sequence.
 
-    Returns a (G, D) tensor, one row per group, in group order. The
+    Returns one row per group, in group order. pooled holds the runs of
+    those rows: one sequence per patient when runs joins several
+    patients' groups; by default all the groups form one sequence. The
     coarse block sees group order, so this stage is order-sensitive.
     """
     runs.check("him_coarse", tokens.shape[0])
-    return block(segment_mean(tokens, runs), runs.pooled)
+    return block(segment_mean(tokens, runs), Runs.cached((len(runs),)) if pooled is None else pooled)

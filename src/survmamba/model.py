@@ -2,6 +2,18 @@
 aggregation stacks, two fusion blocks, the adaptive gate and the hazard
 head, all reachable through one parameter registry.
 
+One scorer serves every entry point. It takes a list of patients and
+runs each stage over all of them before the next: the encoders (the
+genomics banks once, on a stack of expression vectors), `him_fine` and
+`him_coarse` per modality, `fuse_fine`, `fuse_coarse`, then the adaptive
+mix and the head. Each block call joins the runs of consecutive patients
+while their rows x E x 8 bytes fit ``ssm.JOIN_BYTES``; alignment,
+segment means and the head work on each patient's own rows.
+`predict_risks` walks a list of patients in slices that the budget
+admits at the coarse level, so what it holds between stages does not
+grow with the list. `forward`, `loss` and `predict_risk` run the scorer
+on a group of one, which makes one call per stage and block.
+
 Parameter paths follow the attribute chain, e.g.
 ``him.image.fine.linear_x.weight``.
 """
@@ -12,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ssm
 from .blocks import BiMambaBlock, IFMBlock
 from .errors import ConfigError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
-from .numerics import Module, Namespace, Tensor, no_grad
+from .numerics import Module, Namespace, Runs, Tensor, join_rows, no_grad, split_rows
 
 
 @dataclass
@@ -94,27 +107,64 @@ class SurvMambaModel(Module):
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in registry")
 
-    def _him_modality(self, tokens, runs, fine_stack, coarse_stack):
-        for blk in fine_stack.blocks:
-            tokens = him_fine(tokens, blk, runs)
-        first, *rest = coarse_stack.blocks
-        pooled_seq = him_coarse(tokens, first, runs)
-        for blk in rest:
-            pooled_seq = blk(pooled_seq, runs.pooled)
-        return tokens, pooled_seq
+    def _groups(self, rows: list) -> list:
+        """Slices of consecutive patients whose rows fit one block call:
+        rows x E x 8 bytes within ``ssm.JOIN_BYTES``. A patient over the
+        budget on its own is a slice of its own."""
+        cap = ssm.JOIN_BYTES // (8 * self.cfg.resolved_e())
+        groups, lo, total = [], 0, 0
+        for i, r in enumerate(rows):
+            if i > lo and total + r > cap:
+                groups.append(slice(lo, i))
+                lo, total = i, 0
+            total += r
+        return groups + [slice(lo, len(rows))] if rows else groups
+
+    def _him(self, tokens: list, runs: list, stacks) -> tuple:
+        """One modality's fine and coarse stacks over each patient's (L, D)
+        tokens and runs, each block call joining consecutive patients while
+        their rows fit the budget. Returns each patient's refined tokens
+        and pooled group sequence."""
+        for blk in stacks.fine.blocks:
+            refined = []
+            for g in self._groups([r.rows for r in runs]):
+                out = him_fine(join_rows(tokens[g]), blk, Runs.join(runs[g]))
+                refined += split_rows(out, [r.rows for r in runs[g]])
+            tokens = refined
+        first, *rest = stacks.coarse.blocks
+        seqs = []
+        for g in self._groups([len(r) for r in runs]):
+            pooled = Runs.cached(tuple(len(r) for r in runs[g]))
+            seq = him_coarse(join_rows(tokens[g]), first, Runs.join(runs[g]), pooled)
+            for blk in rest:
+                seq = blk(seq, pooled)
+            seqs += split_rows(seq, pooled.sizes)
+        return tokens, seqs
+
+    def _fused(self, records: list) -> list:
+        """FusedFeatures of each record, stage by stage: the encoders, then
+        `him_fine`, `him_coarse`, `fuse_fine` and `fuse_coarse`, each over
+        all the records before the next, and the adaptive mix. A single
+        record makes one call per stage and block."""
+        one = len(records) == 1
+        img = [self.enc.histology(r.histology) for r in records]
+        gen, gen_runs = self.enc.genomics(records[0].genomics if one else [r.genomics for r in records])
+        img_tokens, img_coarse = self._him([t for t, _ in img], [r for _, r in img], self.him.image)
+        gen_tokens, gen_coarse = self._him(split_rows(gen, [gen_runs.rows] * len(records)),
+                                           [gen_runs] * len(records), self.him.genomics)
+        lengths = [min(a.shape[0], b.shape[0], self.cfg.align_len) for a, b in zip(img_tokens, gen_tokens)]
+        h_fine = [h for g in self._groups(lengths)
+                  for h in fuse_fine(img_tokens[g], gen_tokens[g], self.ifm.fine, lengths[g])]
+        coarse = [min(a.shape[0], b.shape[0]) for a, b in zip(img_coarse, gen_coarse)]
+        h_coarse = [h for g in self._groups(coarse)
+                    for h in fuse_coarse(img_coarse[g], gen_coarse[g], self.ifm.coarse)]
+        return [FusedFeatures(fine=f, coarse=c, mixed=adaptive_fuse(f, c, self.fusion_alpha))
+                for f, c in zip(h_fine, h_coarse)]
 
     def fuse_features(self, record) -> FusedFeatures:
         """Encoders -> dual-level aggregation -> both fusion levels ->
-        adaptive mix."""
-        img_tokens, img_coarse = self._him_modality(*self.enc.histology(record.histology),
-                                                    self.him.image.fine, self.him.image.coarse)
-        gen_tokens, gen_coarse = self._him_modality(*self.enc.genomics(record.genomics),
-                                                    self.him.genomics.fine, self.him.genomics.coarse)
-        length = min(img_tokens.shape[0], gen_tokens.shape[0], self.cfg.align_len)
-        h_fine = fuse_fine(img_tokens, gen_tokens, self.ifm.fine, length)
-        h_coarse = fuse_coarse(img_coarse, gen_coarse, self.ifm.coarse)
-        mixed = adaptive_fuse(h_fine, h_coarse, self.fusion_alpha)
-        return FusedFeatures(fine=h_fine, coarse=h_coarse, mixed=mixed)
+        adaptive mix, for one patient."""
+        return self._fused([record])[0]
 
     def forward(self, record) -> HazardOutput:
         """Full pass over one patient record, returning the hazard output."""
@@ -124,8 +174,20 @@ class SurvMambaModel(Module):
         return survival_nll(self.forward(record), record.t_bin, record.censored)
 
     def predict_risk(self, record) -> float:
+        return float(self.predict_risks([record])[0])
+
+    def predict_risks(self, records: list) -> np.ndarray:
+        """Risk of each record, without recording a tape. The records are
+        walked in slices of as many consecutive patients as the row budget
+        admits at the coarse level (the larger of a patient's region and
+        process counts), and each slice is scored stage by stage; the head
+        runs on each patient's own mixed vector."""
+        n_proc = len(self.grouping.processes)
+        risks = []
         with no_grad():
-            return self.forward(record).risk.item()
+            for sl in self._groups([max(r.histology.n_groups, n_proc) for r in records]):
+                risks += [self.head(f.mixed).risk.item() for f in self._fused(records[sl])]
+        return np.asarray(risks, dtype=np.float64)
 
 
 # -- complexity reporting -----------------------------------------------------

@@ -15,7 +15,9 @@ the SSM discretization).
 Sets of independent sequences travel as one flat (L, ...) array, the
 sequences laid end to end, plus a ``Runs`` value built once per set: the
 conv, the flip, segment pooling and the scan take it and rebuild no
-index.
+index. Several patients' sets join into one by laying their rows and
+runs end to end (``join_rows``, ``Runs.join``) and part again by rows
+(``split_rows``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -332,22 +334,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-row affine maps: out[f] = x[f] @ w[f] + b[f].
+    """Per-row affine maps: out[..., f] = x[..., f] @ w[f] + b[f].
 
-    x is (F, I), w is (F, I, O), b is (F, O); each row gets its own
-    weight matrix (used to run many small MLPs in one call).
+    x is (..., F, I), w is (F, I, O), b is (F, O); each row gets its own
+    weight matrix (used to run many small MLPs in one call), and leading
+    axes of x (a stack of inputs) share them.
     """
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape != w.data.shape[:2]:
+    if x.data.ndim < 2 or w.data.ndim != 3 or x.data.shape[-2:] != w.data.shape[:2]:
         raise ShapeError(f"stacked_linear: x {x.data.shape} vs w {w.data.shape}")
-    out = np.matmul(x.data[:, None, :], w.data)[:, 0, :] + b.data
+    out = np.matmul(x.data[..., None, :], w.data)[..., 0, :] + b.data
 
     def backward(g):
         if x.requires_grad:
-            x._accum(np.matmul(g[:, None, :], w.data.transpose(0, 2, 1))[:, 0, :])
+            x._accum(np.matmul(g[..., None, :], w.data.transpose(0, 2, 1))[..., 0, :])
         if w.requires_grad:
-            w._accum(x.data[:, :, None] * g[:, None, :])
+            w._accum(_unbroadcast(x.data[..., :, None] * g[..., None, :], w.data.shape))
         if b.requires_grad:
-            b._accum(g)
+            b._accum(_unbroadcast(g, b.data.shape))
 
     return _node(out, (x, w, b), backward)
 
@@ -462,6 +465,20 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _node(out, tuple(tensors), backward)
 
 
+def join_rows(tensors: list[Tensor]) -> Tensor:
+    """The tensors' rows end to end; a single tensor is returned as is."""
+    return tensors[0] if len(tensors) == 1 else concat(tensors, axis=0)
+
+
+def split_rows(a: Tensor, sizes) -> list:
+    """Consecutive row blocks of the given sizes, the inverse of
+    ``join_rows``; a single block is the tensor itself."""
+    if len(sizes) == 1:
+        return [a]
+    ends = list(itertools.accumulate(sizes))
+    return [a[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=axis)
 
@@ -512,6 +529,9 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
+RUNS_CACHED = 512  # distinct sizes Runs.cached keeps: a few per patient, and per fold as many again
+
+
 class Runs:
     """Independent sequences ("runs") laid end to end along axis 0 of a
     flat (L, ...) array: the one layout of every sequence op. Built once
@@ -556,10 +576,21 @@ class Runs:
         runs.check(where, shape[0])
         return runs
 
-    @cached_property
-    def pooled(self) -> Runs:
-        """One run of len(self) rows: the sequence of the runs' pooled rows."""
-        return Runs([len(self)])
+    @classmethod
+    @lru_cache(maxsize=RUNS_CACHED)
+    def cached(cls, sizes: tuple) -> Runs:
+        """The Runs of a tuple of int sizes, built on its first use and
+        shared, with everything its ops have formed, while it stays among
+        the ``RUNS_CACHED`` most recently used sizes."""
+        return cls(sizes)
+
+    @classmethod
+    def join(cls, parts: list) -> Runs:
+        """The runs of several sets laid end to end, in order (shared as
+        ``cached``); a single set is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls.cached(tuple(np.concatenate([p.sizes for p in parts]).tolist()))
 
     @cached_property
     def width(self) -> list:

@@ -61,6 +61,9 @@ from .numerics import Runs, Tensor, _grad_enabled, _node
 DISCRETIZE_MODES = ("euler", "zoh")
 SLAB_BYTES = 4 << 20  # bytes per (S steps x n_0 rows, N, E) float64 array in the scan
 CHUNK_BYTES = 256 << 10  # bytes per forward chunk array: a few fit in a 1-2 MiB L2 cache
+# bytes per (rows, E) float64 array of a block call that joins several
+# patients' runs: 1024 rows at E = 64, whose scan steps stay in L2
+JOIN_BYTES = 512 << 10
 
 
 def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:

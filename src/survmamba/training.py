@@ -2,7 +2,9 @@
 
 Training walks the four in-fold partitions patient by patient (batch
 size 1) in a seeded shuffle order, so a fixed seed gives a bit-identical
-loss trace. Evaluation scores the held-out fold patient by patient.
+loss trace. Evaluation scores the held-out fold through the model's
+stage-by-stage scorer (`SurvMambaModel.predict_risks`), whose block calls
+each join as many consecutive patients as fit one row budget.
 """
 
 from __future__ import annotations
@@ -130,12 +132,14 @@ def compare_strata(risks, outcomes):
 
 def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> EvalReport:
     """Held-out risks, concordance, median stratification, per-stratum
-    Kaplan-Meier curves and the log-rank comparison."""
+    Kaplan-Meier curves and the log-rank comparison. The fold is scored in
+    one `model.predict_risks(records)` call; a non-finite risk raises
+    NonFiniteError naming the fold and the first such patient."""
     records = dataset.fold_records(fold, held_out=True)
     if len(records) < 2:
         raise ConfigError(f"fold {fold} has {len(records)} held-out records; the median split needs 2")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises below
-        risks = np.asarray([model.predict_risk(r) for r in records])
+        risks = np.asarray(model.predict_risks(records), dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(risks))
     if bad.size:
         raise NonFiniteError(f"evaluate: fold {fold}: non-finite risk {risks[bad[0]]} for patient "

@@ -350,3 +350,31 @@ def padded_causal_conv(x, kernel, bias):
             x._accum(dxp[:, w - 1 :])
 
     return _node(out, (x, kernel, bias), backward)
+
+
+def per_patient_risk(model, record):
+    """SurvMambaModel.predict_risk as it was before stage-by-stage scoring
+    of patient groups: one patient at a time, each stage called on that
+    patient's own tokens, the coarse sequence and each fusion length as
+    one freshly built run."""
+    from survmamba.fusion import adaptive_fuse, align_fine_tokens
+    from survmamba.numerics import Runs, no_grad, segment_mean, tmean
+
+    def modality(tokens, runs, stacks):
+        for blk in stacks.fine.blocks:
+            tokens = blk(tokens, runs)
+        seq, seq_runs = segment_mean(tokens, runs), Runs([len(runs)])
+        for blk in stacks.coarse.blocks:
+            seq = blk(seq, seq_runs)
+        return tokens, seq
+
+    def fuse(a, b, ifm, length):
+        a, b = align_fine_tokens(a, b, length)
+        return tmean(ifm(a, b, Runs([length])), axis=0)
+
+    with no_grad():
+        img, img_coarse = modality(*model.enc.histology(record.histology), model.him.image)
+        gen, gen_coarse = modality(*model.enc.genomics(record.genomics), model.him.genomics)
+        h_fine = fuse(img, gen, model.ifm.fine, min(img.shape[0], gen.shape[0], model.cfg.align_len))
+        h_coarse = fuse(img_coarse, gen_coarse, model.ifm.coarse, min(img_coarse.shape[0], gen_coarse.shape[0]))
+        return model.head(adaptive_fuse(h_fine, h_coarse, model.fusion_alpha)).risk.item()

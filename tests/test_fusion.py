@@ -73,14 +73,14 @@ class TestFuse:
     def test_zero_block_gives_zero(self):
         blk = IFMBlock(3, 4, 2, 2, rng=np.random.default_rng(2))
         rng = np.random.default_rng(3)
-        hf = fuse_fine(Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(4, 3))), blk, 4)
+        [hf] = fuse_fine([Tensor(rng.normal(size=(6, 3)))], [Tensor(rng.normal(size=(4, 3)))], blk, [4])
         assert np.array_equal(hf.data, np.zeros(3))
 
     def test_singleton_mean(self):
         blk = _ifm()
         rng = np.random.default_rng(4)
         a, b = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
-        hf = fuse_fine(a, b, blk, 1)
+        [hf] = fuse_fine([a], [b], blk, [1])
         direct = blk(Tensor(a.data[None]), Tensor(b.data[None])).data[0, 0]
         assert np.array_equal(hf.data, direct)
 
@@ -89,27 +89,27 @@ class TestFuse:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(4, 3))
-        hf = fuse_fine(Tensor(a), Tensor(b), blk, 4).data
+        hf = fuse_fine([Tensor(a)], [Tensor(b)], blk, [4])[0].data
         ref = oracle.ifm_forward(blk, a[None], b[None])[0].mean(axis=0)
         assert np.max(np.abs(hf - ref)) < 1e-12
 
     def test_fuse_coarse_aligns_to_shorter(self):
         blk = _ifm(seed=8, noise=9)
         rng = np.random.default_rng(10)
-        hc = fuse_coarse(Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(4, 3))), blk)
+        [hc] = fuse_coarse([Tensor(rng.normal(size=(6, 3)))], [Tensor(rng.normal(size=(4, 3)))], blk)
         assert hc.shape == (3,)
 
     def test_fuse_coarse_zero_block(self):
         blk = IFMBlock(3, 4, 2, 2, rng=np.random.default_rng(15))
         rng = np.random.default_rng(16)
-        hc = fuse_coarse(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 3))), blk)
+        [hc] = fuse_coarse([Tensor(rng.normal(size=(5, 3)))], [Tensor(rng.normal(size=(3, 3)))], blk)
         assert np.array_equal(hc.data, np.zeros(3))
 
     def test_fuse_coarse_singleton(self):
         blk = _ifm(seed=17, noise=18)
         rng = np.random.default_rng(19)
         a, b = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
-        hc = fuse_coarse(a, b, blk)
+        [hc] = fuse_coarse([a], [b], blk)
         direct = blk(Tensor(a.data[None]), Tensor(b.data[None])).data[0, 0]
         assert np.array_equal(hc.data, direct)
 
@@ -118,7 +118,7 @@ class TestFuse:
         rng = np.random.default_rng(22)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(4, 3))
-        hc = fuse_coarse(Tensor(a), Tensor(b), blk).data
+        hc = fuse_coarse([Tensor(a)], [Tensor(b)], blk)[0].data
         ref = oracle.ifm_forward(blk, a[None], b[None])[0].mean(axis=0)
         assert np.max(np.abs(hc - ref)) < 1e-12
 

@@ -100,6 +100,8 @@ class TestGenomicsEncoder:
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(4))
         with pytest.raises(DataError, match="f7"):
             enc(np.zeros(3))
+        with pytest.raises(DataError, match="f7.* has 3 genes"):
+            enc([np.zeros(6), np.zeros(3)])  # one short vector in a stack
 
     def test_ragged_widths_batch_correctly(self):
         cfg = GroupingConfig(
@@ -152,6 +154,21 @@ class TestGenomicsEncoderGather:
         assert runs.sizes.tolist() == [2, 1, 3]
         out, grads = self._outputs_and_grads(enc, tokens)
         ref_out, ref_grads = self._outputs_and_grads(enc, _per_function_reference(enc, g, expr))
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        for name, r in ref_grads.items():
+            assert np.max(np.abs(grads[name] - r)) <= 1e-12 * np.max(np.abs(r)), name
+
+    def test_stack_matches_each_patient(self):
+        """A list of expression vectors, of different lengths, runs the
+        banks once on their stack: the patients' rows end to end, and the
+        gradients, match encoding the patients one at a time."""
+        enc = GenomicsEncoder(self.RAGGED, d_model=4, hidden=3, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        exprs = [rng.normal(size=n) for n in (8, 10, 8)]
+        tokens, runs = enc(exprs)
+        assert tokens.shape == (3 * runs.rows, 4)
+        out, grads = self._outputs_and_grads(enc, tokens)
+        ref_out, ref_grads = self._outputs_and_grads(enc, concat([enc(e)[0] for e in exprs], axis=0))
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
         for name, r in ref_grads.items():
             assert np.max(np.abs(grads[name] - r)) <= 1e-12 * np.max(np.abs(r)), name

@@ -36,6 +36,7 @@ def test_tracer_records_every_stage_and_uninstalls():
     finally:
         tracer.uninstall()
     names = {span["name"] for span in tracer.dump()}
-    assert {"him.image.fine", "ifm.fine", "ssm.scan", "head", "optim.step"} <= names
+    assert {"him.image.fine", "him.image.coarse", "him.genomics.fine", "him.genomics.coarse", "ifm.fine",
+            "ifm.coarse", "ssm.scan", "head", "optim.step"} <= names
     assert tracer.counts["him.block_calls"] > 0
     assert (sm_training.train, sm_training.evaluate, sm_training.build_model) == originals

@@ -301,8 +301,8 @@ class TestEvaluate:
         ds = synth_generate(spec, seed=7)
 
         class OracleModel:
-            def predict_risk(self, rec):
-                return planted_factor_readout(rec, spec)
+            def predict_risks(self, records):
+                return [planted_factor_readout(rec, spec) for rec in records]
 
         rep = evaluate(OracleModel(), ds, fold=0)
         assert rep.c_index >= 0.80
@@ -312,8 +312,8 @@ class TestEvaluate:
         _, ds = _small_ds()
 
         class Flat:
-            def predict_risk(self, rec):
-                return 1.0
+            def predict_risks(self, records):
+                return [1.0] * len(records)
 
         rep = evaluate(Flat(), ds, fold=0)
         assert rep.c_index == 0.5  # every comparable pair tied at 1/2
@@ -326,8 +326,8 @@ class TestEvaluate:
             r.censored = 1  # no comparable pairs among the held-out fold
 
         class Any:
-            def predict_risk(self, rec):
-                return rec.time_months
+            def predict_risks(self, records):
+                return [rec.time_months for rec in records]
 
         rep = evaluate(Any(), ds, fold=0)
         assert rep.c_index is None
@@ -342,12 +342,8 @@ class TestEvaluate:
             r.censored = 0
 
         class Half:
-            def __init__(self):
-                self.i = 0
-
-            def predict_risk(self, rec):
-                self.i += 1
-                return float(self.i % 2)
+            def predict_risks(self, records):
+                return [float(i % 2) for i in range(1, len(records) + 1)]
 
         rep = evaluate(Half(), ds, fold=0)
         assert rep.p_value == 1.0
@@ -374,8 +370,8 @@ class TestEvaluate:
         second = ds.fold_records(1, held_out=True)[1].patient_id
 
         class OneNan:
-            def predict_risk(self, rec):
-                return np.nan if rec.patient_id == second else 1.0
+            def predict_risks(self, records):
+                return [np.nan if rec.patient_id == second else 1.0 for rec in records]
 
         with pytest.raises(NonFiniteError, match=f"fold 1: non-finite risk nan for patient {second}$"):
             evaluate(OneNan(), ds, fold=1)
