@@ -529,7 +529,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
-RUNS_CACHED = 512  # distinct sizes Runs.cached keeps: a few per patient, and per fold as many again
+RUNS_CACHED = 512  # distinct sizes Runs.cached keeps; scoring 60 ragged patients in 5 folds uses 107
 
 
 class Runs:
