@@ -5,7 +5,7 @@ Layers of the library, bottom up:
 
 * ``numerics``  - float64 tensors with reverse-mode autodiff and the
   primitive ops (linear, SiLU, softplus, layer norm, causal depthwise
-  conv), the ``Runs`` layout of independent sequences laid end to end,
+  conv, cumulative product), the ``Runs`` layout of independent sequences laid end to end,
   plus finite-difference gradient verification.
 * ``ssm``       - selective-scan kernels: discretization, the sequential
   recurrence (the one differentiable route), and two forward-only
@@ -18,8 +18,8 @@ Layers of the library, bottom up:
   block).
 * ``fusion``    - token alignment, fine/coarse fusion, the adaptive
   gate, the discrete hazard head and the survival likelihood.
-* ``survstats`` - concordance index, Kaplan-Meier, log-rank, median
-  risk stratification.
+* ``survstats`` - concordance index, Kaplan-Meier and log-rank from one
+  risk table, the 1-dof chi-square tail, median risk stratification.
 * ``model`` / ``training`` / ``synth`` / ``dataio`` / ``optim`` - the
   end-to-end model, cross-validated training and evaluation, the
   synthetic-data generator, file formats, and rectified Adam.

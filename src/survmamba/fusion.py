@@ -8,8 +8,9 @@ of patients: each patient is aligned on its own rows, all of them are
 fused in one IFM call with one run per patient, and each patient's
 output rows are mean-pooled to its own vector. The fused vectors
 H_f and H_c are mixed by a learned gate alpha = sigmoid(raw), and a
-linear-sigmoid head turns the mix into per-bin hazards, survival
-products and a scalar risk.
+linear-sigmoid head turns the mix into per-bin hazards, the survival
+curve S[t] = prod_{k<=t}(1 - h[k]) as one cumulative-product node, and a
+scalar risk.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .numerics import (
     Module,
     Runs,
     Tensor,
+    cumprod,
     join_rows,
     log_clamped,
     segment_mean,
     sigmoid,
     split_rows,
-    stack,
     tmean,
     tsum,
 )
@@ -128,13 +129,8 @@ class HazardOutput:
 
 
 def hazard_output_from(hazards: Tensor) -> HazardOutput:
-    surv_terms = []
-    running = None
-    for t in range(hazards.shape[0]):
-        keep = 1.0 - hazards[t]
-        running = keep if running is None else running * keep
-        surv_terms.append(running)
-    survival = stack(surv_terms, axis=0)
+    """The survival curve and risk of per-bin hazards."""
+    survival = cumprod(1.0 - hazards)
     return HazardOutput(hazards=hazards, survival=survival, risk=-tsum(survival))
 
 

@@ -21,6 +21,7 @@ from .numerics import (
     Runs,
     Tensor,
     causal_depthwise_conv1d,
+    cumprod,
     grad_check,
     layer_norm,
     linear,
@@ -87,6 +88,11 @@ def check_primitives() -> list:
         ),
         PRIMITIVE_BOUND,
     ))
+
+    xq = Tensor(rng.uniform(0.2, 1.5, size=(2, 5)), requires_grad=True)
+    xq.data[0, 2] = 0.0  # a zero factor, as a hazard of exactly 1 gives
+    out.append(("primitive.cumprod", grad_check(lambda: tsum(silu(cumprod(xq))), [("x", xq)], h=1e-6),
+                PRIMITIVE_BOUND))
     return out
 
 

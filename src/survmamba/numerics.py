@@ -357,13 +357,14 @@ def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row over the last axis to zero mean / unit variance
-    (population variance), then apply the affine scale and shift.
+    (population variance), then apply the affine scale and shift. A row
+    whose variance overflows comes out NaN, not scaled to zero.
     """
     d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = np.where(np.isfinite(var), 1.0 / np.sqrt(var + eps), np.nan)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
@@ -479,17 +480,6 @@ def split_rows(a: Tensor, sizes) -> list:
     return [a[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
-
-    return _node(out, tuple(tensors), backward)
-
-
 def getitem(a: Tensor, key) -> Tensor:
     out = a.data[key]
 
@@ -512,6 +502,23 @@ def tsum(a: Tensor, axis=None) -> Tensor:
             a._accum(np.broadcast_to(g, a.data.shape).copy())
         else:
             a._accum(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+
+    return _node(out, (a,), backward)
+
+
+def cumprod(a: Tensor) -> Tensor:
+    """Running products along the last axis, S_k = a_0 * ... * a_k. The
+    backward runs the reverse recurrence G_k = g_k + a_{k+1} * G_{k+1} and
+    gives da_k = S_{k-1} * G_k (S_{-1} = 1); it divides by nothing, so a
+    zero factor is safe."""
+    out = np.cumprod(a.data, axis=-1)
+
+    def backward(g):
+        acc = np.array(g, dtype=np.float64)
+        for k in range(acc.shape[-1] - 2, -1, -1):
+            acc[..., k] += a.data[..., k + 1] * acc[..., k + 1]
+        acc[..., 1:] *= out[..., :-1]
+        a._accum(acc)
 
     return _node(out, (a,), backward)
 

@@ -1,11 +1,14 @@
 """Evaluation statistics for right-censored survival data: concordance
 index (Harrell's convention), Kaplan-Meier product-limit curves, the
-two-group log-rank test, and median risk stratification.
+two-group log-rank test with its 1-dof chi-square tail, and median risk
+stratification.
 
 Conventions, fixed so tests are exact: at a tied time, deaths are
 processed before censorings (censored subjects at t are still at risk at
 t); comparable c-index pairs require the earlier subject's event to be
-observed; tied risks count 1/2.
+observed; tied risks count 1/2. Kaplan-Meier and log-rank read the same
+risk table: the number at risk and the deaths at each distinct death
+time. Malformed input raises DataError naming the bad value.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedResultError
+from .errors import ConfigError, DataError, UndefinedResultError
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,24 @@ class SurvivalOutcome:
 
     def __post_init__(self):
         if not self.time > 0:
-            raise ValueError(f"outcome time must be positive, got {self.time}")
+            raise DataError(f"outcome time must be positive, got {self.time}")
         if self.event not in (0, 1):
-            raise ValueError(f"event flag must be 0 or 1, got {self.event}")
+            raise DataError(f"event flag must be 0 or 1, got {self.event}")
+
+
+def _arrays(outcomes) -> tuple:
+    """The outcomes' times (float64) and event flags (int64)."""
+    times = np.asarray([o.time for o in outcomes], dtype=np.float64)
+    return times, np.asarray([o.event for o in outcomes], dtype=np.int64)
+
+
+def _risk_table(times: np.ndarray, events: np.ndarray, at: np.ndarray) -> tuple:
+    """The number at risk (time >= t, so a subject censored at t is still
+    at risk at t) and the deaths (an observed event at exactly t) at each
+    time t of `at`, as two int64 arrays."""
+    deaths = np.sort(times[events == 1])
+    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
+    return at_risk, np.searchsorted(deaths, at, side="right") - np.searchsorted(deaths, at, side="left")
 
 
 def concordance_index(risks, outcomes) -> float:
@@ -41,10 +59,9 @@ def concordance_index(risks, outcomes) -> float:
     1/2. Raises UndefinedResultError when no pair is comparable.
     """
     risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray([o.time for o in outcomes], dtype=np.float64)
-    events = np.asarray([o.event for o in outcomes], dtype=np.int64)
+    times, events = _arrays(outcomes)
     if risks.shape != times.shape:
-        raise ValueError(f"{risks.shape[0]} risks for {times.shape[0]} outcomes")
+        raise DataError(f"concordance_index: risks of shape {risks.shape} for {times.shape[0]} outcomes")
     concordant = 0.0
     comparable = 0
     for i in np.flatnonzero(events == 1):
@@ -75,27 +92,12 @@ class KmCurve:
 def kaplan_meier(outcomes) -> KmCurve:
     """S(t) = prod_{t_k <= t} (1 - d_k / n_k) over distinct death times."""
     if len(outcomes) == 0:
-        raise ValueError("kaplan_meier: no outcomes")
-    times = np.asarray([o.time for o in outcomes], dtype=np.float64)
-    events = np.asarray([o.event for o in outcomes], dtype=np.int64)
+        raise DataError("kaplan_meier: no outcomes (0 subjects)")
+    times, events = _arrays(outcomes)
     event_times = np.unique(times[events == 1])
-    surv = []
-    at_risk = []
-    deaths = []
-    s = 1.0
-    for t in event_times:
-        n_k = int(np.sum(times >= t))  # censored at t still at risk at t
-        d_k = int(np.sum((times == t) & (events == 1)))
-        s *= 1.0 - d_k / n_k
-        surv.append(s)
-        at_risk.append(n_k)
-        deaths.append(d_k)
-    return KmCurve(
-        times=event_times,
-        survival=np.asarray(surv),
-        at_risk=np.asarray(at_risk, dtype=np.int64),
-        events=np.asarray(deaths, dtype=np.int64),
-    )
+    at_risk, deaths = _risk_table(times, events, event_times)
+    return KmCurve(times=event_times, survival=np.cumprod(1.0 - deaths / at_risk), at_risk=at_risk,
+                   events=deaths)
 
 
 @dataclass
@@ -108,32 +110,17 @@ class LogrankResult:
 def logrank_test(group_a, group_b) -> LogrankResult:
     """Two-group log-rank test via the hypergeometric model at each
     distinct death time; p from the chi-square distribution, 1 dof."""
-    if len(group_a) == 0 or len(group_b) == 0:
-        raise ValueError("logrank: both groups must be non-empty")
-    ta = np.asarray([o.time for o in group_a])
-    ea = np.asarray([o.event for o in group_a])
-    tb = np.asarray([o.time for o in group_b])
-    eb = np.asarray([o.event for o in group_b])
+    for name, group in (("a", group_a), ("b", group_b)):
+        if len(group) == 0:
+            raise DataError(f"logrank: group {name} is empty; both groups need at least one subject")
+    (ta, ea), (tb, eb) = _arrays(group_a), _arrays(group_b)
     death_times = np.unique(np.concatenate([ta[ea == 1], tb[eb == 1]]))
-    obs_a = 0.0
-    exp_a = 0.0
-    var = 0.0
-    for t in death_times:
-        na = int(np.sum(ta >= t))
-        nb = int(np.sum(tb >= t))
-        da = int(np.sum((ta == t) & (ea == 1)))
-        db = int(np.sum((tb == t) & (eb == 1)))
-        n = na + nb
-        d = da + db
-        if n < 1:
-            continue
-        obs_a += da
-        exp_a += d * na / n
-        if n > 1:
-            var += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    (na, da), (nb, db) = _risk_table(ta, ea, death_times), _risk_table(tb, eb, death_times)
+    n, d = na + nb, da + db  # n >= d >= 1 at every death time
+    var = float(np.sum(d * (na / n) * (nb / n) * (n - d) / np.maximum(n - 1, 1)))  # n = 1 adds 0
     if var <= 0.0:
         return LogrankResult(chi2=0.0, p=1.0, degenerate=True)
-    chi2 = (obs_a - exp_a) ** 2 / var
+    chi2 = (float(da.sum()) - float(np.sum(d * na / n))) ** 2 / var
     return LogrankResult(chi2=chi2, p=chi2_sf(chi2, 1), degenerate=False)
 
 
@@ -143,71 +130,18 @@ def risk_stratify(risks) -> list:
     Even n uses the midpoint of the two central order statistics.
     """
     risks = np.asarray(risks, dtype=np.float64)
-    if risks.shape[0] < 2:
-        raise ValueError("risk_stratify: need at least 2 subjects")
+    if risks.ndim != 1 or risks.shape[0] < 2:
+        raise DataError(f"risk_stratify: need a 1-d array of at least 2 risks, got shape {risks.shape}")
     med = float(np.median(risks))
     return ["high" if r > med else "low" for r in risks]
 
 
-# -- chi-square tail via the regularized incomplete gamma --------------------
-#
-# P(chi2 > x | df) = Q(df/2, x/2). Q is evaluated by the standard pair:
-# series expansion of P(a, x) for x < a + 1, Lentz continued fraction for
-# Q(a, x) otherwise (Numerical Recipes 6.2).
-
-_GAMMA_EPS = 3e-16
-_GAMMA_ITMAX = 300
-
-
-def _gamma_series_p(a: float, x: float) -> float:
-    ap = a
-    summ = 1.0 / a
-    delta = summ
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        summ += delta
-        if abs(delta) < abs(summ) * _GAMMA_EPS:
-            break
-    return summ * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf_q(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if x < 0 or a <= 0:
-        raise ValueError(f"gamma_q: domain error a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series_p(a, x)
-    return _gamma_cf_q(a, x)
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution with df degrees of freedom."""
+    """Upper tail of the chi-square distribution, P(chi2 > x). Only df = 1,
+    the log-rank test's, is supported; there the tail is the closed form
+    erfc(sqrt(x / 2))."""
+    if df != 1:
+        raise ConfigError(f"chi2_sf: only 1 degree of freedom is supported, got df={df}")
     if x <= 0:
         return 1.0
-    return gamma_q(df / 2.0, x / 2.0)
+    return math.erfc(math.sqrt(x / 2.0))

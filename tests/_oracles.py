@@ -378,3 +378,65 @@ def per_patient_risk(model, record):
         h_fine = fuse(img, gen, model.ifm.fine, min(img.shape[0], gen.shape[0], model.cfg.align_len))
         h_coarse = fuse(img_coarse, gen_coarse, model.ifm.coarse, min(img_coarse.shape[0], gen_coarse.shape[0]))
         return model.head(adaptive_fuse(h_fine, h_coarse, model.fusion_alpha)).risk.item()
+
+
+def kaplan_meier_loop(outcomes):
+    """kaplan_meier as it was before the shared risk table: one pass over
+    the distinct death times, counting at-risk and deaths at each and
+    multiplying the running product. Returns (times, survival, at_risk,
+    events)."""
+    times = np.asarray([o.time for o in outcomes], dtype=np.float64)
+    events = np.asarray([o.event for o in outcomes], dtype=np.int64)
+    event_times = np.unique(times[events == 1])
+    surv, at_risk, deaths = [], [], []
+    s = 1.0
+    for t in event_times:
+        n_k = int(np.sum(times >= t))  # censored at t still at risk at t
+        d_k = int(np.sum((times == t) & (events == 1)))
+        s *= 1.0 - d_k / n_k
+        surv.append(s)
+        at_risk.append(n_k)
+        deaths.append(d_k)
+    return (event_times, np.asarray(surv, dtype=np.float64), np.asarray(at_risk, dtype=np.int64),
+            np.asarray(deaths, dtype=np.int64))
+
+
+def logrank_loop(group_a, group_b):
+    """logrank_test as it was before the shared risk table: observed,
+    expected and variance summed one death time at a time. Returns
+    (chi2, p, degenerate), p as the 1-dof chi-square tail."""
+    from math import erfc, sqrt
+
+    ta = np.asarray([o.time for o in group_a])
+    ea = np.asarray([o.event for o in group_a])
+    tb = np.asarray([o.time for o in group_b])
+    eb = np.asarray([o.event for o in group_b])
+    obs_a = exp_a = var = 0.0
+    for t in np.unique(np.concatenate([ta[ea == 1], tb[eb == 1]])):
+        na, nb = int(np.sum(ta >= t)), int(np.sum(tb >= t))
+        da = int(np.sum((ta == t) & (ea == 1)))
+        db = int(np.sum((tb == t) & (eb == 1)))
+        n, d = na + nb, da + db
+        obs_a += da
+        exp_a += d * na / n
+        if n > 1:
+            var += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    if var <= 0.0:
+        return 0.0, 1.0, True
+    chi2 = (obs_a - exp_a) ** 2 / var
+    return chi2, erfc(sqrt(chi2 / 2.0)), False
+
+
+def hazard_survival_loop(hazards):
+    """hazard_output_from's survival and risk as they were before the
+    cumulative-product node: S[t] = S[t-1] * (1 - h[t]) built bin by bin
+    on the tape and joined. Returns (survival, risk) Tensors."""
+    from survmamba.numerics import concat, reshape, tsum
+
+    terms, running = [], None
+    for t in range(hazards.shape[0]):
+        keep = 1.0 - hazards[t]
+        running = keep if running is None else running * keep
+        terms.append(reshape(running, (1,)))
+    survival = concat(terms, axis=0)
+    return survival, -tsum(survival)

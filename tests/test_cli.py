@@ -96,7 +96,7 @@ def test_eval_prints_km_table_to_current_stdout(tiny_dataset_dir, capsys):
 def test_gradcheck_numerics(capsys):
     code, out = _run(capsys, ["gradcheck", "--module", "numerics"])
     assert code == 0
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
 
 

@@ -11,6 +11,7 @@ from survmamba.errors import ConfigError
 from survmamba.fusion import (
     AlphaParam,
     HazardHead,
+    HazardOutput,
     adaptive_fuse,
     align_fine_tokens,
     fuse_coarse,
@@ -201,6 +202,26 @@ class TestHazardHead:
     def test_min_bins(self):
         with pytest.raises(ConfigError):
             HazardHead(3, 1, rng=np.random.default_rng(19))
+
+    def test_matches_the_per_bin_loop(self):
+        """Survival, risk and the hazards' gradient through the likelihood
+        against the per-bin tape loop the cumulative-product node replaced,
+        saturated hazards (exactly 0 and 1) included."""
+        rng = np.random.default_rng(21)
+        for i in range(300):
+            n_bins = int(rng.integers(2, 9))
+            h = rng.uniform(0.0, 1.0, size=n_bins)
+            h[rng.uniform(size=n_bins) < 0.15] = 1.0
+            h[rng.uniform(size=n_bins) < 0.1] = 0.0
+            t_bin, censored = int(rng.integers(0, n_bins)), i % 2
+            ours, ref = Tensor(h.copy(), requires_grad=True), Tensor(h.copy(), requires_grad=True)
+            out = hazard_output_from(ours)
+            surv, risk = oracle.hazard_survival_loop(ref)
+            assert np.array_equal(out.survival.data, surv.data)
+            assert out.risk.item() == risk.item()
+            (survival_nll(out, t_bin, censored) + out.risk).backward()
+            (survival_nll(HazardOutput(ref, surv, risk), t_bin, censored) + risk).backward()
+            assert np.max(np.abs(ours.grad - ref.grad)) <= 1e-12 * np.max(np.abs(ref.grad))
 
 
 class TestSurvivalNll:

@@ -16,7 +16,7 @@ from survmamba.hierarchy import (
     him_fine,
     make_grouping,
 )
-from survmamba.numerics import Runs, Tensor, concat, linear, segment_mean, silu, stack, tsum
+from survmamba.numerics import Runs, Tensor, concat, linear, segment_mean, silu, tsum
 
 import _oracles as oracle
 
@@ -115,7 +115,7 @@ class TestGenomicsEncoder:
 
 def _per_function_reference(enc, grouping, expr):
     """Each function's MLP run on its own, rows taken from the banks'
-    parameters, stacked in catalog order."""
+    parameters, joined in catalog order."""
     widths = {}
     for fid, genes in grouping.functions:
         widths.setdefault(len(genes), []).append(fid)
@@ -126,8 +126,8 @@ def _per_function_reference(enc, grouping, expr):
             bank = getattr(enc.banks, f"genes{len(genes)}")
             r = widths[len(genes)].index(fid)
             hid = silu(linear(Tensor(expr[genes][None]), bank.w1[r], bank.b1[r]))
-            rows.append(linear(hid, bank.w2[r], bank.b2[r])[0])
-    return stack(rows, axis=0)
+            rows.append(linear(hid, bank.w2[r], bank.b2[r]))
+    return concat(rows, axis=0)
 
 
 class TestGenomicsEncoderGather:
@@ -411,28 +411,35 @@ class TestHimCoarse:
         assert np.array_equal(out.data, vec[None])
 
 
+def _interior_nodes(root) -> int:
+    """Tape nodes with a backward closure, walked from a loss."""
+    seen, todo, interior = {id(root)}, [root], 0
+    while todo:
+        node = todo.pop()
+        interior += node._backward is not None
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return interior
+
+
 class TestTapeSize:
-    def test_desk_patient_step_interior_nodes(self):
+    @pytest.mark.parametrize("t_bin, censored", [(0, 0), (1, 1), (3, 0)],
+                             ids=["event_first_bin", "censored", "event_last_bin"])
+    def test_desk_patient_step_interior_nodes(self, t_bin, censored):
         """One loss at the desk config (d=32, E=64, N=8) on 4x16 bags and
-        an 8x4 catalog, for an event in the first bin: the flat token
-        layout keeps the tape at its block and fusion nodes, with no
-        per-group slicing, pooling or stacking."""
+        an 8x4 catalog, for an event in the first or the last of 4 bins
+        or a censored patient: the flat token layout keeps the tape at its
+        block and fusion nodes, with no per-group slicing, pooling or
+        stacking, and the head's survival products are one node."""
         from survmamba.synth import SynthSpec, synth_generate
         from survmamba.training import TrainConfig, build_model
 
         ds = synth_generate(SynthSpec(n_patients=12), seed=0)
         model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
-        rec = next(r for r in ds.records if r.t_bin == 0 and not r.censored)
-        root = model.loss(rec)
-        seen, todo, interior = {id(root)}, [root], 0
-        while todo:
-            node = todo.pop()
-            interior += node._backward is not None
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    seen.add(id(p))
-                    todo.append(p)
-        assert interior <= 225
+        rec = next(r for r in ds.records if r.t_bin == t_bin and r.censored == censored)
+        assert _interior_nodes(model.loss(rec)) <= 225
 
     def test_ragged_desk_patient_step_interior_nodes(self):
         """The same bound on ragged bags: one patient at the desk config
@@ -440,16 +447,7 @@ class TestTapeSize:
         (42 processes of 8-9 functions). One block call per modality
         keeps the tape at the size it has on uniform bags."""
         model, rec = _ragged_desk_patient(depth=1)
-        root = model.loss(rec)
-        seen, todo, interior = {id(root)}, [root], 0
-        while todo:
-            node = todo.pop()
-            interior += node._backward is not None
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    seen.add(id(p))
-                    todo.append(p)
-        assert interior <= 225
+        assert _interior_nodes(model.loss(rec)) <= 225
 
 
 def _ragged_desk_patient(depth):

@@ -20,7 +20,7 @@ from survmamba.errors import NonFiniteError
 from survmamba.hierarchy import HierarchicalBag, default_catalog
 from survmamba.model import ModelConfig, SurvMambaModel
 from survmamba.synth import SynthSpec, synth_generate
-from survmamba.training import TrainConfig, build_model, evaluate
+from survmamba.training import TrainConfig, build_model, evaluate, train
 
 import _oracles as oracle
 
@@ -138,7 +138,7 @@ def test_one_overflowing_patient_spoils_only_its_own_risk():
     want = model.predict_risks(held)
     bad = 5
     for _, tokens in held[bad].histology.groups:
-        tokens[...] = 1e308  # the projection overflows; 1e300 is normalised away to a finite risk
+        tokens[...] = 1e308  # the histology projection itself overflows
     with np.errstate(over="ignore", invalid="ignore"):
         got = model.predict_risks(held)
     keep = np.arange(len(held)) != bad
@@ -146,6 +146,28 @@ def test_one_overflowing_patient_spoils_only_its_own_risk():
     assert np.max(np.abs(got[keep] - want[keep])) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(NonFiniteError, match=f"fold 2: non-finite risk nan for patient {held[bad].patient_id}$"):
         evaluate(model, ds, 2)
+
+
+def test_an_overflowing_feature_fails_loudly():
+    """Patches of 1e300 overflow only the layer norms' variance: the
+    patient's risk and loss come out NaN rather than normalised to an
+    ordinary-looking value, and the rest of the fold keeps its bits."""
+    ds = synth_generate(SynthSpec(n_patients=60), seed=0)
+    model = build_model(ds, TrainConfig(epochs=0, **DESK))
+    held = ds.fold_records(2, held_out=True)
+    want = model.predict_risks(held)
+    bad = 3
+    assert held[bad].patient_id == "P0017"
+    for _, tokens in held[bad].histology.groups:
+        tokens[...] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = model.predict_risks(held)
+        with pytest.raises(NonFiniteError, match="fold 2: non-finite risk nan for patient P0017$"):
+            evaluate(model, ds, 2)
+        with pytest.raises(NonFiniteError, match="non-finite loss for patient P0017$"):
+            train(ds, 0, TrainConfig(d_model=8, e_expand=16, n_state=4, epochs=1))
+    assert np.isnan(got[bad])
+    assert np.array_equal(np.delete(got, bad), np.delete(want, bad))
 
 
 def test_a_second_patient_step_builds_only_the_bag_runs(monkeypatch):

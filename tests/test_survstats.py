@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from survmamba.errors import UndefinedResultError
+from survmamba.errors import ConfigError, DataError, UndefinedResultError
 from survmamba.survstats import (
     SurvivalOutcome,
     chi2_sf,
     concordance_index,
-    gamma_q,
     kaplan_meier,
     logrank_test,
     risk_stratify,
@@ -157,11 +156,68 @@ class TestChiSquareTail:
             q = oracle.chi2_sf_quadrature(x, df=1)
             assert abs(chi2_sf(x, 1) - q) < 1e-9
 
-    def test_gamma_q_edges(self):
-        assert gamma_q(0.5, 0.0) == 1.0
-        assert 0.0 < gamma_q(0.5, 50.0) < 1e-20
-        with pytest.raises(ValueError):
-            gamma_q(0.5, -1.0)
+    def test_edges(self):
+        assert chi2_sf(0.0, 1) == 1.0
+        assert 0.0 < chi2_sf(100.0, 1) < 1e-20
+        assert chi2_sf(-1.0, 1) == 1.0
+
+    def test_only_one_degree_of_freedom(self):
+        with pytest.raises(ConfigError, match="df=2"):
+            chi2_sf(3.0, 2)
+
+
+def _cohort(rng, n):
+    """n outcomes on a coarse time grid, so deaths and censorings tie."""
+    times = rng.integers(1, max(2, n // 2) + 1, size=n) * 0.5
+    events = (rng.uniform(size=n) < rng.uniform(0.0, 1.0)).astype(int)
+    return [O(float(t), int(e)) for t, e in zip(times, events)]
+
+
+class TestAgainstLoopOracles:
+    """The shared risk table against the per-death-time loops it replaced,
+    on seeded random cohorts with tied times, all-censored and all-event
+    groups, and death times where a single subject is at risk."""
+
+    def test_kaplan_meier_bit_identical(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            outs = _cohort(rng, int(rng.integers(1, 40)))
+            km = kaplan_meier(outs)
+            times, surv, at_risk, events = oracle.kaplan_meier_loop(outs)
+            for got, want in ((km.times, times), (km.survival, surv), (km.at_risk, at_risk),
+                              (km.events, events)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_logrank_within_tolerance(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            a, b = _cohort(rng, int(rng.integers(1, 30))), _cohort(rng, int(rng.integers(1, 30)))
+            res = logrank_test(a, b)
+            chi2, p, degenerate = oracle.logrank_loop(a, b)
+            assert res.degenerate == degenerate
+            assert abs(res.chi2 - chi2) <= 1e-9 * max(1.0, chi2)
+            assert abs(res.p - p) <= 1e-12
+
+
+class TestTypedErrors:
+    """Malformed input raises DataError (a ValueError) naming the value."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: O(0.0, 1), "got 0.0"),
+        (lambda: O(float("nan"), 1), "got nan"),
+        (lambda: O(2.0, 2), "got 2"),
+        (lambda: kaplan_meier([]), "0 subjects"),
+        (lambda: logrank_test([], [O(1, 1)]), "group a is empty"),
+        (lambda: logrank_test([O(1, 1)], []), "group b is empty"),
+        (lambda: risk_stratify([1.0]), r"got shape \(1,\)"),
+        (lambda: risk_stratify(1.0), r"got shape \(\)"),
+        (lambda: concordance_index([1.0, 2.0], [O(1, 1)]), r"shape \(2,\) for 1 outcomes"),
+        (lambda: concordance_index(5.0, [O(1, 1)]), r"shape \(\) for 1 outcomes"),
+    ], ids=["time_zero", "time_nan", "event_flag", "km_empty", "logrank_a_empty", "logrank_b_empty",
+            "stratify_one", "stratify_scalar", "cindex_lengths", "cindex_scalar"])
+    def test_data_error(self, call, match):
+        with pytest.raises(DataError, match=match):
+            call()
 
 
 class TestStratify:
