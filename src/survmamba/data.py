@@ -42,6 +42,8 @@ class SurvivalDataset:
         return len(self.records)
 
     def fold_records(self, fold: int, held_out: bool):
+        if not 0 <= fold < N_FOLDS:
+            raise ConfigError(f"fold must be in 0..{N_FOLDS - 1}, got {fold}")
         sel = self.folds == fold if held_out else self.folds != fold
         return [r for r, s in zip(self.records, sel) if s]
 

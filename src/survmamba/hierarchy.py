@@ -9,14 +9,15 @@ processes and functions.
 
 Past the encoders a modality is one (L, D) token tensor, its groups laid
 end to end in order, plus the `numerics.Runs` of those groups, built
-once: at construction for the fixed genomics catalog, once per bag for
-histology. The dual-level pipeline refines the tokens inside each group
-with one shared bidirectional block (`him_fine`), mean-pools every group
-to a single token, and runs a second bidirectional block over the group
-sequence, one run of G tokens (`him_coarse`). Either level is one block
-call per block of the stack, whatever the group sizes. Several patients'
-tokens and runs can be joined end to end into one call at either level:
-the runs stay independent, and `him_coarse` takes the runs of the pooled
+once: at construction for the fixed genomics catalog, on the first use
+of a bag's group sizes for histology (`Runs.cached`). The dual-level
+pipeline refines the tokens inside each group with one shared
+bidirectional block (`him_fine`), mean-pools every group to a single
+token, and runs a second bidirectional block over the group sequence,
+one run of G tokens (`him_coarse`). Either level is one block call per
+block of the stack, whatever the group sizes. Several patients' tokens
+and runs can be joined end to end into one call at either level: the
+runs stay independent, and `him_coarse` takes the runs of the pooled
 rows, one sequence per patient.
 """
 
@@ -192,27 +193,23 @@ class GenomicsEncoder(Module):
         bank.b2.data[row] = b2
 
     def __call__(self, expr) -> tuple:
-        """expr: one patient's 1-d gene expression vector -> ((n_functions,
-        D) tokens in process order, runs); or a list of P patients'
-        vectors, whose banks run once on their stack -> ((P * n_functions,
-        D) tokens, the patients end to end, and each patient's runs)."""
-        many = isinstance(expr, list)
-        vectors = [np.asarray(e, dtype=np.float64) for e in (expr if many else [expr])]
+        """expr: a list of P patients' 1-d gene expression vectors, or one
+        vector for a list of one -> ((P * n_functions, D) tokens, each
+        patient's in process order and the patients end to end, and each
+        patient's runs). The banks run once on the vectors' stack."""
+        vectors = [np.asarray(e, dtype=np.float64) for e in (expr if isinstance(expr, list) else [expr])]
         for v in vectors:
             if self._max_gene >= v.shape[0]:
                 fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= v.shape[0])
                 raise DataError(f"genomics: function {fid!r} needs gene index {top} "
                                 f"but expression vector has {v.shape[0]} genes")
-        x = np.stack([v[: self._max_gene + 1] for v in vectors]) if many else vectors[0]
+        x = np.stack([v[: self._max_gene + 1] for v in vectors])
         tokens = [bank(Tensor(x[..., gene_idx])) for bank, gene_idx in self._banks]
         tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=-2)
-        if many:
-            p, f, d = tokens.shape
-            tokens = reshape(tokens, (p * f, d))
-            if self._order is not None:
-                tokens = tokens[(f * np.arange(p)[:, None] + self._order).ravel()]
-        elif self._order is not None:
-            tokens = tokens[self._order]
+        p, f, d = tokens.shape
+        tokens = reshape(tokens, (p * f, d))
+        if self._order is not None:
+            tokens = tokens[(f * np.arange(p)[:, None] + self._order).ravel()]
         return tokens, self.runs
 
 
@@ -226,7 +223,7 @@ class HistologyEncoder(Module):
     def __call__(self, bag: HierarchicalBag) -> tuple:
         """bag -> ((n_patches, D) tokens in region order, runs)."""
         flat = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in bag.groups], axis=0)
-        return self.proj(Tensor(flat)), Runs([len(t) for _, t in bag.groups])
+        return self.proj(Tensor(flat)), Runs.cached(tuple(len(t) for _, t in bag.groups))
 
 
 def him_fine(tokens: Tensor, block: BiMambaBlock, runs: Runs) -> Tensor:

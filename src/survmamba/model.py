@@ -6,13 +6,13 @@ One scorer serves every entry point. It takes a list of patients and
 runs each stage over all of them before the next: the encoders (the
 genomics banks once, on a stack of expression vectors), `him_fine` and
 `him_coarse` per modality, `fuse_fine`, `fuse_coarse`, then the adaptive
-mix and the head. Each block call joins the runs of consecutive patients
-while their rows x E x 8 bytes fit ``ssm.JOIN_BYTES``; alignment,
-segment means and the head work on each patient's own rows.
-`predict_risks` walks a list of patients in slices that the budget
-admits at the coarse level, so what it holds between stages does not
-grow with the list. `forward`, `loss` and `predict_risk` run the scorer
-on a group of one, which makes one call per stage and block.
+mix and the head. Alignment, segment means and the head work on each
+patient's own rows. `predict_risks` walks a list of patients in slices
+whose region and process counts fit ``ssm.JOIN_BYTES`` (rows x E x 8
+bytes), so what it holds between stages does not grow with the list;
+each coarse block makes one call per slice, and each fine block call
+joins consecutive patients while their token rows fit the same budget.
+`forward`, `loss` and `predict_risk` run the scorer on a group of one.
 
 Parameter paths follow the attribute chain, e.g.
 ``him.image.fine.linear_x.weight``.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ssm
 from .blocks import BiMambaBlock, IFMBlock
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
@@ -122,9 +122,9 @@ class SurvMambaModel(Module):
 
     def _him(self, tokens: list, runs: list, stacks) -> tuple:
         """One modality's fine and coarse stacks over each patient's (L, D)
-        tokens and runs, each block call joining consecutive patients while
-        their rows fit the budget. Returns each patient's refined tokens
-        and pooled group sequence."""
+        tokens and runs: a fine block call joins patients while their rows
+        fit the budget, a coarse one takes them all. Returns each patient's
+        refined tokens and pooled group sequence."""
         for blk in stacks.fine.blocks:
             refined = []
             for g in self._groups([r.rows for r in runs]):
@@ -132,32 +132,31 @@ class SurvMambaModel(Module):
                 refined += split_rows(out, [r.rows for r in runs[g]])
             tokens = refined
         first, *rest = stacks.coarse.blocks
-        seqs = []
-        for g in self._groups([len(r) for r in runs]):
-            pooled = Runs.cached(tuple(len(r) for r in runs[g]))
-            seq = him_coarse(join_rows(tokens[g]), first, Runs.join(runs[g]), pooled)
-            for blk in rest:
-                seq = blk(seq, pooled)
-            seqs += split_rows(seq, pooled.sizes)
-        return tokens, seqs
+        pooled = Runs.cached(tuple(len(r) for r in runs))
+        seq = him_coarse(join_rows(tokens), first, Runs.join(runs), pooled)
+        for blk in rest:
+            seq = blk(seq, pooled)
+        return tokens, split_rows(seq, pooled.sizes)
 
     def _fused(self, records: list) -> list:
         """FusedFeatures of each record, stage by stage: the encoders, then
         `him_fine`, `him_coarse`, `fuse_fine` and `fuse_coarse`, each over
-        all the records before the next, and the adaptive mix. A single
-        record makes one call per stage and block."""
-        one = len(records) == 1
+        all the records before the next, and the adaptive mix. The coarse
+        stages make one call per block over all the records, which
+        `predict_risks` has sliced to fit the row budget."""
+        for r in records:
+            if r.histology.token_dim != self.d_raw:
+                raise DataError(f"patient {r.patient_id}: histology tokens have dim {r.histology.token_dim}, "
+                                f"the model expects {self.d_raw}")
         img = [self.enc.histology(r.histology) for r in records]
-        gen, gen_runs = self.enc.genomics(records[0].genomics if one else [r.genomics for r in records])
+        gen, gen_runs = self.enc.genomics([r.genomics for r in records])
         img_tokens, img_coarse = self._him([t for t, _ in img], [r for _, r in img], self.him.image)
         gen_tokens, gen_coarse = self._him(split_rows(gen, [gen_runs.rows] * len(records)),
                                            [gen_runs] * len(records), self.him.genomics)
         lengths = [min(a.shape[0], b.shape[0], self.cfg.align_len) for a, b in zip(img_tokens, gen_tokens)]
         h_fine = [h for g in self._groups(lengths)
                   for h in fuse_fine(img_tokens[g], gen_tokens[g], self.ifm.fine, lengths[g])]
-        coarse = [min(a.shape[0], b.shape[0]) for a, b in zip(img_coarse, gen_coarse)]
-        h_coarse = [h for g in self._groups(coarse)
-                    for h in fuse_coarse(img_coarse[g], gen_coarse[g], self.ifm.coarse)]
+        h_coarse = fuse_coarse(img_coarse, gen_coarse, self.ifm.coarse)
         return [FusedFeatures(fine=f, coarse=c, mixed=adaptive_fuse(f, c, self.fusion_alpha))
                 for f, c in zip(h_fine, h_coarse)]
 

@@ -536,7 +536,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return _node(out, (a,), backward)
 
 
-RUNS_CACHED = 512  # distinct sizes Runs.cached keeps; scoring 60 ragged patients in 5 folds uses 107
+RUNS_CACHED = 512  # distinct sizes Runs.cached keeps; scoring 60 ragged patients in 5 folds uses 164-167
 
 
 class Runs:
@@ -546,8 +546,8 @@ class Runs:
     need is formed on first use and kept. The scan's time-major packing
     sorts the runs longest first (stable) and puts the width[t] runs still
     running at step t in packed rows off[t]..off[t+1]-1, as PyTorch's
-    PackedSequence does. Equal runs pack and flip by a transpose and a
-    reversed axis (views for one run), other runs by a gather."""
+    PackedSequence does. Packing, unpacking and the flip are each one
+    gather, whatever the run lengths."""
 
     def __init__(self, sizes):
         arr = np.asarray(sizes)
@@ -561,8 +561,6 @@ class Runs:
         self.sizes = arr.astype(np.int64, copy=False)
         self.rows = int(self.sizes.sum())
         self.starts = np.cumsum(self.sizes) - self.sizes
-        m = int(self.sizes[0])
-        self._grid = (len(self.sizes), m) if (self.sizes == m).all() else None  # equal runs: (B, M)
         self._cross = {}
 
     def __len__(self) -> int:
@@ -577,7 +575,7 @@ class Runs:
         """The given runs of a flat (L, .) input, or the B equal runs of a
         (B, M, .) batch given without runs."""
         if runs is None and len(shape) == 3:
-            return cls([shape[1]] * shape[0])
+            return cls.cached((shape[1],) * shape[0])
         if runs is None or len(shape) != 2:
             raise ShapeError(f"{where}: expected a (B, M, .) batch, or flat (L, .) rows and runs; got {shape}")
         runs.check(where, shape[0])
@@ -628,24 +626,17 @@ class Runs:
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """Flat (L, ...) rows -> time-major packed rows."""
-        if self._grid:
-            return np.ascontiguousarray(a.reshape(self._grid + a.shape[1:]).swapaxes(0, 1)).reshape(a.shape)
         return a[self._gathers[0]]
 
     def unpack(self, p: np.ndarray, shape=None) -> np.ndarray:
         """Time-major packed rows -> the rows in input order, flat (L, ...)
-        or shaped as given (a view of p where it can be one)."""
-        shape = p.shape if shape is None else shape
-        if self._grid:
-            return p.reshape(self._grid[::-1] + p.shape[1:]).swapaxes(0, 1).reshape(shape)
+        or shaped as given."""
         out = np.empty_like(p)
         out[self._gathers[0]] = p
-        return out.reshape(shape)
+        return out if shape is None else out.reshape(shape)
 
     def flip(self, a: np.ndarray) -> np.ndarray:
         """a (L, ...) with each run reversed in time."""
-        if self._grid:
-            return a.reshape(self._grid + a.shape[1:])[:, ::-1].reshape(a.shape)
         return a[self._gathers[1]]
 
     def conv_cross(self, w: int) -> list:

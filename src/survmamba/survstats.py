@@ -8,7 +8,8 @@ processed before censorings (censored subjects at t are still at risk at
 t); comparable c-index pairs require the earlier subject's event to be
 observed; tied risks count 1/2. Kaplan-Meier and log-rank read the same
 risk table: the number at risk and the deaths at each distinct death
-time. Malformed input raises DataError naming the bad value.
+time. Malformed input, a non-finite risk included, raises DataError
+naming the bad value.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _risk_table(times: np.ndarray, events: np.ndarray, at: np.ndarray) -> tuple:
     return at_risk, np.searchsorted(deaths, at, side="right") - np.searchsorted(deaths, at, side="left")
 
 
+def _check_finite(where: str, risks: np.ndarray):
+    bad = np.flatnonzero(~np.isfinite(risks))
+    if bad.size:
+        raise DataError(f"{where}: risk {risks.flat[bad[0]]} at index {bad[0]} is not finite")
+
+
 def concordance_index(risks, outcomes) -> float:
     """Fraction of comparable pairs ordered correctly by risk.
 
@@ -62,6 +69,7 @@ def concordance_index(risks, outcomes) -> float:
     times, events = _arrays(outcomes)
     if risks.shape != times.shape:
         raise DataError(f"concordance_index: risks of shape {risks.shape} for {times.shape[0]} outcomes")
+    _check_finite("concordance_index", risks)
     concordant = 0.0
     comparable = 0
     for i in np.flatnonzero(events == 1):
@@ -132,6 +140,7 @@ def risk_stratify(risks) -> list:
     risks = np.asarray(risks, dtype=np.float64)
     if risks.ndim != 1 or risks.shape[0] < 2:
         raise DataError(f"risk_stratify: need a 1-d array of at least 2 risks, got shape {risks.shape}")
+    _check_finite("risk_stratify", risks)
     med = float(np.median(risks))
     return ["high" if r > med else "low" for r in risks]
 

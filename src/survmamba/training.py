@@ -71,34 +71,33 @@ def build_model(dataset: SurvivalDataset, cfg: TrainConfig) -> SurvMambaModel:
 def train(dataset: SurvivalDataset, fold: int, cfg: TrainConfig):
     """Train on the out-of-fold records; returns (model, per-epoch mean
     loss trace). Deterministic for a fixed config."""
-    if not 0 <= fold < 5:
-        raise ConfigError(f"fold must be in 0..4, got {fold}")
-    model = build_model(dataset, cfg)
     records = dataset.fold_records(fold, held_out=False)
+    model = build_model(dataset, cfg)
     optim = RAdam(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     trace = []
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(records))
-        total = 0.0
-        pending = 0
-        for k, idx in enumerate(order, start=1):
-            rec = records[idx]
-            loss = model.loss(rec)
-            val = loss.item()
-            if not math.isfinite(val):
-                raise NonFiniteError(f"non-finite loss for patient {rec.patient_id}")
-            total += val
-            if pending == 0:  # the batch's first backward
-                optim.zero_grad()
-            loss.backward()
-            pending += 1
-            if pending == cfg.batch_size or k == len(order):  # a full batch, or the epoch's last
-                if pending > 1:
-                    optim.grad /= pending
-                optim.step()
-                pending = 0
-        trace.append(total / max(1, len(records)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(records))
+            total = 0.0
+            pending = 0
+            for k, idx in enumerate(order, start=1):
+                rec = records[idx]
+                loss = model.loss(rec)
+                val = loss.item()
+                if not math.isfinite(val):
+                    raise NonFiniteError(f"non-finite loss for patient {rec.patient_id}")
+                total += val
+                if pending == 0:  # the batch's first backward
+                    optim.zero_grad()
+                loss.backward()
+                pending += 1
+                if pending == cfg.batch_size or k == len(order):  # a full batch, or the epoch's last
+                    if pending > 1:
+                        optim.grad /= pending
+                    optim.step()
+                    pending = 0
+            trace.append(total / max(1, len(records)))
     model.zero_grad()  # drop the views into the optimizer's gradient buffer
     return model, trace
 

@@ -1,9 +1,10 @@
 """Stage-by-stage scoring of patient groups (`SurvMambaModel.predict_risks`):
 it matches per-patient scoring, keeps every joined block call within the
 row budget, holds memory that does not grow with the fold, keeps one
-patient's overflow to that patient, and reuses the Runs of sizes it has
-seen."""
+patient's overflow to that patient, reuses the Runs of sizes it has
+seen and names a patient whose bag does not fit the model."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -16,7 +17,7 @@ import survmamba.numerics as sm_numerics
 import survmamba.ssm as ssm
 from survmamba.blocks import BiMambaBlock, IFMBlock
 from survmamba.data import PatientRecord
-from survmamba.errors import NonFiniteError
+from survmamba.errors import DataError, NonFiniteError
 from survmamba.hierarchy import HierarchicalBag, default_catalog
 from survmamba.model import ModelConfig, SurvMambaModel
 from survmamba.synth import SynthSpec, synth_generate
@@ -104,6 +105,10 @@ def test_joined_block_calls_keep_to_the_budget(monkeypatch):
     assert all(rows <= cap or rows == single[blk] for blk, rows in calls)
     assert any(rows > cap for _, rows in calls)  # a patient over the budget alone
     assert any(rows > single[blk] for blk, rows in calls)  # patients joined
+    # the coarse budget slices the 12 patients (8 coarse rows each) in 2
+    # slices of 6, and each coarse block makes one call per slice
+    coarse = [model.him.image.coarse.blocks[0], model.him.genomics.coarse.blocks[0], model.ifm.coarse]
+    assert [[b for b, _ in calls].count(blk) for blk in coarse] == [2, 2, 2]
     assert model.predict_risks([]).shape == (0,)
 
 
@@ -170,7 +175,10 @@ def test_an_overflowing_feature_fails_loudly():
     assert np.array_equal(np.delete(got, bad), np.delete(want, bad))
 
 
-def test_a_second_patient_step_builds_only_the_bag_runs(monkeypatch):
+def test_a_second_patient_step_builds_no_runs(monkeypatch):
+    """Every Runs a patient-step uses past the encoders' construction comes
+    from `Runs.cached`, the bag's group sizes included, so repeating the
+    step builds none."""
     ds, model = _desk(12)
     rec = ds.records[0]
     model.loss(rec).backward()
@@ -183,4 +191,14 @@ def test_a_second_patient_step_builds_only_the_bag_runs(monkeypatch):
 
     monkeypatch.setattr(sm_numerics.Runs, "__init__", spy)
     model.loss(rec).backward()
-    assert built == [[16, 16, 16, 16]]
+    assert built == []
+
+
+def test_a_bag_of_the_wrong_token_dim_names_patient_and_dims():
+    ds, model = _desk(12)
+    bad = dataclasses.replace(ds.records[3], histology=HierarchicalBag("histology", [("r0", np.zeros((3, 17)))]))
+    message = f"^patient {bad.patient_id}: histology tokens have dim 17, the model expects {model.d_raw}$"
+    with pytest.raises(DataError, match=message):
+        model.loss(bad)
+    with pytest.raises(DataError, match=message):
+        model.predict_risks(ds.records[:3] + [bad])

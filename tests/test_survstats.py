@@ -213,8 +213,19 @@ class TestTypedErrors:
         (lambda: risk_stratify(1.0), r"got shape \(\)"),
         (lambda: concordance_index([1.0, 2.0], [O(1, 1)]), r"shape \(2,\) for 1 outcomes"),
         (lambda: concordance_index(5.0, [O(1, 1)]), r"shape \(\) for 1 outcomes"),
+        # a NaN compares false both ways, so it would land in "low" and score as a tie
+        (lambda: risk_stratify([1.0, np.nan, 2.0, np.inf]), "^risk_stratify: risk nan at index 1 is not finite$"),
+        (lambda: risk_stratify([1.0, 2.0, np.inf]), "^risk_stratify: risk inf at index 2 is not finite$"),
+        (lambda: risk_stratify([-np.inf, 1.0]), "^risk_stratify: risk -inf at index 0 is not finite$"),
+        (lambda: concordance_index([1.0, np.nan, 2.0], [O(1, 1), O(2, 1), O(3, 0)]),
+         "^concordance_index: risk nan at index 1 is not finite$"),
+        (lambda: concordance_index([1.0, 2.0, np.inf], [O(1, 1), O(2, 1), O(3, 0)]),
+         "^concordance_index: risk inf at index 2 is not finite$"),
+        (lambda: concordance_index([-np.inf, 1.0], [O(1, 1), O(2, 1)]),
+         "^concordance_index: risk -inf at index 0 is not finite$"),
     ], ids=["time_zero", "time_nan", "event_flag", "km_empty", "logrank_a_empty", "logrank_b_empty",
-            "stratify_one", "stratify_scalar", "cindex_lengths", "cindex_scalar"])
+            "stratify_one", "stratify_scalar", "cindex_lengths", "cindex_scalar",
+            "stratify_nan", "stratify_inf", "stratify_neg_inf", "cindex_nan", "cindex_inf", "cindex_neg_inf"])
     def test_data_error(self, call, match):
         with pytest.raises(DataError, match=match):
             call()

@@ -3,6 +3,7 @@ complexity reporter."""
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -205,6 +206,22 @@ class TestTrain:
         _, ds = _small_ds()
         with pytest.raises(ConfigError):
             train(ds, 7, _small_cfg())
+
+    @pytest.mark.parametrize("fold", [5, -1])
+    def test_evaluate_checks_the_fold_range(self, fold):
+        _, ds = _small_ds()
+        model = build_model(ds, _small_cfg(epochs=0))
+        with pytest.raises(ConfigError, match=f"^fold must be in 0..4, got {fold}$"):
+            evaluate(model, ds, fold)
+
+    def test_diverging_training_raises_without_numpy_warnings(self):
+        """At lr 1e3 the parameters blow up within the first epochs; the
+        loss check names the patient before numpy reports the overflow."""
+        _, ds = _small_ds()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^non-finite loss for patient P\\d{4}$"):
+                train(ds, 0, _small_cfg(lr=1e3, epochs=5))
 
     def test_single_held_out_record_named(self):
         # a one-record fold used to end in risk_stratify's bare ValueError
