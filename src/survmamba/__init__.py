@@ -7,10 +7,8 @@ Layers of the library, bottom up:
   primitive ops (linear, SiLU, softplus, layer norm, causal depthwise
   conv, cumulative product), the ``Runs`` layout of independent sequences laid end to end,
   plus finite-difference gradient verification.
-* ``ssm``       - selective-scan kernels: discretization, the sequential
-  recurrence (the one differentiable route), and two forward-only
-  cross-checks on it, the work-efficient parallel scan and the LTI
-  convolution kernel.
+* ``ssm``       - the selective scan: discretization and the sequential
+  recurrence, one differentiable tape node.
 * ``blocks``    - the bidirectional scan block and the cross-gated
   two-modality fusion block.
 * ``hierarchy`` - two-level bags, per-modality encoders, and the
@@ -55,14 +53,7 @@ from .hierarchy import (
 from .model import ModelConfig, SurvMambaModel, report_complexity
 from .numerics import Runs, Tensor, grad_check, no_grad
 from .optim import RAdam
-from .ssm import (
-    DiscreteParams,
-    bench_scan,
-    discretize,
-    lti_kernel,
-    selective_scan_parallel,
-    selective_scan_recurrent,
-)
+from .ssm import DiscreteParams, bench_scan, discretize, selective_scan_recurrent
 from .survstats import (
     KmCurve,
     SurvivalOutcome,

@@ -90,7 +90,7 @@ class ScanBranch(Module):
         xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias, runs))
         bproj = self.linear_b(xs)
         cproj = self.linear_c(xs)
-        delta = softplus(linear(xs, self.linear_delta) + self.delta_bias)
+        delta = softplus(linear(xs, self.linear_delta, self.delta_bias))
         a = neg(exp(self.a_log))
         dp = discretize(delta, a, bproj, self.disc_mode, runs=runs)
         return selective_scan_recurrent(xs, dp, cproj)

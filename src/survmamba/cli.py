@@ -2,7 +2,7 @@
 
 Subcommands: synth (generate a dataset directory), train (fit one fold,
 write a checkpoint), eval (held-out metrics + KM table), gradcheck
-(finite-difference verification), scan-bench (scan-mode timing table),
+(finite-difference verification), scan-bench (scan timing per length),
 km (two-group Kaplan-Meier table + log-rank summary from risk/outcome
 files).
 """
@@ -94,17 +94,21 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_scan_bench(args):
-    lengths = [int(tok) for tok in args.len.split(",")]
-    modes = ("recurrent", "parallel", "conv") if args.mode == "all" else (args.mode,)
-    rows = bench_scan(lengths, channels=args.channels, state=args.state, modes=modes, reps=args.reps)
-    print(f"{'mode':10s} {'len':>8s} {'seconds':>12s} {'max_dev':>12s}")
+    try:
+        lengths = [int(tok) for tok in args.len.split(",")]
+    except ValueError:
+        lengths = []
+    if not lengths or min(lengths) < 1:
+        raise ConfigError(f"scan-bench: --len takes comma-separated positive integers, got {args.len!r}")
+    for flag, value in (("--channels", args.channels), ("--state", args.state), ("--reps", args.reps)):
+        if value < 1:
+            raise ConfigError(f"scan-bench: {flag} must be at least 1, got {value}")
+    rows = bench_scan(lengths, channels=args.channels, state=args.state, reps=args.reps)
+    print(f"{'len':>8s} {'seconds':>12s}")
     for r in rows:
-        print(f"{r['mode']:10s} {r['length']:8d} {r['seconds']:12.6f} {r['max_dev']:12.3e}")
+        print(f"{r['length']:8d} {r['seconds']:12.6f}")
     for r in rows:
-        print(
-            f"RESULT mode={r['mode']} len={r['length']} "
-            f"seconds={r['seconds']:.9f} max_dev={r['max_dev']:.3e}"
-        )
+        print(f"RESULT len={r['length']} seconds={r['seconds']:.9f}")
     return 0
 
 
@@ -185,11 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", "numerics", "ssm", "blocks", "hierarchy", "pipeline"])
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("scan-bench", help="time the scan modes")
+    p = sub.add_parser("scan-bench", help="time the recurrent scan per sequence length")
     p.add_argument("--len", default="1024,2048,4096,8192", help="comma-separated lengths")
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--state", type=int, default=8)
-    p.add_argument("--mode", default="all", choices=["all", "recurrent", "parallel", "conv"])
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(fn=_cmd_scan_bench)
 

@@ -59,7 +59,10 @@ def assign_bins(times, events, t_bins: int):
     interpolated quantiles; a time exactly on an edge falls in the lower
     bin (half-open intervals (edge_k, edge_{k+1}]). Tied times that make
     two edges equal raise ConfigError: the bin between them is unreachable.
+    t_bins below 2, the hazard head's minimum, raises ConfigError.
     """
+    if t_bins < 2:
+        raise ConfigError(f"assign_bins: t_bins must be at least 2, the hazard head's minimum, got {t_bins}")
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
     observed = times[events == 1]

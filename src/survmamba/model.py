@@ -8,7 +8,7 @@ genomics banks once, on a stack of expression vectors), `him_fine` and
 `him_coarse` per modality, `fuse_fine`, `fuse_coarse`, then the adaptive
 mix and the head. Alignment, segment means and the head work on each
 patient's own rows. `predict_risks` walks a list of patients in slices
-whose region and process counts fit ``ssm.JOIN_BYTES`` (rows x E x 8
+whose region and process counts fit ``JOIN_BYTES`` (rows x E x 8
 bytes), so what it holds between stages does not grow with the list;
 each coarse block makes one call per slice, and each fine block call
 joins consecutive patients while their token rows fit the same budget.
@@ -24,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ssm
 from .blocks import BiMambaBlock, IFMBlock
 from .errors import ConfigError, DataError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
 from .numerics import Module, Namespace, Runs, Tensor, join_rows, no_grad, split_rows
+
+# bytes per (rows, E) float64 array of a block call that joins several
+# patients' runs: 1024 rows at E = 64, whose scan steps stay in L2
+JOIN_BYTES = 512 << 10
 
 
 @dataclass
@@ -109,9 +112,9 @@ class SurvMambaModel(Module):
 
     def _groups(self, rows: list) -> list:
         """Slices of consecutive patients whose rows fit one block call:
-        rows x E x 8 bytes within ``ssm.JOIN_BYTES``. A patient over the
+        rows x E x 8 bytes within ``JOIN_BYTES``. A patient over the
         budget on its own is a slice of its own."""
-        cap = ssm.JOIN_BYTES // (8 * self.cfg.resolved_e())
+        cap = JOIN_BYTES // (8 * self.cfg.resolved_e())
         groups, lo, total = [], 0, 0
         for i, r in enumerate(rows):
             if i > lo and total + r > cap:

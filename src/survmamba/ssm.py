@@ -1,15 +1,6 @@
-"""Selective state-space scan kernels.
-
-Three mutually verifying routes through the same linear recurrence
-h_t = Abar_t * h_{t-1} + Bbar_t * x_t, y_t = <C_t, h_t>:
-
-* ``selective_scan_recurrent`` - the sequential reference, O(M*E*N) work;
-  the one differentiable route.
-* ``selective_scan_parallel``  - Blelloch up/down sweep over the
-  associative operator (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2).
-* ``lti_kernel`` + convolution - valid only for time-invariant parameters.
-
-The last two are forward-only cross-checks that record no tape node.
+"""Selective state-space scan: discretization and the sequential
+recurrence h_t = Abar_t * h_{t-1} + Bbar_t * x_t, y_t = <C_t, h_t>,
+O(M*E*N) work, recorded as one differentiable tape node.
 
 Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
@@ -17,10 +8,10 @@ Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
 ``discretize`` checks and records its sources and computes nothing;
 ``DiscreteParams.Abar`` and ``DiscreteParams.Bbar`` are formed as
-(.., E, N) arrays on first read, for the cross-checks. The recurrent
-scan never forms either: it is one tape node with parents
-(x, delta, A, Bproj, Cproj) that works time-major and state before
-channel.
+(.., E, N) arrays on first read, for references and instrumentation
+outside the scan. The scan never forms either: it is one tape node
+with parents (x, delta, A, Bproj, Cproj) that works time-major and
+state before channel.
 
 It takes flat (L, E) runs, independent sequences laid end to end, with
 their ``numerics.Runs`` passed through ``discretize(..., runs=)``; a
@@ -61,9 +52,6 @@ from .numerics import Runs, Tensor, _grad_enabled, _node
 DISCRETIZE_MODES = ("euler", "zoh")
 SLAB_BYTES = 4 << 20  # bytes per (S steps x n_0 rows, N, E) float64 array in the scan
 CHUNK_BYTES = 256 << 10  # bytes per forward chunk array: a few fit in a 1-2 MiB L2 cache
-# bytes per (rows, E) float64 array of a block call that joins several
-# patients' runs: 1024 rows at E = 64, whose scan steps stay in L2
-JOIN_BYTES = 512 << 10
 
 
 def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
@@ -158,49 +146,6 @@ def _with_prev(op, v, h, spans):
         op(v[lo:r1], h[k0 + lo - k : k0 + r1 - k], out=v[lo:r1])
 
 
-def _scan_parallel_states_impl(abar, bx):
-    """All hidden states via a Blelloch sweep over the scan operator.
-
-    Elements are pairs (a_t, b_t); composing "first then second" gives
-    (a1*a2, a2*b1 + b2). The up/down sweep computes exclusive prefixes;
-    one extra combine per element makes them inclusive, whose b component
-    is h_t (h starts at zero). Padding to a power-of-two length uses the
-    operator identity (a=1, b=0).
-    """
-    b, m, e, n = abar.shape
-    p = 1
-    while p < m:
-        p *= 2
-    a = np.ones((b, p, e, n))
-    v = np.zeros((b, p, e, n))
-    a[:, :m] = abar
-    v[:, :m] = bx
-    levels = p.bit_length() - 1
-    for d in range(levels):
-        s = 1 << d
-        la, lv = a[:, s - 1 : p : 2 * s], v[:, s - 1 : p : 2 * s]
-        ra, rv = a[:, 2 * s - 1 : p : 2 * s], v[:, 2 * s - 1 : p : 2 * s]
-        k = ra.shape[1]
-        # (left o right): a = la*ra, b = ra*lv + rv
-        v[:, 2 * s - 1 : p : 2 * s] = ra * lv[:, :k] + rv
-        a[:, 2 * s - 1 : p : 2 * s] = la[:, :k] * ra
-    a[:, p - 1] = 1.0
-    v[:, p - 1] = 0.0
-    for d in range(levels - 1, -1, -1):
-        s = 1 << d
-        li = np.arange(s - 1, p, 2 * s)
-        ri = np.arange(2 * s - 1, p, 2 * s)
-        li = li[: ri.size]
-        ta, tv = a[:, li].copy(), v[:, li].copy()
-        a[:, li] = a[:, ri]
-        v[:, li] = v[:, ri]
-        # right child prefix = parent_prefix o left_subtree_sum
-        v[:, ri] = ta * v[:, ri] + tv
-        a[:, ri] = a[:, ri] * ta
-    # inclusive_t = exclusive_t o elem_t: h = a_t * b_ex + b_t
-    return abar * v[:, :m] + bx
-
-
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Runs:
     """The runs of the scan's input, after checking the shapes of its
     sources against it."""
@@ -285,8 +230,8 @@ def _slab_grads(g, src, at, mode, runs, slabs, checkpoints):
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
     """Sequential scan from h_0 = 0 over each run of ``dp.runs`` in a flat
-    (L, E) input, or over the B rows of a (B, M, E) batch. The reference
-    and the one route that records a tape node."""
+    (L, E) input, or over the B rows of a (B, M, E) batch; one tape node
+    when a gradient is recorded."""
     runs = _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _grad_enabled() and any(p.requires_grad for p in parents)
@@ -329,94 +274,42 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     return _node(runs.unpack(y, x.shape), parents, backward)
 
 
-def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Work-efficient parallel-scan route over a (B, M, E) batch, forward
-    only: a cross-check on the recurrent scan that records no tape node.
-    Matches the recurrent output to ~1e-10 (same math, different summation
-    bracketing)."""
-    if dp.runs is not None:
-        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs")
-    _check_shapes(x, dp, cproj)
-    h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
-    return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
-
-
-def lti_kernel(abar: np.ndarray, bbar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
-    """Kernel of the time-invariant system: K[e, k] = sum_n C[n] * Abar[e,n]^k * Bbar[e,n],
-    i.e. (C Bbar, C Abar Bbar, ..., C Abar^{M-1} Bbar)."""
-    e, n = abar.shape
-    powers = np.empty((e, n, length))
-    powers[:, :, 0] = 1.0
-    for k in range(1, length):
-        powers[:, :, k] = powers[:, :, k - 1] * abar
-    return np.einsum("n,enk,en->ek", c, powers, bbar)
-
-
-def apply_lti_kernel(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Causal per-channel convolution of x (B, M, E) with kernel (E, M)."""
-    b, m, e = x.shape
-    out = np.empty_like(x)
-    for bi in range(b):
-        for ei in range(e):
-            out[bi, :, ei] = np.convolve(x[bi, :, ei], kernel[ei])[:m]
-    return out
-
-
 # -- benchmarking (scan-bench CLI backend) ----------------------------------
 
 
-def bench_scan(lengths, channels: int = 8, state: int = 8, modes=("recurrent", "parallel", "conv"), reps: int = 5, seed: int = 0, reduce: str = "median"):
-    """Time each scan route on a shared LTI instance per length. Both scan
-    routes run a fresh ``discretize`` inside each timed call, so each pays
-    for forming its own step operators.
+def bench_scan(lengths, channels: int = 8, state: int = 8, reps: int = 5, seed: int = 0, reduce: str = "median"):
+    """Time the recurrent scan on a random time-invariant instance per
+    length. Each timed call runs a fresh ``discretize``, so it pays for
+    forming its own step operators.
 
-    Returns a list of row dicts {mode, length, seconds, max_dev}; max_dev
-    is each mode's worst absolute deviation from the recurrent output.
-    reduce picks the per-mode statistic over reps: "median" (default) or
-    "min" (noise-robust, for scaling fits).
+    Returns a list of row dicts {length, seconds}. reduce picks the
+    statistic over reps: "median" (default) or "min" (noise-robust, for
+    scaling fits).
     """
     rng = np.random.default_rng(seed)
-    cells = []  # one per (length, mode), timed reps interleaved below
+    cells = []  # one per length, timed reps interleaved below
     for m in lengths:
         a_cont = -np.exp(rng.uniform(0.0, np.log(max(state, 2)), size=(channels, state)))
         delta0 = rng.uniform(0.05, 0.5, size=channels)
         bproj0 = rng.normal(size=state)
         c0 = rng.normal(size=state)
-        x = rng.normal(size=(1, m, channels))
+        xt = Tensor(rng.normal(size=(1, m, channels)))
         delta = Tensor(np.broadcast_to(delta0, (1, m, channels)).copy())
         bproj = Tensor(np.broadcast_to(bproj0, (1, m, state)).copy())
         cproj = Tensor(np.broadcast_to(c0, (1, m, state)).copy())
         src = (delta, Tensor(a_cont), bproj, "euler")
-        dp = discretize(*src)
-        xt = Tensor(x)
-        ref = selective_scan_recurrent(xt, dp, cproj).data
-        kern = lti_kernel(dp.Abar.data[0, 0], dp.Bbar.data[0, 0], c0, m)
-        routes = {
-            "recurrent": lambda xt=xt, src=src, cproj=cproj: selective_scan_recurrent(xt, discretize(*src), cproj).data,
-            "parallel": lambda xt=xt, src=src, cproj=cproj: selective_scan_parallel(xt, discretize(*src), cproj).data,
-            "conv": lambda x=x, kern=kern: apply_lti_kernel(x, kern),
-        }
-        for mode in modes:
-            if mode not in routes:
-                raise ConfigError(f"scan-bench: unknown mode {mode!r}")
-            fn = routes[mode]
-            fn()  # warm up
-            cells.append({"mode": mode, "length": int(m), "fn": fn, "times": [], "ref": ref})
+
+        def fn(xt=xt, src=src, cproj=cproj):
+            return selective_scan_recurrent(xt, discretize(*src), cproj)
+
+        fn()  # warm up
+        cells.append({"length": int(m), "fn": fn, "times": []})
     # interleave reps across cells so a transient system stall cannot
     # poison every repetition of one cell
     for _ in range(reps):
         for cell in cells:
             t0 = time.perf_counter()
-            out = cell["fn"]()
+            cell["fn"]()
             cell["times"].append(time.perf_counter() - t0)
-            cell["out"] = out
     stat = np.min if reduce == "min" else np.median
-    return [
-        {
-            "mode": c["mode"],
-            "length": c["length"],
-            "seconds": float(stat(c["times"])),
-            "max_dev": float(np.max(np.abs(c["out"] - c["ref"]))),
-        }
-        for c in cells
-    ]
+    return [{"length": c["length"], "seconds": float(stat(c["times"]))} for c in cells]

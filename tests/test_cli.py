@@ -102,15 +102,31 @@ def test_gradcheck_numerics(capsys):
 
 def test_scan_bench_lines(capsys):
     code, out = _run(capsys, [
-        "scan-bench", "--len", "64,128", "--channels", "2", "--state", "2",
-        "--mode", "all", "--reps", "2",
+        "scan-bench", "--len", "64,128", "--channels", "2", "--state", "2", "--reps", "2",
     ])
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("RESULT")]
-    assert len(lines) == 6  # 3 modes x 2 lengths
-    assert any("mode=recurrent len=64" in ln for ln in lines)
-    devs = [float(ln.split("max_dev=")[1]) for ln in lines]
-    assert max(devs) < 1e-8
+    assert [ln.split(" seconds=")[0] for ln in lines] == ["RESULT len=64", "RESULT len=128"]
+    assert all(float(ln.split("seconds=")[1]) > 0 for ln in lines)
+
+
+def test_scan_bench_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["scan-bench", "--help"])
+    assert "--mode" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--len", "0"), ("--len", "abc"), ("--len", "-5"), ("--len", "64,0"),
+    ("--reps", "0"), ("--channels", "0"), ("--state", "0"),
+])
+def test_scan_bench_bad_argument_is_one_error_line(capsys, flag, value):
+    code = run(["scan-bench", "--len", "64", "--reps", "1", flag, value])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: scan-bench: ") and flag in err[0], err
 
 
 def test_km_subcommand(tmp_path, capsys):
@@ -250,6 +266,15 @@ def test_console_entry_reports_missing_input_in_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: input file not found: nope.txt"]
+
+
+@pytest.mark.parametrize("t_bins", ["1", "0", "-1"])
+def test_synth_rejects_fewer_than_two_bins(tmp_path, capsys, t_bins):
+    code = run(["synth", "--seed", "0", "--out", str(tmp_path / "d"), "--t-bins", t_bins])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: assign_bins: t_bins must be at least 2, the hazard head's minimum, got {t_bins}"]
+    assert not (tmp_path / "d").exists()
 
 
 def test_console_entry_reports_config_error(tmp_path, capsys):

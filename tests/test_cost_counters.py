@@ -1,36 +1,65 @@
 """Counts that do not drift, gated against committed ceilings.
 
 Run time on a shared host spreads by 10-25% between runs of unchanged
-code, so it can hide a real cost. The Python call count and the tape
-size of one warmed patient-step repeat exactly from run to run, so a
-change that adds per-op work shows in them. Each ceiling is the value
-measured when it was set; a change that lowers a count lowers its
-ceiling with it, and one that raises a count says why. No timing is
-gated here.
+code, so it can hide a real cost. The Python call count, the tape size
+and the tracemalloc peak of one warmed desk patient-step, and the call
+count and tracemalloc peak of one warmed scoring pass over a ragged
+cohort, repeat from run to run, so a change that adds per-op work or
+holds more memory shows in them. Each ceiling is the value measured when
+it was set; a change that lowers a count lowers its ceiling with it, and
+one that raises a count says why. No timing is gated here.
 """
 
 import cProfile
 import pstats
+import tracemalloc
 
+import numpy as np
+
+from survmamba.data import PatientRecord
+from survmamba.hierarchy import HierarchicalBag, default_catalog
+from survmamba.model import ModelConfig, SurvMambaModel
 from survmamba.optim import RAdam
 from survmamba.synth import SynthSpec, synth_generate
 from survmamba.training import TrainConfig, build_model
 
 from test_hierarchy import _interior_nodes
 
-# Measured under Python 3.11.7 and numpy 2.4.6. The call count includes
-# numpy's own Python-level calls, so another numpy or Python version may
-# need the ceiling set again from its measured value.
-DESK_STEP_CALLS = 11180
-DESK_STEP_INTERIOR_NODES = 213
+# Measured under Python 3.11.7 and numpy 2.4.6. The call counts include
+# numpy's own Python-level calls and the peaks numpy's allocations, so
+# another numpy or Python version may need the ceilings set again from
+# their measured values.
+DESK_STEP_CALLS = 10809
+DESK_STEP_INTERIOR_NODES = 201
+DESK_STEP_PEAK_BYTES = 3075601
+RAGGED_PASS_CALLS = 20982
+RAGGED_PASS_PEAK_BYTES = 9839323
 SLACK = 0.02
 
 
+def _calls(fn, *args):
+    """(Python calls made by fn(*args), its result)."""
+    prof = cProfile.Profile()
+    out = prof.runcall(fn, *args)
+    return pstats.Stats(prof).total_calls, out
+
+
+def _peak(fn, *args):
+    """The tracemalloc peak in bytes of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _warmed_desk_step_counts():
-    """(Python calls, interior tape nodes) of one desk patient-step as
-    `train` takes it at batch size 1: zero the gradients, build the loss,
-    read it, sweep it and step RAdam. Two steps run first, so every Runs
-    the step needs is cached and every lazy import is done."""
+    """(Python calls, interior tape nodes, tracemalloc peak) of a desk
+    patient-step as `train` takes it at batch size 1: zero the gradients,
+    build the loss, read it, sweep it and step RAdam. Two steps run
+    first, so every Runs the step needs is cached and every lazy import
+    is done; the calls and the peak come from two further steps."""
     ds = synth_generate(SynthSpec(n_patients=12), seed=0)
     model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
     optim = RAdam(model.named_parameters())
@@ -47,14 +76,40 @@ def _warmed_desk_step_counts():
 
     for _ in range(2):
         finish(forward())
-    prof = cProfile.Profile()
-    loss = prof.runcall(forward)
+    calls, loss = _calls(forward)
     nodes = _interior_nodes(loss)  # walked outside the profile, before the sweep frees the tape
-    prof.runcall(finish, loss)
-    return pstats.Stats(prof).total_calls, nodes
+    calls += _calls(finish, loss)[0]
+    peak = _peak(lambda: finish(forward()))
+    return calls, nodes, peak
+
+
+def _warmed_ragged_pass_counts():
+    """(Python calls, tracemalloc peak) of `predict_risks` over 12 seeded
+    patients of 4-12 regions of 4-48 patches on the ragged 42 x 352
+    `default_catalog(1)`, at desk width; a first pass warms the Runs
+    cache."""
+    catalog = default_catalog(1)
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(12):
+        patches = rng.integers(4, 49, size=int(rng.integers(4, 13)))
+        groups = [(f"r{j}", rng.normal(size=(int(k), 16))) for j, k in enumerate(patches)]
+        records.append(PatientRecord(f"P{i:04d}", HierarchicalBag("histology", groups),
+                                     rng.normal(size=catalog.n_genes), 1.0 + i, i % 2))
+    model = SurvMambaModel(ModelConfig(d_model=32, e_expand=64, n_state=8), catalog, 16, seed=0)
+    model.predict_risks(records)
+    calls, _ = _calls(model.predict_risks, records)
+    return calls, _peak(model.predict_risks, records)
 
 
 def test_a_warmed_desk_patient_step_stays_within_its_ceilings():
-    calls, nodes = _warmed_desk_step_counts()
+    calls, nodes, peak = _warmed_desk_step_counts()
     assert calls <= DESK_STEP_CALLS * (1 + SLACK), calls
     assert nodes <= DESK_STEP_INTERIOR_NODES * (1 + SLACK), nodes
+    assert peak <= DESK_STEP_PEAK_BYTES * (1 + SLACK), peak
+
+
+def test_a_warmed_ragged_scoring_pass_stays_within_its_ceilings():
+    calls, peak = _warmed_ragged_pass_counts()
+    assert calls <= RAGGED_PASS_CALLS * (1 + SLACK), calls
+    assert peak <= RAGGED_PASS_PEAK_BYTES * (1 + SLACK), peak

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survmamba.model as sm_model
 import survmamba.numerics as sm_numerics
-import survmamba.ssm as ssm
 from survmamba.blocks import BiMambaBlock, IFMBlock
 from survmamba.data import PatientRecord
 from survmamba.errors import DataError, NonFiniteError
@@ -74,7 +74,7 @@ def test_group_risks_match_per_patient_scoring(mode, depth, bags, seed, edge, sl
     records = [_record(i, patches, rng) for i, patches in enumerate(bags)]
     want = np.asarray([oracle.per_patient_risk(model, r) for r in records])
     rows = sum(sum(patches) for patches in bags[: edge % len(bags) + 1]) + slack  # the first patients' image rows
-    with mock.patch.object(ssm, "JOIN_BYTES", max(1, rows) * 8 * model.cfg.resolved_e()):
+    with mock.patch.object(sm_model, "JOIN_BYTES", max(1, rows) * 8 * model.cfg.resolved_e()):
         got = model.predict_risks(records)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -97,7 +97,7 @@ def test_joined_block_calls_keep_to_the_budget(monkeypatch):
               model.him.genomics.fine.blocks[0]: 32, model.him.genomics.coarse.blocks[0]: 8,
               model.ifm.fine: 32, model.ifm.coarse: 4}
     cap = 48
-    monkeypatch.setattr(ssm, "JOIN_BYTES", cap * 8 * model.cfg.resolved_e())
+    monkeypatch.setattr(sm_model, "JOIN_BYTES", cap * 8 * model.cfg.resolved_e())
     calls = _spy_block_calls(monkeypatch)
     model.predict_risks(ds.records)
     # every patient's stage input is the same shape, so a call over k
@@ -125,7 +125,7 @@ def test_scoring_memory_does_not_grow_with_the_fold():
     cap = 128  # rows: a slice of 16 patients at the coarse level, 2 at the image fine level
 
     def peak(records):
-        with mock.patch.object(ssm, "JOIN_BYTES", cap * 8 * model.cfg.resolved_e()):
+        with mock.patch.object(sm_model, "JOIN_BYTES", cap * 8 * model.cfg.resolved_e()):
             model.predict_risks(records)  # warm the Runs cache
             tracemalloc.start()
             try:

@@ -14,15 +14,10 @@ import survmamba.ssm as ssm
 from survmamba.errors import ConfigError, ShapeError
 from survmamba.gradsuite import check_scan
 from survmamba.numerics import Runs, Tensor, grad_check, no_grad, silu, tsum
-from survmamba.ssm import (
-    apply_lti_kernel,
-    discretize,
-    lti_kernel,
-    selective_scan_parallel,
-    selective_scan_recurrent,
-)
+from survmamba.ssm import discretize, selective_scan_recurrent
 
 import _oracles as oracle
+from _oracles import apply_lti_kernel, lti_kernel, selective_scan_parallel
 
 
 def _const_params(delta, a, b, c, m, e=1, n=1):

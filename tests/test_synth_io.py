@@ -100,6 +100,11 @@ class TestBins:
         with pytest.raises(ConfigError, match="uncensored"):
             assign_bins([1.0, 2.0, 3.0], [1, 0, 0], 2)
 
+    @pytest.mark.parametrize("t_bins", [1, 0, -1])
+    def test_fewer_than_two_bins_rejected(self, t_bins):
+        with pytest.raises(ConfigError, match=f"t_bins must be at least 2, the hazard head's minimum, got {t_bins}$"):
+            assign_bins(np.arange(1.0, 11.0), np.ones(10, dtype=int), t_bins)
+
     def test_tied_times_that_repeat_an_edge_rejected(self):
         # quantile edges would be [0, 1, 1, 1.75, inf]: bin 1 is unreachable
         with pytest.raises(ConfigError, match="tied uncensored times at 1 "):
