@@ -105,12 +105,10 @@ class BiMambaBlock(Module):
     projections and state-evolution parameters.
     """
 
-    def __init__(self, d_model: int, e_expand: int | None = None, n_state: int = 16,
-                 conv_width: int = 4, rng: np.random.Generator | None = None,
-                 disc_mode: str = "euler"):
+    def __init__(self, d_model: int, e_expand: int, n_state: int = 16, conv_width: int = 4, *,
+                 rng: np.random.Generator, disc_mode: str = "euler"):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        e = e_expand if e_expand is not None else 2 * d_model
+        e = e_expand
         self.d_model, self.e_expand, self.n_state, self.conv_width = d_model, e, n_state, conv_width
         self.norm = LayerNorm(d_model)
         self.linear_x = LinearLayer(d_model, e, rng)
@@ -144,12 +142,10 @@ class IFMBlock(Module):
     """Cross-gated two-modality fusion over equal-shape inputs: flat (L, D)
     tokens sharing one set of runs, or (B, M, D) batches."""
 
-    def __init__(self, d_model: int, e_expand: int | None = None, n_state: int = 16,
-                 conv_width: int = 4, rng: np.random.Generator | None = None,
-                 disc_mode: str = "euler"):
+    def __init__(self, d_model: int, e_expand: int, n_state: int = 16, conv_width: int = 4, *,
+                 rng: np.random.Generator, disc_mode: str = "euler"):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        e = e_expand if e_expand is not None else 2 * d_model
+        e = e_expand
         self.d_model, self.e_expand, self.n_state, self.conv_width = d_model, e, n_state, conv_width
         self.m1 = IFMModality(d_model, e, n_state, conv_width, rng, disc_mode)
         self.m2 = IFMModality(d_model, e, n_state, conv_width, rng, disc_mode)

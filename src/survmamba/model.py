@@ -20,16 +20,19 @@ Parameter paths follow the attribute chain, e.g.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BiMambaBlock, IFMBlock
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NonFiniteError
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
 from .numerics import Module, Namespace, Runs, Tensor, join_rows, no_grad, split_rows
+from .ssm import DISCRETIZE_MODES
 
 # bytes per (rows, E) float64 array of a block call that joins several
 # patients' runs: 1024 rows at E = 64, whose scan steps stay in L2
@@ -40,7 +43,8 @@ JOIN_BYTES = 512 << 10
 class ModelConfig:
     """Architecture hyperparameters. Defaults follow the reference
     training setup (token dim 512 with doubled expansion); desk-scale
-    runs override them."""
+    runs override them. A size that is not a positive integer, or an
+    unknown disc_mode, raises ConfigError at construction."""
 
     d_model: int = 512
     e_expand: int | None = None  # default 2 * d_model
@@ -51,6 +55,30 @@ class ModelConfig:
     align_len: int = 256  # cap on the fused fine-grained sequence length
     disc_mode: str = "euler"
     depth: int = 1  # blocks per aggregation level
+
+    def __post_init__(self):
+        self._check("model config")
+
+    def _check(self, where: str):
+        """ConfigError, its message prefixed by where, for an architecture
+        size that is not a positive integer or an unknown disc_mode."""
+        sizes = ("d_model", "n_state", "conv_width", "t_bins", "genomics_hidden", "align_len", "depth") + (
+            () if self.e_expand is None else ("e_expand",))
+        self._check_numbers(where, sizes, integer=True)
+        if self.disc_mode not in DISCRETIZE_MODES:
+            raise ConfigError(f"{where}: disc_mode {self.disc_mode!r} is not one of {DISCRETIZE_MODES}")
+        if any(getattr(self, name) <= 0 for name in sizes):
+            raise ConfigError(f"{where}: all values must be positive")
+
+    def _check_numbers(self, where: str, names, integer: bool):
+        """ConfigError, prefixed by where, unless each named field is an
+        integer (integer=True) or a finite real number; a bool is neither."""
+        for name in names:
+            v = getattr(self, name)
+            if integer and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
+                raise ConfigError(f"{where}: {name} {v!r} is not an integer")
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+                raise ConfigError(f"{where}: {name} {v!r} is not a finite number")
 
     def resolved_e(self) -> int:
         return self.e_expand if self.e_expand is not None else 2 * self.d_model
@@ -183,13 +211,18 @@ class SurvMambaModel(Module):
         walked in slices of as many consecutive patients as the row budget
         admits at the coarse level (the larger of a patient's region and
         process counts), and each slice is scored stage by stage; the head
-        runs on each patient's own mixed vector."""
+        runs on each patient's own mixed vector. A non-finite risk raises
+        NonFiniteError naming the first such patient."""
         n_proc = len(self.grouping.processes)
         risks = []
         with no_grad():
             for sl in self._groups([max(r.histology.n_groups, n_proc) for r in records]):
                 risks += [self.head(f.mixed).risk.item() for f in self._fused(records[sl])]
-        return np.asarray(risks, dtype=np.float64)
+        risks = np.asarray(risks, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(risks))
+        if bad.size:
+            raise NonFiniteError(f"non-finite risk {risks[bad[0]]} for patient {records[bad[0]].patient_id}")
+        return risks
 
 
 # -- complexity reporting -----------------------------------------------------

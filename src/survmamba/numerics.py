@@ -1,16 +1,16 @@
 """Dense float64 tensors with reverse-mode autodiff, plus the primitive
 neural ops everything else is built from.
 
-The engine is a recorded tape over numpy arrays: each op produces a new
-Tensor that remembers its parents and a closure computing the local
-vector-Jacobian product. ``backward()`` replays the tape in reverse
-topological order, accumulating gradients additively into ``.grad``
-buffers. Each interior node's gradient, closure and parent links are
-dropped as soon as its closure has run, so a graph can be swept only
-once; leaves keep their gradients. All storage is 64-bit; there is no
-broadcasting API beyond what the primitives themselves need (bias
-vectors over trailing dims, and the timescale/state broadcasts inside
-the SSM discretization).
+The engine is a recorded tape over numpy arrays: each op that
+``_records`` admits produces a new Tensor that remembers its parents and
+a closure computing the local vector-Jacobian product. ``backward()``
+replays the interior nodes in reverse topological order, accumulating
+gradients additively into ``.grad`` buffers. Each interior node's
+gradient, closure and parent links are dropped as soon as its closure
+has run, so a graph can be swept only once; leaves keep their gradients.
+All storage is 64-bit; there is no broadcasting API beyond what the
+primitives themselves need (bias vectors over trailing dims, and the
+timescale/state broadcasts inside the SSM discretization).
 
 Sets of independent sequences travel as one flat (L, ...) array, the
 sequences laid end to end, plus a ``Runs`` value built once per set: the
@@ -31,24 +31,28 @@ import numpy as np
 
 from .errors import ConsumedGraphError, NonFiniteError, ShapeError
 
-_tls = threading.local()
+
+class _Recording(threading.local):
+    on = True  # each thread starts recording
 
 
-def _grad_enabled() -> bool:
-    return getattr(_tls, "grad_enabled", True)
+_recording = _Recording()
+
+
+def _records(parents: tuple) -> bool:
+    """Whether an op goes on the tape: this thread records and a parent needs a gradient."""
+    return _recording.on and any(p.requires_grad for p in parents)
 
 
 class no_grad:
     """Context manager that disables tape recording (per thread)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _tls.grad_enabled = False
+        self._prev, _recording.on = _recording.on, False
         return self
 
     def __exit__(self, *exc):
-        _tls.grad_enabled = self._prev
-        return False
+        _recording.on = self._prev
 
 
 class Tensor:
@@ -98,25 +102,24 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:  # iterative DFS; graphs can be deep
+        seen: set[Tensor] = set()  # Tensors hash by identity
+        stack: list[tuple[Tensor, bool]] = [(self, False)] if self._backward is not None else []
+        while stack:  # iterative DFS over interior nodes; graphs can be deep
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and p not in seen:
                     stack.append((p, False))
+        del seen  # so each swept node is freed as the sweep passes it
         self._accum(np.ones_like(self.data))
         while topo:  # reverse topological order, dropping each node once swept
             node = topo.pop()
-            if node._backward is None:
-                continue  # a leaf keeps its gradient
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad = None
@@ -172,7 +175,7 @@ def _wrap(x) -> Tensor:
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Build an op output, recording the tape only when a parent needs it."""
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

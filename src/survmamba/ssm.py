@@ -33,13 +33,16 @@ recomputes Abar and the slab's states from that checkpoint, runs the
 adjoint recurrence over the same blocks and contracts through B and C
 once per slab into the five input gradients, unpacked to the input
 layout. A slab holds ``SLAB_BYTES`` per array, so short sequences are a
-single slab. Under ``no_grad`` nothing is recorded and no checkpoint is
+single slab. The scan keeps its checkpoints only when ``numerics``'
+one recording rule puts it on the tape, so under ``no_grad``, or with
+no input needing a gradient, nothing is recorded and no checkpoint is
 kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Runs, Tensor, _grad_enabled, _node
+from .numerics import Runs, Tensor, _node, _records
 
 DISCRETIZE_MODES = ("euler", "zoh")
 SLAB_BYTES = 4 << 20  # bytes per (S steps x n_0 rows, N, E) float64 array in the scan
@@ -234,7 +237,7 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     when a gradient is recorded."""
     runs = _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
-    record = _grad_enabled() and any(p.requires_grad for p in parents)
+    record = _records(parents)
     mode = dp.mode
     # flat (L, .) views, then time-major packed, state before channel:
     # x, delta (L, E); Bproj, Cproj (L, N); A^T (N, E)
@@ -284,8 +287,17 @@ def bench_scan(lengths, channels: int = 8, state: int = 8, reps: int = 5, seed: 
 
     Returns a list of row dicts {length, seconds}. reduce picks the
     statistic over reps: "median" (default) or "min" (noise-robust, for
-    scaling fits).
+    scaling fits). A length, channels, state or reps below 1, or another
+    reduce, raises ConfigError.
     """
+    lengths = list(lengths)
+    if not all(isinstance(m, numbers.Integral) and m >= 1 for m in lengths):
+        raise ConfigError(f"bench_scan: lengths must be positive integers, got {lengths}")
+    for name, v in (("channels", channels), ("state", state), ("reps", reps)):
+        if not isinstance(v, numbers.Integral) or v < 1:
+            raise ConfigError(f"bench_scan: {name} must be a positive integer, got {v!r}")
+    if reduce not in ("median", "min"):
+        raise ConfigError(f"bench_scan: reduce must be 'median' or 'min', got {reduce!r}")
     rng = np.random.default_rng(seed)
     cells = []  # one per length, timed reps interleaved below
     for m in lengths:

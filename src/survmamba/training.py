@@ -10,7 +10,6 @@ each join as many consecutive patients as fit one row budget.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .dataio import read_config
 from .errors import ConfigError, NonFiniteError, UndefinedResultError
 from .model import ModelConfig, SurvMambaModel
 from .optim import RAdam
-from .ssm import DISCRETIZE_MODES
 from .survstats import (KmCurve, LogrankResult, concordance_index, kaplan_meier, logrank_test,
                         risk_stratify)
 
@@ -37,19 +35,10 @@ class TrainConfig(ModelConfig):
     seed: int = 0
 
     def __post_init__(self):
-        sizes = ("d_model", "n_state", "conv_width", "t_bins", "genomics_hidden", "align_len", "depth",
-                 "batch_size", "epochs", "seed") + (() if self.e_expand is None else ("e_expand",))
-        for name, v in [(n, getattr(self, n)) for n in sizes + ("lr", "weight_decay")]:
-            if name in sizes and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
-                raise ConfigError(f"train config: {name} {v!r} is not an integer")
-            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"train config: {name} {v!r} is not a finite number")
-        if self.disc_mode not in DISCRETIZE_MODES:
-            raise ConfigError(f"train config: disc_mode {self.disc_mode!r} is not one of {DISCRETIZE_MODES}")
-        positive = (self.lr, self.weight_decay, self.batch_size, self.seed + 1,
-                    self.d_model, self.resolved_e(), self.n_state, self.conv_width, self.t_bins,
-                    self.genomics_hidden, self.align_len, self.depth)
-        if any(v <= 0 for v in positive) or self.epochs < 0:
+        self._check("train config")
+        self._check_numbers("train config", ("batch_size", "epochs", "seed"), integer=True)
+        self._check_numbers("train config", ("lr", "weight_decay"), integer=False)
+        if min(self.lr, self.weight_decay, self.batch_size, self.seed + 1) <= 0 or self.epochs < 0:
             raise ConfigError("train config: all values must be positive (epochs >= 0)")
 
     @classmethod
@@ -137,12 +126,11 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
     records = dataset.fold_records(fold, held_out=True)
     if len(records) < 2:
         raise ConfigError(f"fold {fold} has {len(records)} held-out records; the median split needs 2")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises below
-        risks = np.asarray(model.predict_risks(records), dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(risks))
-    if bad.size:
-        raise NonFiniteError(f"evaluate: fold {fold}: non-finite risk {risks[bad[0]]} for patient "
-                             f"{records[bad[0]].patient_id}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises instead
+            risks = model.predict_risks(records)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"evaluate: fold {fold}: {exc}") from None
 
     outcomes = [r.outcome for r in records]
     diagnostic = ""

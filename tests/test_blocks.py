@@ -30,6 +30,17 @@ def _randomized_ifm(seed=4, noise=304, d=3, e=4, n=2, w=2):
     return blk
 
 
+@pytest.mark.parametrize("block", [BiMambaBlock, IFMBlock])
+def test_blocks_take_e_expand_and_a_keyword_rng(block):
+    """The expansion width and the generator have no defaults (the 2 * d
+    rule lives in ModelConfig.resolved_e), and rng is keyword-only."""
+    rng = np.random.default_rng(0)
+    for args, kwargs in [((4,), {"rng": rng}), ((4, 8), {}), ((4, 8, 2, 2, rng), {})]:
+        with pytest.raises(TypeError):
+            block(*args, **kwargs)
+    assert block(4, 8, rng=rng).e_expand == 8
+
+
 class TestBiMamba:
     def test_fresh_block_is_exact_identity(self):
         blk = BiMambaBlock(4, 8, 2, 2, rng=np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Primitive ops: spec examples, invariants, and gradient checks."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from survmamba.numerics import (
     tmean,
     tsum,
 )
+
+from survmamba.synth import SynthSpec, synth_generate
+from survmamba.training import TrainConfig, build_model
 
 import _oracles as oracle
 
@@ -89,6 +93,21 @@ class TestElementwise:
         assert calls == []
         tsum(out).backward()
         assert calls == [(7,)] and np.array_equal(x.grad, sig(x.data))
+
+
+def test_no_grad_holds_for_its_own_thread_only():
+    """A thread starts recording whatever another thread's no_grad says,
+    and no_grad restores recording on exit."""
+    x = Tensor(np.ones(2), requires_grad=True)
+    other = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: other.append(tsum(x).requires_grad))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert not tsum(x).requires_grad
+    assert other == [True]
+    assert tsum(x).requires_grad
 
 
 class TestLayerNorm:
@@ -378,7 +397,10 @@ class TestConsumedGraph:
 
     def test_leaf_gradients_unchanged_by_freeing(self):
         """Leaf gradients equal bit for bit those of the sweep that keeps
-        the whole graph, on a diamond and on a bidirectional block."""
+        the whole graph and walks every leaf: on a diamond, a bidirectional
+        block, a desk-width patient loss (whose fusion blocks share
+        linear_z and whose scan branches feed xs to four consumers) and a
+        lone leaf, whose gradient is ones."""
         def block_loss():
             blk = BiMambaBlock(3, 4, 2, 2, rng=np.random.default_rng(1))
             rng = np.random.default_rng(2)
@@ -391,10 +413,24 @@ class TestConsumedGraph:
             x, w, _, loss = self._diamond()
             return [x, w], loss
 
-        for build in (diamond, block_loss):
+        def patient_loss():
+            ds = synth_generate(SynthSpec(n_patients=12), seed=3)
+            model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
+            rng = np.random.default_rng(4)
+            for p in model.parameters():
+                p.data += rng.normal(scale=0.05, size=p.shape)
+            return model.parameters(), model.loss(ds.records[1])
+
+        def leaf():
+            p = Tensor(np.array(0.5), requires_grad=True)
+            return [p], p
+
+        for build in (diamond, block_loss, patient_loss, leaf):
             leaves, loss = build()
             loss.backward()
             ref_leaves, ref_loss = build()
             oracle.backward_keep_graph(ref_loss)
+            assert all(ref.grad is not None for ref in ref_leaves)
             for got, ref in zip(leaves, ref_leaves):
                 assert np.array_equal(got.grad, ref.grad)
+        assert np.array_equal(leaves[0].grad, 1.0)

@@ -137,18 +137,29 @@ def test_scoring_memory_does_not_grow_with_the_fold():
     assert peak(ds.records) <= 1.5 * peak(ds.records[:12])
 
 
+def _joined_risks(model, records):
+    """Each record's risk from one joined stage-by-stage pass over them all,
+    a non-finite risk kept: what `predict_risks` scores for a group that
+    fits one slice, before it checks the risks."""
+    with sm_numerics.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        return np.array([model.head(f.mixed).risk.item() for f in model._fused(records)])
+
+
 def test_one_overflowing_patient_spoils_only_its_own_risk():
     ds, model = _desk(60)
     held = ds.fold_records(2, held_out=True)
     want = model.predict_risks(held)
+    assert np.array_equal(_joined_risks(model, held), want)  # the fold fits one slice
     bad = 5
     for _, tokens in held[bad].histology.groups:
         tokens[...] = 1e308  # the histology projection itself overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = model.predict_risks(held)
+    got = _joined_risks(model, held)
     keep = np.arange(len(held)) != bad
     assert np.isnan(got[bad])
     assert np.max(np.abs(got[keep] - want[keep])) <= 1e-12 * np.max(np.abs(want))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=f"^non-finite risk nan for patient {held[bad].patient_id}$"):
+        model.predict_risks(held)
     with pytest.raises(NonFiniteError, match=f"fold 2: non-finite risk nan for patient {held[bad].patient_id}$"):
         evaluate(model, ds, 2)
 
@@ -161,12 +172,13 @@ def test_an_overflowing_feature_fails_loudly():
     model = build_model(ds, TrainConfig(epochs=0, **DESK))
     held = ds.fold_records(2, held_out=True)
     want = model.predict_risks(held)
+    assert np.array_equal(_joined_risks(model, held), want)
     bad = 3
     assert held[bad].patient_id == "P0017"
     for _, tokens in held[bad].histology.groups:
         tokens[...] = 1e300
+    got = _joined_risks(model, held)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = model.predict_risks(held)
         with pytest.raises(NonFiniteError, match="fold 2: non-finite risk nan for patient P0017$"):
             evaluate(model, ds, 2)
         with pytest.raises(NonFiniteError, match="non-finite loss for patient P0017$"):
@@ -192,6 +204,13 @@ def test_a_second_patient_step_builds_no_runs(monkeypatch):
     monkeypatch.setattr(sm_numerics.Runs, "__init__", spy)
     model.loss(rec).backward()
     assert built == []
+
+
+def test_predict_risk_of_an_all_nan_expression_raises():
+    ds, model = _desk(12)
+    rec = dataclasses.replace(ds.records[4], genomics=np.full_like(ds.records[4].genomics, np.nan))
+    with pytest.raises(NonFiniteError, match=f"^non-finite risk nan for patient {rec.patient_id}$"):
+        model.predict_risk(rec)
 
 
 def test_a_bag_of_the_wrong_token_dim_names_patient_and_dims():

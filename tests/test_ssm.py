@@ -541,3 +541,16 @@ def test_gradsuite_scan_checks():
     quick tier otherwise reaches only through criterion 2."""
     for name, err, bound in check_scan():
         assert err <= bound, (name, err)
+
+
+@pytest.mark.parametrize("kwargs, arg", [
+    (dict(lengths=[8], reps=0), "reps"), (dict(lengths=[0]), "lengths"), (dict(lengths=[-3]), "lengths"),
+    (dict(lengths=[8, 2.5]), "lengths"), (dict(lengths=[8], channels=0), "channels"),
+    (dict(lengths=[8], state=0), "state"), (dict(lengths=[8], reduce="max"), "reduce"),
+])
+def test_bench_scan_bad_argument_is_a_config_error(kwargs, arg):
+    """Each bad argument raises ConfigError naming bench_scan and the
+    argument, before any scan runs (reps=0 used to return NaN seconds,
+    channels=0 to divide by zero, a length of 0 to fail in Runs)."""
+    with pytest.raises(ConfigError, match=f"^bench_scan: {arg} "):
+        ssm.bench_scan(**kwargs)

@@ -170,6 +170,20 @@ class TestTrainConfig:
             TrainConfig.from_json(path)
 
 
+class TestModelConfig:
+    """ModelConfig checks its own fields at construction, so a bad size or
+    mode fails there, not inside the model or at its first scan."""
+
+    @pytest.mark.parametrize("field, message", [
+        ({"d_model": 0}, "^model config: all values must be positive$"),
+        ({"conv_width": 0}, "^model config: all values must be positive$"),
+        ({"disc_mode": "rk4"}, r"^model config: disc_mode 'rk4' is not one of \('euler', 'zoh'\)$"),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**{"d_model": 8, "e_expand": 16, "n_state": 4, **field})
+
+
 class TestTrain:
     def test_zero_epochs_returns_initialized_model(self):
         _, ds = _small_ds()
@@ -383,12 +397,14 @@ class TestEvaluate:
         assert feats.fine.shape == feats.coarse.shape == feats.mixed.shape == (cfg.d_model,)
 
     def test_non_finite_risk_names_fold_and_patient(self):
+        """evaluate prefixes the fold to the scorer's NonFiniteError, which
+        names the first patient whose risk is not finite."""
         _, ds = _small_ds()
         second = ds.fold_records(1, held_out=True)[1].patient_id
 
         class OneNan:
             def predict_risks(self, records):
-                return [np.nan if rec.patient_id == second else 1.0 for rec in records]
+                raise NonFiniteError(f"non-finite risk nan for patient {second}")
 
         with pytest.raises(NonFiniteError, match=f"fold 1: non-finite risk nan for patient {second}$"):
             evaluate(OneNan(), ds, fold=1)
