@@ -60,7 +60,7 @@ calls = []
 plain_call = BiMambaBlock.__call__
 
 
-def counted_call(block, tokens, runs=None):
+def counted_call(block, tokens, runs):
     stage = "fine" if block is fine_block else "coarse"
     calls.append((stage, tokens.shape, runs))
     return plain_call(block, tokens, runs)

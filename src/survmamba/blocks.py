@@ -4,15 +4,14 @@ the two-modality interaction fusion block.
 Both follow the same per-branch recipe: causal depthwise conv, SiLU,
 input-dependent B/C/timescale projections, discretization, selective
 scan. Both take flat (L, D) tokens holding independent sequences end to
-end with their ``numerics.Runs``: the conv and the scan restart at every
-run. A (B, M, D) batch given without runs is B equal runs, one reshape
-away. The bidirectional block runs one branch forward and one on the
-reversed runs (re-reversing its output), gates both by SiLU of a shared
-z-projection, sums, projects back to the token dim and adds the
-residual. The fusion block runs one branch per modality and cross-gates:
-each modality's scan output is gated by SiLU of the *other* modality's
-z-projection; gated outputs are concatenated and projected, with no
-residual path.
+end, and the ``numerics.Runs`` of those sequences: the conv and the scan
+restart at every run. The bidirectional block runs one branch forward
+and one on the reversed runs (re-reversing its output), gates both by
+SiLU of a shared z-projection, sums, projects back to the token dim and
+adds the residual. The fusion block runs one branch per modality and
+cross-gates: each modality's scan output is gated by SiLU of the *other*
+modality's z-projection; gated outputs are concatenated and projected,
+with no residual path.
 
 Output projections are zero-initialized, so a freshly built
 bidirectional block is an exact identity and a fresh fusion block
@@ -38,7 +37,6 @@ from .numerics import (
     flip_runs,
     linear,
     neg,
-    reshape,
     silu,
     softplus,
     uniform_init,
@@ -46,13 +44,11 @@ from .numerics import (
 from .ssm import discretize, selective_scan_recurrent
 
 
-def _flat(where: str, tokens: Tensor, runs: Runs | None, d: int):
-    """(flat (L, d) tokens, their runs): a (B, M, d) batch given without
-    runs becomes B equal runs through one reshape."""
-    if tokens.shape[-1:] != (d,):
-        raise ShapeError(f"{where}: expected tokens of dim D = {d}, got {tokens.shape}")
-    runs = Runs.of(where, tokens.shape, runs)
-    return (tokens if tokens.ndim == 2 else reshape(tokens, (runs.rows, d))), runs
+def _check_tokens(where: str, tokens: Tensor, runs: Runs, d: int):
+    """Tokens must be flat (L, d) rows that the runs cover."""
+    if tokens.ndim != 2 or tokens.shape[1] != d:
+        raise ShapeError(f"{where}: expected flat (L, {d}) tokens, got {tokens.shape}")
+    runs.check(where, tokens.shape[0])
 
 
 def _init_a_log(e: int, n: int) -> np.ndarray:
@@ -97,8 +93,7 @@ class ScanBranch(Module):
 
 
 class BiMambaBlock(Module):
-    """Bidirectional block over the runs of flat (L, D) tokens, or over a
-    (B, M, D) batch of B equal runs.
+    """Bidirectional block over the runs of flat (L, D) tokens.
 
     The norm, x/z projections and the output projection are shared
     between directions; each direction owns its conv, B/C/delta
@@ -117,15 +112,14 @@ class BiMambaBlock(Module):
         self.bwd = ScanBranch(e, n_state, conv_width, rng, disc_mode)
         self.linear_out = LinearLayer(e, d_model, rng, zero_init=True)
 
-    def __call__(self, tokens: Tensor, runs: Runs | None = None) -> Tensor:
-        flat, runs = _flat("bi-mamba", tokens, runs, self.d_model)
-        normed = self.norm(flat)
+    def __call__(self, tokens: Tensor, runs: Runs) -> Tensor:
+        _check_tokens("bi-mamba", tokens, runs, self.d_model)
+        normed = self.norm(tokens)
         x = self.linear_x(normed)
         gate = silu(self.linear_z(normed))
         y_f = self.fwd(x, runs)
         y_b = flip_runs(self.bwd(flip_runs(x, runs), runs), runs)
-        out = self.linear_out(y_f * gate + y_b * gate) + flat
-        return out if flat is tokens else reshape(out, tokens.shape)
+        return self.linear_out(y_f * gate + y_b * gate) + tokens
 
 
 class IFMModality(Module):
@@ -139,8 +133,8 @@ class IFMModality(Module):
 
 
 class IFMBlock(Module):
-    """Cross-gated two-modality fusion over equal-shape inputs: flat (L, D)
-    tokens sharing one set of runs, or (B, M, D) batches."""
+    """Cross-gated two-modality fusion over two flat (L, D) token sets of
+    equal shape that share one set of runs."""
 
     def __init__(self, d_model: int, e_expand: int, n_state: int = 16, conv_width: int = 4, *,
                  rng: np.random.Generator, disc_mode: str = "euler"):
@@ -152,19 +146,17 @@ class IFMBlock(Module):
         self.linear_z = LinearLayer(d_model, e, rng)
         self.linear_out = LinearLayer(2 * e, d_model, rng, zero_init=True)
 
-    def __call__(self, tokens_a: Tensor, tokens_b: Tensor, runs: Runs | None = None) -> Tensor:
+    def __call__(self, tokens_a: Tensor, tokens_b: Tensor, runs: Runs) -> Tensor:
         if tokens_a.shape != tokens_b.shape:
             raise ShapeError(
                 f"ifm: modality shapes differ, {tokens_a.shape} vs {tokens_b.shape}; "
                 "align sequence lengths before fusing"
             )
-        flat_a, runs = _flat("ifm", tokens_a, runs, self.d_model)
-        flat_b = tokens_b if flat_a is tokens_a else reshape(tokens_b, flat_a.shape)
-        n1 = self.m1.norm(flat_a)
-        n2 = self.m2.norm(flat_b)
+        _check_tokens("ifm", tokens_a, runs, self.d_model)
+        n1 = self.m1.norm(tokens_a)
+        n2 = self.m2.norm(tokens_b)
         y1 = self.m1.branch(self.m1.in_proj(n1), runs)
         y2 = self.m2.branch(self.m2.in_proj(n2), runs)
         z1 = silu(self.linear_z(n1))
         z2 = silu(self.linear_z(n2))
-        out = self.linear_out(concat([y1 * z2, y2 * z1], axis=-1))
-        return out if flat_a is tokens_a else reshape(out, tokens_a.shape)
+        return self.linear_out(concat([y1 * z2, y2 * z1], axis=-1))

@@ -328,6 +328,8 @@ def load_checkpoint_arrays(path) -> dict:
             name = blob[at : at + nlen].decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: parameter #{i} name at byte offset {at} is not UTF-8") from None
+        if name in out:
+            raise DataError(f"{path}: parameter {name} appears twice; its second copy's name is at byte offset {at}")
         (rank,) = struct.unpack_from("<I", blob, take(4, f"{name} rank"))
         dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, f"{name} dims"))
         size = math.prod(dims)

@@ -99,15 +99,16 @@ def check_primitives() -> list:
 def check_scan() -> list:
     rng = np.random.default_rng(0)
     b, m, e, n = 2, 9, 3, 4
+    runs = Runs.cached((m,) * b)
     a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
-    delta = Tensor(rng.uniform(0.05, 0.6, size=(b, m, e)), requires_grad=True)
-    bp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-    cp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-    x = Tensor(rng.normal(size=(b, m, e)), requires_grad=True)
+    delta = Tensor(rng.uniform(0.05, 0.6, size=(b * m, e)), requires_grad=True)
+    bp = Tensor(rng.normal(size=(b * m, n)), requires_grad=True)
+    cp = Tensor(rng.normal(size=(b * m, n)), requires_grad=True)
+    x = Tensor(rng.normal(size=(b * m, e)), requires_grad=True)
     results = []
     for mode in ("euler", "zoh"):
         def f(mode=mode):
-            dp = discretize(delta, a, bp, mode)
+            dp = discretize(delta, a, bp, mode, runs=runs)
             return tsum(silu(selective_scan_recurrent(x, dp, cp)))
 
         err = grad_check(
@@ -134,15 +135,16 @@ def _conditioned_ifm(seed_block: int, seed_noise: int) -> IFMBlock:
 
 
 def check_blocks() -> list:
+    runs = Runs.cached((5,))
     blk = _conditioned_bimamba(1, 201)
-    tin = Tensor(np.random.default_rng(201).normal(size=(1, 5, 3)))
-    err_b = grad_check(lambda: tmean(silu(blk(tin))), list(blk.named_parameters()), h=2e-5)
+    tin = Tensor(np.random.default_rng(201).normal(size=(5, 3)))
+    err_b = grad_check(lambda: tmean(silu(blk(tin, runs))), list(blk.named_parameters()), h=2e-5)
 
     ifm = _conditioned_ifm(4, 304)
     rng = np.random.default_rng(304)
-    ta = Tensor(rng.normal(size=(1, 5, 3)))
-    tb = Tensor(rng.normal(size=(1, 5, 3)))
-    err_i = grad_check(lambda: tmean(silu(ifm(ta, tb))), list(ifm.named_parameters()), h=2e-5)
+    ta = Tensor(rng.normal(size=(5, 3)))
+    tb = Tensor(rng.normal(size=(5, 3)))
+    err_i = grad_check(lambda: tmean(silu(ifm(ta, tb, runs))), list(ifm.named_parameters()), h=2e-5)
     return [("blocks.bi_mamba", err_b, BLOCK_BOUND), ("blocks.ifm", err_i, BLOCK_BOUND)]
 
 

@@ -212,10 +212,11 @@ class SurvMambaModel(Module):
         admits at the coarse level (the larger of a patient's region and
         process counts), and each slice is scored stage by stage; the head
         runs on each patient's own mixed vector. A non-finite risk raises
-        NonFiniteError naming the first such patient."""
+        NonFiniteError naming the first such patient, with numpy's overflow
+        warnings silenced."""
         n_proc = len(self.grouping.processes)
         risks = []
-        with no_grad():
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for sl in self._groups([max(r.histology.n_groups, n_proc) for r in records]):
                 risks += [self.head(f.mixed).risk.item() for f in self._fused(records[sl])]
         risks = np.asarray(risks, dtype=np.float64)

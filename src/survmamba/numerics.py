@@ -574,17 +574,6 @@ class Runs:
             raise ShapeError(f"{where}: runs cover {self.rows} rows, input has {rows}")
 
     @classmethod
-    def of(cls, where: str, shape, runs: Runs | None) -> Runs:
-        """The given runs of a flat (L, .) input, or the B equal runs of a
-        (B, M, .) batch given without runs."""
-        if runs is None and len(shape) == 3:
-            return cls.cached((shape[1],) * shape[0])
-        if runs is None or len(shape) != 2:
-            raise ShapeError(f"{where}: expected a (B, M, .) batch, or flat (L, .) rows and runs; got {shape}")
-        runs.check(where, shape[0])
-        return runs
-
-    @classmethod
     @lru_cache(maxsize=RUNS_CACHED)
     def cached(cls, sizes: tuple) -> Runs:
         """The Runs of a tuple of int sizes, built on its first use and
@@ -631,12 +620,11 @@ class Runs:
         """Flat (L, ...) rows -> time-major packed rows."""
         return a[self._gathers[0]]
 
-    def unpack(self, p: np.ndarray, shape=None) -> np.ndarray:
-        """Time-major packed rows -> the rows in input order, flat (L, ...)
-        or shaped as given."""
+    def unpack(self, p: np.ndarray) -> np.ndarray:
+        """Time-major packed rows -> flat (L, ...) rows in input order."""
         out = np.empty_like(p)
         out[self._gathers[0]] = p
-        return out if shape is None else out.reshape(shape)
+        return out
 
     def flip(self, a: np.ndarray) -> np.ndarray:
         """a (L, ...) with each run reversed in time."""

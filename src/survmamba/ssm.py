@@ -8,14 +8,14 @@ Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
 ``discretize`` checks and records its sources and computes nothing;
 ``DiscreteParams.Abar`` and ``DiscreteParams.Bbar`` are formed as
-(.., E, N) arrays on first read, for references and instrumentation
+(L, E, N) arrays on first read, for references and instrumentation
 outside the scan. The scan never forms either: it is one tape node
 with parents (x, delta, A, Bproj, Cproj) that works time-major and
 state before channel.
 
-It takes flat (L, E) runs, independent sequences laid end to end, with
-their ``numerics.Runs`` passed through ``discretize(..., runs=)``; a
-(B, M, E) batch given without runs is B equal runs. It packs its inputs
+It takes flat (L, E) rows holding independent sequences ("runs") laid
+end to end, with their ``numerics.Runs`` passed through
+``discretize(..., runs=)``. It packs its inputs
 once per call, time-major as the Runs lays out: runs sorted longest
 first (stable), step t one contiguous block of the n_t runs still
 running, rows [:n_t] of the step before. No padding is formed, so
@@ -65,17 +65,17 @@ def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass
 class DiscreteParams:
-    """The sources of the step operators: delta (B, M, E), A (E, N),
-    Bproj (B, M, N) and the mode; or, with ``runs``, flat delta (L, E) and
-    Bproj (L, N) holding those runs end to end. ``Abar`` (.., E, N),
-    0 < Abar < 1, and ``Bbar`` are computed off the tape on first read and
-    cached; the recurrent scan reads neither."""
+    """The sources of the step operators: flat delta (L, E) and Bproj
+    (L, N) holding the runs of ``runs`` end to end, A (E, N) and the mode.
+    ``Abar`` (L, E, N), 0 < Abar < 1, and ``Bbar`` (L, E, N) are computed
+    off the tape on first read and cached; the recurrent scan reads
+    neither."""
 
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
-    runs: Runs | None = None
+    runs: Runs
 
     @cached_property
     def Abar(self) -> Tensor:
@@ -89,20 +89,22 @@ class DiscreteParams:
 
 
 def _check_a(where: str, delta: Tensor, A: Tensor, Bproj: Tensor):
-    """A must be (E, N), with E from delta (.., E) and N from Bproj (.., N)."""
+    """A must be (E, N), with E from delta (L, E) and N from Bproj (L, N)."""
     en = delta.shape[-1:] + Bproj.shape[-1:]
     if len(en) != 2 or A.shape != en:
         raise ShapeError(f"{where}: A {A.shape} is not (E, N) = {en}, taking E from delta "
                          f"{delta.shape} and N from Bproj {Bproj.shape}")
 
 
-def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler",
-               runs: Runs | None = None) -> DiscreteParams:
-    """Bundle delta (B, M, E), A (E, N) and Bproj (B, M, N), or flat delta
-    (L, E) and Bproj (L, N) with their runs, for the scan, which forms the
-    step operators per slab itself."""
+def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler", *,
+               runs: Runs) -> DiscreteParams:
+    """Bundle flat delta (L, E) and Bproj (L, N), their runs and A (E, N)
+    for the scan, which forms the step operators per slab itself."""
     if mode not in DISCRETIZE_MODES:
         raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
+    if delta.ndim != 2:
+        raise ShapeError(f"discretize: expected flat (L, E) rows, got delta {delta.shape}")
+    runs.check("discretize", delta.shape[0])
     _check_a("discretize", delta, A, Bproj)
     return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode, runs=runs)
 
@@ -150,9 +152,12 @@ def _with_prev(op, v, h, spans):
 
 
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Runs:
-    """The runs of the scan's input, after checking the shapes of its
-    sources against it."""
-    runs = Runs.of("scan", x.shape, dp.runs)
+    """The runs of the scan's input, after checking that x is flat (L, E)
+    rows they cover and the shapes of its sources against it."""
+    if x.ndim != 2:
+        raise ShapeError(f"scan: expected flat (L, E) rows, got x {x.shape}")
+    runs = dp.runs
+    runs.check("scan", x.shape[0])
     _check_a("scan", dp.delta, dp.A, dp.Bproj)
     lead_n = x.shape[:-1] + dp.A.shape[-1:]
     if dp.delta.shape != x.shape or dp.Bproj.shape != lead_n:
@@ -233,15 +238,14 @@ def _slab_grads(g, src, at, mode, runs, slabs, checkpoints):
 
 def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
     """Sequential scan from h_0 = 0 over each run of ``dp.runs`` in a flat
-    (L, E) input, or over the B rows of a (B, M, E) batch; one tape node
-    when a gradient is recorded."""
+    (L, E) input; one tape node when a gradient is recorded."""
     runs = _check_shapes(x, dp, cproj)
     parents = (x, dp.delta, dp.A, dp.Bproj, cproj)
     record = _records(parents)
     mode = dp.mode
-    # flat (L, .) views, then time-major packed, state before channel:
+    # time-major packed, state before channel:
     # x, delta (L, E); Bproj, Cproj (L, N); A^T (N, E)
-    src = tuple(p.data.reshape(runs.rows, -1) for p in (x, dp.delta, dp.Bproj, cproj))
+    src = (x.data, dp.delta.data, dp.Bproj.data, cproj.data)
     xt, dt, bt, ct = map(runs.pack, src)
     at = np.ascontiguousarray(dp.A.data.T)
     e, n = xt.shape[1], at.shape[0]
@@ -269,12 +273,12 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
             h[:kl] = h[k0 + r - kl :]  # the last step's states enter the next chunk
 
     def backward(g):
-        grads = _slab_grads(g.reshape(runs.rows, e), src, at, mode, runs, slabs, checkpoints)
+        grads = _slab_grads(g, src, at, mode, runs, slabs, checkpoints)
         for p, grad in zip(parents, grads):  # unpacked once the slab buffers are freed
             if p.requires_grad:
-                p._accum(grad if p is dp.A else runs.unpack(grad, p.shape))
+                p._accum(grad if p is dp.A else runs.unpack(grad))
 
-    return _node(runs.unpack(y, x.shape), parents, backward)
+    return _node(runs.unpack(y), parents, backward)
 
 
 # -- benchmarking (scan-bench CLI backend) ----------------------------------
@@ -305,14 +309,14 @@ def bench_scan(lengths, channels: int = 8, state: int = 8, reps: int = 5, seed: 
         delta0 = rng.uniform(0.05, 0.5, size=channels)
         bproj0 = rng.normal(size=state)
         c0 = rng.normal(size=state)
-        xt = Tensor(rng.normal(size=(1, m, channels)))
-        delta = Tensor(np.broadcast_to(delta0, (1, m, channels)).copy())
-        bproj = Tensor(np.broadcast_to(bproj0, (1, m, state)).copy())
-        cproj = Tensor(np.broadcast_to(c0, (1, m, state)).copy())
+        xt = Tensor(rng.normal(size=(m, channels)))
+        delta = Tensor(np.broadcast_to(delta0, (m, channels)).copy())
+        bproj = Tensor(np.broadcast_to(bproj0, (m, state)).copy())
+        cproj = Tensor(np.broadcast_to(c0, (m, state)).copy())
         src = (delta, Tensor(a_cont), bproj, "euler")
 
-        def fn(xt=xt, src=src, cproj=cproj):
-            return selective_scan_recurrent(xt, discretize(*src), cproj)
+        def fn(xt=xt, src=src, cproj=cproj, runs=Runs.cached((int(m),))):
+            return selective_scan_recurrent(xt, discretize(*src, runs=runs), cproj)
 
         fn()  # warm up
         cells.append({"length": int(m), "fn": fn, "times": []})

@@ -127,8 +127,7 @@ def evaluate(model: SurvMambaModel, dataset: SurvivalDataset, fold: int) -> Eval
     if len(records) < 2:
         raise ConfigError(f"fold {fold} has {len(records)} held-out records; the median split needs 2")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises instead
-            risks = model.predict_risks(records)
+        risks = model.predict_risks(records)
     except NonFiniteError as exc:
         raise NonFiniteError(f"evaluate: fold {fold}: {exc}") from None
 

@@ -4,14 +4,22 @@ Everything here is deliberately plain numpy, written as straight-line
 transcriptions with explicit loops, sharing no code paths with the
 library. The point is a second, dumber route to the same numbers. The
 parallel scan and the LTI kernel take the library's DiscreteParams and
-shape check, but do their own arithmetic.
+shape check, but do their own arithmetic. ``flat_runs`` turns the
+(B, M, ...) batches the transcriptions work on into the one input form
+of the library's blocks and scan.
 """
 
 import numpy as np
 
-from survmamba.errors import ShapeError
-from survmamba.numerics import Tensor
+from survmamba.numerics import Runs, Tensor
 from survmamba.ssm import DiscreteParams, _check_shapes
+
+
+def flat_runs(*arrays):
+    """(B, M, ...) arrays as Tensors of B*M flat rows each, followed by the
+    Runs of their B equal runs of M rows."""
+    b, m = arrays[0].shape[:2]
+    return (*(Tensor(a.reshape(b * m, *a.shape[2:])) for a in arrays), Runs.cached((m,) * b))
 
 
 def sigmoid(x):
@@ -167,15 +175,18 @@ def _scan_parallel_states_impl(abar, bx):
 
 
 def selective_scan_parallel(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Tensor:
-    """Work-efficient parallel-scan route over a (B, M, E) batch, forward
-    only: a cross-check on the recurrent scan that records no tape node.
-    Matches the recurrent output to ~1e-10 (same math, different summation
-    bracketing)."""
-    if dp.runs is not None:
-        raise ShapeError("scan: the parallel route takes (B, M, E) batches, not flat runs")
-    _check_shapes(x, dp, cproj)
-    h_all = _scan_parallel_states_impl(dp.Abar.data, dp.Bbar.data * x.data[..., None])
-    return Tensor(np.matmul(h_all[:, :, :, None, :], cproj.data[:, :, None, :, None])[..., 0, 0])
+    """Work-efficient parallel-scan route over each run of a flat (L, E)
+    input, forward only: a cross-check on the recurrent scan that records
+    no tape node. Matches the recurrent output to ~1e-10 (same math,
+    different summation bracketing)."""
+    runs = _check_shapes(x, dp, cproj)
+    bx = dp.Bbar.data * x.data[..., None]
+    y = np.empty(x.shape)
+    for lo, k in zip(runs.starts, runs.sizes):
+        rows = slice(lo, lo + k)
+        h_all = _scan_parallel_states_impl(dp.Abar.data[None, rows], bx[None, rows])[0]
+        y[rows] = np.matmul(h_all[:, :, None, :], cproj.data[rows, None, :, None])[..., 0, 0]
+    return Tensor(y)
 
 
 def lti_kernel(abar: np.ndarray, bbar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
@@ -392,18 +403,14 @@ def backward_keep_graph(root):
 
 def him_fine_per_length(tokens, block, runs):
     """him_fine as it was before one padded block call: one block call per
-    distinct group length (a single reshape when all groups are equal),
-    each length's groups gathered into one batch, and one inverse gather
-    over the concatenated outputs."""
-    from survmamba.numerics import concat, reshape
+    distinct group length, on that length's groups gathered as equal runs,
+    and one inverse gather over the concatenated outputs."""
+    from survmamba.numerics import concat
 
     sizes = runs.sizes.tolist()
-    n, d = tokens.shape
-    if len(set(sizes)) == 1:
-        return reshape(block(reshape(tokens, (len(sizes), sizes[0], d))), (n, d))
     lens = np.repeat(sizes, sizes)  # each token's group length
     runs = [(k, np.flatnonzero(lens == k)) for k in sorted(set(sizes))]
-    outs = [reshape(block(reshape(tokens[idx], (-1, k, d))), (idx.size, d)) for k, idx in runs]
+    outs = [block(tokens[idx], Runs.cached((k,) * (idx.size // k))) for k, idx in runs]
     return concat(outs, axis=0)[np.argsort(np.concatenate([idx for _, idx in runs]))]
 
 
@@ -445,7 +452,7 @@ def per_patient_risk(model, record):
     patient's own tokens, the coarse sequence and each fusion length as
     one freshly built run."""
     from survmamba.fusion import adaptive_fuse, align_fine_tokens
-    from survmamba.numerics import Runs, no_grad, segment_mean, tmean
+    from survmamba.numerics import no_grad, segment_mean, tmean
 
     def modality(tokens, runs, stacks):
         for blk in stacks.fine.blocks:

@@ -16,14 +16,14 @@ from survmamba.blocks import BiMambaBlock, IFMBlock
 from survmamba.fusion import AlphaParam, adaptive_fuse, hazard_output_from, survival_nll
 from survmamba.gradsuite import run_grad_checks
 from survmamba.model import report_complexity
-from survmamba.numerics import Tensor
+from survmamba.numerics import Runs, Tensor
 from survmamba.ssm import bench_scan, discretize, selective_scan_recurrent
 from survmamba.survstats import SurvivalOutcome, chi2_sf, concordance_index, kaplan_meier, logrank_test
 from survmamba.synth import SynthSpec, synth_generate
 from survmamba.training import TrainConfig, build_model, evaluate, train
 
 import _oracles as oracle
-from _oracles import apply_lti_kernel, lti_kernel, selective_scan_parallel
+from _oracles import apply_lti_kernel, flat_runs, lti_kernel, selective_scan_parallel
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -64,20 +64,21 @@ def test_criterion_1_kernel_equivalence():
         d0 = rng.uniform(0.05, 0.5, size=e)
         b0 = rng.normal(size=n)
         c0 = rng.normal(size=n)
-        x = rng.normal(size=(1, m, e))
+        x = rng.normal(size=(m, e))
         mode = "euler" if rng.uniform() < 0.5 else "zoh"
         dp = discretize(
-            Tensor(np.broadcast_to(d0, (1, m, e)).copy()),
+            Tensor(np.broadcast_to(d0, (m, e)).copy()),
             Tensor(a),
-            Tensor(np.broadcast_to(b0, (1, m, n)).copy()),
+            Tensor(np.broadcast_to(b0, (m, n)).copy()),
             mode,
+            runs=Runs.cached((m,)),
         )
-        cproj = Tensor(np.broadcast_to(c0, (1, m, n)).copy())
+        cproj = Tensor(np.broadcast_to(c0, (m, n)).copy())
         xt = Tensor(x)
         y_rec = selective_scan_recurrent(xt, dp, cproj).data
         y_par = selective_scan_parallel(xt, dp, cproj).data
-        kern = lti_kernel(dp.Abar.data[0, 0], dp.Bbar.data[0, 0], c0, m)
-        y_conv = apply_lti_kernel(x, kern)
+        kern = lti_kernel(dp.Abar.data[0], dp.Bbar.data[0], c0, m)
+        y_conv = apply_lti_kernel(x[None], kern)[0]
         worst_conv = max(worst_conv, float(np.max(np.abs(y_rec - y_conv))))
         worst_par = max(worst_par, float(np.max(np.abs(y_rec - y_par))))
     wall = time.perf_counter() - t0
@@ -110,13 +111,13 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_construction_identities():
     rng = np.random.default_rng(101)
     blk = BiMambaBlock(8, 16, 4, 4, rng=np.random.default_rng(55))
-    x = rng.normal(size=(2, 7, 8))
-    identity = np.array_equal(blk(Tensor(x)).data, x)
+    x, runs = flat_runs(rng.normal(size=(2, 7, 8)))
+    identity = np.array_equal(blk(x, runs).data, x.data)
 
     ifm = IFMBlock(8, 16, 4, 4, rng=np.random.default_rng(56))
     zero = np.array_equal(
-        ifm(Tensor(rng.normal(size=(1, 5, 8))), Tensor(rng.normal(size=(1, 5, 8)))).data,
-        np.zeros((1, 5, 8)),
+        ifm(*flat_runs(rng.normal(size=(1, 5, 8)), rng.normal(size=(1, 5, 8)))).data,
+        np.zeros((5, 8)),
     )
 
     hf, hc = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))

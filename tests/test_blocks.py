@@ -1,6 +1,7 @@
 """Composite blocks against straight-line oracle transcriptions, plus
 the construction identities and symmetry properties."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from survmamba.gradsuite import check_blocks
 from survmamba.numerics import Runs, Tensor, grad_check, silu, tmean, tsum
 
 import _oracles as oracle
+from _oracles import flat_runs
 
 
 def _randomized_bimamba(seed=1, noise=201, d=3, e=4, n=2, w=2):
@@ -44,9 +46,9 @@ def test_blocks_take_e_expand_and_a_keyword_rng(block):
 class TestBiMamba:
     def test_fresh_block_is_exact_identity(self):
         blk = BiMambaBlock(4, 8, 2, 2, rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(2, 6, 4))
-        out = blk(Tensor(x))
-        assert np.array_equal(out.data, x)
+        x, runs = flat_runs(np.random.default_rng(1).normal(size=(2, 6, 4)))
+        out = blk(x, runs)
+        assert np.array_equal(out.data, x.data)
 
     def test_length_one_tied_directions(self):
         # a single token has no order: with tied direction parameters,
@@ -78,22 +80,6 @@ class TestBiMamba:
     def test_runs_must_cover_tokens(self):
         with pytest.raises(ShapeError, match="bi-mamba: runs cover 7 rows, input has 8"):
             _randomized_bimamba()(Tensor(np.zeros((8, 3))), Runs([3, 4]))
-        with pytest.raises(ShapeError, match="bi-mamba: expected a"):
-            _randomized_bimamba()(Tensor(np.zeros((8, 3))))
-
-    def test_batch_equals_equal_runs_bit_for_bit(self):
-        """A (B, M, D) batch is B equal runs of the flat tokens: output and
-        every gradient, bit for bit."""
-        x = np.random.default_rng(4).normal(size=(3, 5, 3))
-        w = np.random.default_rng(5).normal(size=x.shape)
-        got = []
-        for tokens, runs in [(x, None), (x.reshape(15, 3), Runs([5, 5, 5]))]:
-            blk = _randomized_bimamba()
-            t = Tensor(tokens, requires_grad=True)
-            tsum(blk(t, runs) * Tensor(w.reshape(tokens.shape))).backward()
-            got.append([t.grad.reshape(x.shape)] + [p.grad for p in blk.parameters()])
-        for a, b in zip(*got):
-            assert np.array_equal(a, b)
 
     def test_matches_straight_line_oracle_ones(self):
         blk = BiMambaBlock(4, 8, 2, 2, rng=np.random.default_rng(42))
@@ -101,9 +87,9 @@ class TestBiMamba:
         for _, p in blk.named_parameters():
             p.data += prng.normal(scale=0.4, size=p.shape)
         x = np.ones((1, 5, 4))
-        mine = blk(Tensor(x)).data
+        mine = blk(*flat_runs(x)).data
         ref = oracle.bimamba_forward(blk, x)
-        assert np.max(np.abs(mine - ref)) < 1e-12
+        assert np.max(np.abs(mine - ref.reshape(mine.shape))) < 1e-12
 
     def test_matches_oracle_zoh_random_input(self):
         blk = BiMambaBlock(3, 6, 3, 3, rng=np.random.default_rng(44), disc_mode="zoh")
@@ -111,37 +97,41 @@ class TestBiMamba:
         for _, p in blk.named_parameters():
             p.data += prng.normal(scale=0.4, size=p.shape)
         x = prng.normal(size=(2, 7, 3))
-        mine = blk(Tensor(x)).data
+        mine = blk(*flat_runs(x)).data
         ref = oracle.bimamba_forward(blk, x)
-        assert np.max(np.abs(mine - ref)) < 1e-12
+        assert np.max(np.abs(mine - ref.reshape(mine.shape))) < 1e-12
 
     def test_direction_symmetry(self):
         # swapping the direction parameter sets and reversing the input
         # reverses the output
         blk = _randomized_bimamba()
         x = np.random.default_rng(3).normal(size=(2, 6, 3))
-        out = blk(Tensor(x)).data
+        out = blk(*flat_runs(x)).data.reshape(x.shape)
         blk.fwd, blk.bwd = blk.bwd, blk.fwd
-        out_swapped = blk(Tensor(np.flip(x, 1).copy())).data
+        out_swapped = blk(*flat_runs(np.flip(x, 1))).data.reshape(x.shape)
         assert np.max(np.abs(out_swapped - np.flip(out, 1))) <= 1e-10
 
     def test_output_shape_matches_input(self):
         blk = _randomized_bimamba()
-        for shape in ((1, 1, 3), (2, 9, 3), (3, 4, 3)):
-            x = Tensor(np.random.default_rng(4).normal(size=shape))
-            assert blk(x).shape == shape
+        for sizes in ([1], [9, 9], [4, 1, 7]):
+            x = Tensor(np.random.default_rng(4).normal(size=(sum(sizes), 3)))
+            assert blk(x, Runs(sizes)).shape == x.shape
 
     def test_dim_mismatch_raises(self):
+        """Tokens of the wrong dim, or a (B, M, D) batch, which is not an
+        input form even with runs that would cover its rows."""
         blk = _randomized_bimamba()
-        with pytest.raises(ShapeError):
-            blk(Tensor(np.zeros((1, 4, 5))))
+        for shape, runs in [((4, 5), Runs([4])), ((2, 4, 3), Runs([4, 4]))]:
+            with pytest.raises(ShapeError, match=rf"bi-mamba: expected flat \(L, 3\) tokens, got {re.escape(str(shape))}"):
+                blk(Tensor(np.zeros(shape)), runs)
 
     def test_gradient(self):
         blk = _randomized_bimamba()
         blk.fwd.delta_bias.data += 1.5
         blk.bwd.delta_bias.data += 1.5
-        x = Tensor(np.random.default_rng(201).normal(size=(1, 5, 3)))
-        err = grad_check(lambda: tmean(silu(blk(x))), list(blk.named_parameters()), h=2e-5)
+        x = Tensor(np.random.default_rng(201).normal(size=(5, 3)))
+        runs = Runs([5])
+        err = grad_check(lambda: tmean(silu(blk(x, runs))), list(blk.named_parameters()), h=2e-5)
         assert err <= 1e-5
 
 
@@ -149,8 +139,8 @@ class TestIFM:
     def test_fresh_block_outputs_exact_zero(self):
         blk = IFMBlock(4, 8, 2, 2, rng=np.random.default_rng(5))
         rng = np.random.default_rng(6)
-        out = blk(Tensor(rng.normal(size=(1, 5, 4))), Tensor(rng.normal(size=(1, 5, 4))))
-        assert np.array_equal(out.data, np.zeros((1, 5, 4)))
+        out = blk(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 4))), Runs([5]))
+        assert np.array_equal(out.data, np.zeros((5, 4)))
 
     def test_closed_gate_zeroes_branch(self):
         # zero z-weights with a very negative bias close SiLU(z2), so the
@@ -162,60 +152,69 @@ class TestIFM:
         blk.linear_z.weight.data[:] = 0.0
         blk.linear_z.bias.data[:] = -1e4  # silu(-1e4) == 0 in float64
         rng = np.random.default_rng(8)
-        out = blk(Tensor(rng.normal(size=(1, 4, 3))), Tensor(rng.normal(size=(1, 4, 3)))).data
+        out = blk(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3))), Runs([4])).data
         assert np.array_equal(out, np.broadcast_to(blk.linear_out.bias.data, out.shape))
 
     def test_matches_straight_line_oracle_ones(self):
         blk = _randomized_ifm()
         a = np.ones((1, 4, 3))
         b = np.ones((1, 4, 3))
-        mine = blk(Tensor(a), Tensor(b)).data
+        mine = blk(*flat_runs(a, b)).data
         ref = oracle.ifm_forward(blk, a, b)
-        assert np.max(np.abs(mine - ref)) < 1e-12
+        assert np.max(np.abs(mine - ref.reshape(mine.shape))) < 1e-12
 
     def test_matches_oracle_random(self):
         blk = _randomized_ifm(seed=9, noise=10)
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 6, 3))
         b = rng.normal(size=(2, 6, 3))
-        mine = blk(Tensor(a), Tensor(b)).data
+        mine = blk(*flat_runs(a, b)).data
         ref = oracle.ifm_forward(blk, a, b)
-        assert np.max(np.abs(mine - ref)) < 1e-12
+        assert np.max(np.abs(mine - ref.reshape(mine.shape))) < 1e-12
 
     def test_modality_slot_symmetry(self):
         # swapping inputs together with the per-modality parameter sets
         # (including the two halves of the output projection) is a no-op
         blk = _randomized_ifm()
         rng = np.random.default_rng(12)
-        a = rng.normal(size=(1, 5, 3))
-        b = rng.normal(size=(1, 5, 3))
-        out = blk(Tensor(a), Tensor(b)).data
+        a = rng.normal(size=(5, 3))
+        b = rng.normal(size=(5, 3))
+        runs = Runs([5])
+        out = blk(Tensor(a), Tensor(b), runs).data
         e = blk.e_expand
         blk.m1, blk.m2 = blk.m2, blk.m1
         w = blk.linear_out.weight.data
         w[:] = np.concatenate([w[e:], w[:e]], axis=0)
-        out_swapped = blk(Tensor(b), Tensor(a)).data
+        out_swapped = blk(Tensor(b), Tensor(a), runs).data
         assert np.max(np.abs(out - out_swapped)) <= 1e-10
 
     def test_unequal_lengths_raise(self):
         blk = _randomized_ifm()
         with pytest.raises(ShapeError, match="align"):
-            blk(Tensor(np.zeros((1, 4, 3))), Tensor(np.zeros((1, 5, 3))))
+            blk(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))), Runs([4]))
 
     def test_output_shape(self):
         blk = _randomized_ifm()
-        x = Tensor(np.random.default_rng(13).normal(size=(2, 7, 3)))
-        y = Tensor(np.random.default_rng(14).normal(size=(2, 7, 3)))
-        assert blk(x, y).shape == (2, 7, 3)
+        x = Tensor(np.random.default_rng(13).normal(size=(14, 3)))
+        y = Tensor(np.random.default_rng(14).normal(size=(14, 3)))
+        assert blk(x, y, Runs([7, 7])).shape == (14, 3)
+
+    def test_a_batch_or_uncovered_tokens_are_refused(self):
+        blk = _randomized_ifm()
+        with pytest.raises(ShapeError, match=r"ifm: expected flat \(L, 3\) tokens, got \(2, 4, 3\)"):
+            blk(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 4, 3))), Runs([4, 4]))
+        with pytest.raises(ShapeError, match="ifm: runs cover 7 rows, input has 8"):
+            blk(Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 3))), Runs([3, 4]))
 
     def test_gradient(self):
         blk = _randomized_ifm()
         blk.m1.branch.delta_bias.data += 1.5
         blk.m2.branch.delta_bias.data += 1.5
         rng = np.random.default_rng(304)
-        a = Tensor(rng.normal(size=(1, 5, 3)))
-        b = Tensor(rng.normal(size=(1, 5, 3)))
-        err = grad_check(lambda: tmean(silu(blk(a, b))), list(blk.named_parameters()), h=2e-5)
+        a = Tensor(rng.normal(size=(5, 3)))
+        b = Tensor(rng.normal(size=(5, 3)))
+        runs = Runs([5])
+        err = grad_check(lambda: tmean(silu(blk(a, b, runs))), list(blk.named_parameters()), h=2e-5)
         assert err <= 1e-5
 
 
@@ -229,11 +228,12 @@ class TestScanMemory:
         """(bytes the graph holds after forward, backward peak above that
         starting point) for a block with n state dims, grad enabled."""
         blk = BiMambaBlock(self.D, self.E, n, rng=np.random.default_rng(0))
-        tokens = Tensor(np.random.default_rng(1).normal(size=(self.B, self.M, self.D)))
+        tokens = Tensor(np.random.default_rng(1).normal(size=(self.B * self.M, self.D)))
+        runs = Runs.cached((self.M,) * self.B)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = tsum(blk(tokens))
+            out = tsum(blk(tokens, runs))
             graph = tracemalloc.get_traced_memory()[0] - base
             tracemalloc.reset_peak()
             out.backward()

@@ -20,7 +20,7 @@ from survmamba.fusion import (
     survival_nll,
 )
 from survmamba.model import ModelConfig
-from survmamba.numerics import Tensor
+from survmamba.numerics import Runs, Tensor
 
 import _oracles as oracle
 
@@ -82,7 +82,7 @@ class TestFuse:
         rng = np.random.default_rng(4)
         a, b = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
         [hf] = fuse_fine([a], [b], blk, [1])
-        direct = blk(Tensor(a.data[None]), Tensor(b.data[None])).data[0, 0]
+        direct = blk(a, b, Runs([1])).data[0]
         assert np.array_equal(hf.data, direct)
 
     def test_matches_oracle_plus_mean(self):
@@ -111,7 +111,7 @@ class TestFuse:
         rng = np.random.default_rng(19)
         a, b = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
         [hc] = fuse_coarse([a], [b], blk)
-        direct = blk(Tensor(a.data[None]), Tensor(b.data[None])).data[0, 0]
+        direct = blk(a, b, Runs([1])).data[0]
         assert np.array_equal(hc.data, direct)
 
     def test_fuse_coarse_matches_oracle(self):

@@ -253,7 +253,7 @@ class TestHimFine:
         blk = _block(seed=17, noise=18)
         toks = np.ones((4, 3))
         refined = him_fine(Tensor(toks), blk, Runs([4])).data
-        direct = blk(Tensor(toks[None]))[0].data
+        direct = blk(Tensor(toks), Runs([4])).data
         assert np.array_equal(refined, direct)
 
     def test_batched_lengths_match_unbatched(self):
@@ -262,7 +262,7 @@ class TestHimFine:
         parts, tokens = _groups(np.random.default_rng(21), [4, 4, 4])
         batched = _split(him_fine(tokens, blk, Runs([4, 4, 4])), [4, 4, 4])
         for got, toks in zip(batched, parts):
-            single = blk(Tensor(toks[None]))[0].data
+            single = blk(Tensor(toks), Runs([4])).data
             assert np.max(np.abs(got - single)) < 1e-12
 
     def test_interleaved_ragged_matches_direct_calls(self):
@@ -281,11 +281,11 @@ class TestHimFine:
         got = (out.data, tokens.grad.copy(), {n: p.grad.copy() for n, p in blk.named_parameters()})
 
         blk.zero_grad()
-        inputs = [Tensor(p[None], requires_grad=True) for p in parts]
-        outs = [blk(x)[0] for x in inputs]
+        inputs = [Tensor(p, requires_grad=True) for p in parts]
+        outs = [blk(x, Runs([len(p)])) for x, p in zip(inputs, parts)]
         tsum(concat(outs, axis=0) * Tensor(w)).backward()
         want = (np.concatenate([o.data for o in outs], axis=0),
-                np.concatenate([x.grad[0] for x in inputs], axis=0),
+                np.concatenate([x.grad for x in inputs], axis=0),
                 {n: p.grad.copy() for n, p in blk.named_parameters()})
 
         def close(a, b):
@@ -346,7 +346,7 @@ class TestHimFineOneCall:
         blk = _block(seed=53, noise=54)
         calls = []
 
-        def spy(self, tokens, runs=None):
+        def spy(self, tokens, runs):
             calls.append((tokens.shape, runs))
             return orig(self, tokens, runs)
 

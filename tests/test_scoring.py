@@ -6,6 +6,7 @@ seen and names a patient whose bag does not fit the model."""
 
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -157,11 +158,27 @@ def test_one_overflowing_patient_spoils_only_its_own_risk():
     keep = np.arange(len(held)) != bad
     assert np.isnan(got[bad])
     assert np.max(np.abs(got[keep] - want[keep])) <= 1e-12 * np.max(np.abs(want))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match=f"^non-finite risk nan for patient {held[bad].patient_id}$"):
+    with pytest.raises(NonFiniteError, match=f"^non-finite risk nan for patient {held[bad].patient_id}$"):
         model.predict_risks(held)
     with pytest.raises(NonFiniteError, match=f"fold 2: non-finite risk nan for patient {held[bad].patient_id}$"):
         evaluate(model, ds, 2)
+
+
+def test_an_overflowing_patient_raises_without_numpy_warnings():
+    """Outside `evaluate` as inside it, `predict_risk` and `predict_risks`
+    name an overflowing patient in a NonFiniteError, and numpy reports no
+    overflow first."""
+    model = _tiny("euler", 1)
+    rng = np.random.default_rng(9)
+    records = [_record(i, [3, 5], rng) for i in range(3)]
+    for _, tokens in records[1].histology.groups:
+        tokens[...] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"^non-finite risk \S+ for patient P0001$"):
+            model.predict_risk(records[1])
+        with pytest.raises(NonFiniteError, match=r"^non-finite risk \S+ for patient P0001$"):
+            model.predict_risks(records)
 
 
 def test_an_overflowing_feature_fails_loudly():

@@ -13,112 +13,139 @@ from hypothesis import strategies as st
 import survmamba.ssm as ssm
 from survmamba.errors import ConfigError, ShapeError
 from survmamba.gradsuite import check_scan
-from survmamba.numerics import Runs, Tensor, grad_check, no_grad, silu, tsum
+from survmamba.numerics import Runs, Tensor, grad_check, no_grad, reshape, silu, tsum
 from survmamba.ssm import discretize, selective_scan_recurrent
 
 import _oracles as oracle
-from _oracles import apply_lti_kernel, lti_kernel, selective_scan_parallel
+from _oracles import apply_lti_kernel, flat_runs, lti_kernel, selective_scan_parallel
 
 
 def _const_params(delta, a, b, c, m, e=1, n=1):
-    """Broadcast scalar LTI parameters to the per-step layout."""
-    dt = Tensor(np.full((1, m, e), delta))
+    """Broadcast scalar LTI parameters to the per-step layout of one run of
+    m steps, followed by its Runs."""
+    dt = Tensor(np.full((m, e), delta))
     av = Tensor(np.full((e, n), a))
-    bv = Tensor(np.full((1, m, n), b))
-    cv = Tensor(np.full((1, m, n), c))
-    return dt, av, bv, cv
+    bv = Tensor(np.full((m, n), b))
+    cv = Tensor(np.full((m, n), c))
+    return dt, av, bv, cv, Runs.cached((m,))
+
+
+def _vals(rng, b, m, e, n):
+    """Scan sources as flat rows of b equal runs of m steps, and A."""
+    vals = {
+        "x": rng.normal(size=(b, m, e)),
+        "delta": rng.uniform(0.05, 0.8, size=(b, m, e)),
+        "A": -np.exp(rng.normal(size=(e, n))),
+        "Bproj": rng.normal(size=(b, m, n)),
+        "Cproj": rng.normal(size=(b, m, n)),
+    }
+    return {k: v if k == "A" else v.reshape(b * m, -1) for k, v in vals.items()}
+
+
+def _fused(ts, mode, runs, scan=selective_scan_recurrent):
+    return scan(ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], mode, runs=runs), ts["Cproj"])
+
+
+def _unfused(ts, mode, b):
+    """The unfused tape composition (tests/_oracles.py) over b equal runs
+    of flat rows, as the (b, M, .) batch it takes."""
+    batch = {k: v if k == "A" else reshape(v, (b, -1) + v.shape[1:]) for k, v in ts.items()}
+    abar, bbar = oracle.unfused_discretize(batch["delta"], ts["A"], batch["Bproj"], mode)
+    return reshape(oracle.unfused_scan(batch["x"], abar, bbar, batch["Cproj"]), ts["x"].shape)
 
 
 class TestDiscretize:
     def test_zero_timestep_is_identity(self):
         for mode in ("euler", "zoh"):
-            dt, a, b, _ = _const_params(0.0, -1.0, 1.0, 1.0, m=1)
-            dp = discretize(dt, a, b, mode)
+            dt, a, b, _, runs = _const_params(0.0, -1.0, 1.0, 1.0, m=1)
+            dp = discretize(dt, a, b, mode, runs=runs)
             assert np.array_equal(dp.Abar.data.ravel(), [1.0])
             assert np.array_equal(dp.Bbar.data.ravel(), [0.0])
 
     def test_euler_fixture(self):
-        dt, a, b, _ = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
-        dp = discretize(dt, a, b, "euler")
+        dt, a, b, _, runs = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
+        dp = discretize(dt, a, b, "euler", runs=runs)
         assert abs(dp.Abar.data.ravel()[0] - math.exp(-1.0)) < 1e-15
         assert abs(dp.Abar.data.ravel()[0] - 0.367879) < 1e-6
         assert dp.Bbar.data.ravel()[0] == 1.0
 
     def test_zoh_fixture(self):
-        dt, a, b, _ = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
-        dp = discretize(dt, a, b, "zoh")
+        dt, a, b, _, runs = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
+        dp = discretize(dt, a, b, "zoh", runs=runs)
         assert abs(dp.Abar.data.ravel()[0] - math.exp(-1.0)) < 1e-15
         expect = (math.exp(-1.0) - 1.0) / (-1.0)
         assert abs(dp.Bbar.data.ravel()[0] - expect) < 1e-15
         assert abs(dp.Bbar.data.ravel()[0] - 0.632121) < 1e-6
 
     def test_unknown_mode(self):
-        dt, a, b, _ = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
+        dt, a, b, _, runs = _const_params(1.0, -1.0, 1.0, 1.0, m=1)
         with pytest.raises(ConfigError, match="mode"):
-            discretize(dt, a, b, "bilinear")
+            discretize(dt, a, b, "bilinear", runs=runs)
 
     @pytest.mark.parametrize("a_shape", [(1, 2), (5, 2), (4, 3), (4,)])
     def test_a_must_be_e_by_n(self, a_shape):
         # an A of (1, N) used to broadcast silently and leave A.grad (E, N);
         # an (E', N) A used to end in a raw numpy ValueError
         rng = np.random.default_rng(1)
-        x, dt = Tensor(rng.normal(size=(1, 3, 4))), Tensor(np.full((1, 3, 4), 0.2))
-        bp, cp = Tensor(rng.normal(size=(1, 3, 2))), Tensor(rng.normal(size=(1, 3, 2)))
+        x, dt = Tensor(rng.normal(size=(3, 4))), Tensor(np.full((3, 4), 0.2))
+        bp, cp = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
         a = Tensor(-np.ones(a_shape), requires_grad=True)
+        runs = Runs.cached((3,))
         with pytest.raises(ShapeError, match=r"discretize: A \(.*\) is not \(E, N\) = \(4, 2\)"):
-            discretize(dt, a, bp, "euler")
-        dp = ssm.DiscreteParams(delta=dt, A=a, Bproj=bp, mode="euler")
+            discretize(dt, a, bp, "euler", runs=runs)
+        dp = ssm.DiscreteParams(delta=dt, A=a, Bproj=bp, mode="euler", runs=runs)
         with pytest.raises(ShapeError, match=r"scan: A \(.*\) is not \(E, N\) = \(4, 2\)"):
             selective_scan_recurrent(x, dp, cp)
 
     def test_abar_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        dt = Tensor(rng.uniform(1e-3, 2.0, size=(2, 5, 3)))
+        dt = Tensor(rng.uniform(1e-3, 2.0, size=(10, 3)))
         a = Tensor(-np.exp(rng.normal(size=(3, 4))))
-        b = Tensor(rng.normal(size=(2, 5, 4)))
+        b = Tensor(rng.normal(size=(10, 4)))
         for mode in ("euler", "zoh"):
-            dp = discretize(dt, a, b, mode)
+            dp = discretize(dt, a, b, mode, runs=Runs.cached((5, 5)))
             assert np.all(dp.Abar.data > 0.0)
             assert np.all(dp.Abar.data < 1.0)
 
 
 class TestRecurrentScan:
     def test_zero_input(self):
-        dt, a, b, c = _const_params(0.3, -1.0, 1.0, 1.0, m=4, e=2, n=3)
-        dp = discretize(dt, a, b, "euler")
-        y = selective_scan_recurrent(Tensor(np.zeros((1, 4, 2))), dp, c)
-        assert np.array_equal(y.data, np.zeros((1, 4, 2)))
+        dt, a, b, c, runs = _const_params(0.3, -1.0, 1.0, 1.0, m=4, e=2, n=3)
+        dp = discretize(dt, a, b, "euler", runs=runs)
+        y = selective_scan_recurrent(Tensor(np.zeros((4, 2))), dp, c)
+        assert np.array_equal(y.data, np.zeros((4, 2)))
 
     def test_single_step_fixture(self):
         # Abar=0.5, Bbar=1, C=3, x=[2] -> h=2, y=6
-        dt = Tensor(np.full((1, 1, 1), 1.0))
+        dt = Tensor(np.full((1, 1), 1.0))
         a = Tensor([[math.log(0.5)]])  # exp(dt * a) = 0.5
-        dp = discretize(dt, a, Tensor([[[1.0]]]), "euler")
-        y = selective_scan_recurrent(Tensor([[[2.0]]]), dp, Tensor([[[3.0]]]))
+        dp = discretize(dt, a, Tensor([[1.0]]), "euler", runs=Runs.cached((1,)))
+        y = selective_scan_recurrent(Tensor([[2.0]]), dp, Tensor([[3.0]]))
         assert abs(y.data.ravel()[0] - 6.0) < 1e-12
 
     def test_two_step_fixture(self):
         # h2 = 0.5*2 + 2 = 3, y2 = 9
-        dt = Tensor(np.full((1, 2, 1), 1.0))
+        dt = Tensor(np.full((2, 1), 1.0))
         a = Tensor([[math.log(0.5)]])
-        b = Tensor(np.full((1, 2, 1), 1.0))
-        c = Tensor(np.full((1, 2, 1), 3.0))
-        dp = discretize(dt, a, b, "euler")
-        y = selective_scan_recurrent(Tensor(np.full((1, 2, 1), 2.0)), dp, c)
+        b = Tensor(np.full((2, 1), 1.0))
+        c = Tensor(np.full((2, 1), 3.0))
+        dp = discretize(dt, a, b, "euler", runs=Runs.cached((2,)))
+        y = selective_scan_recurrent(Tensor(np.full((2, 1), 2.0)), dp, c)
         assert np.max(np.abs(y.data.ravel() - [6.0, 9.0])) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         b, m, e, n = 2, 11, 3, 4
-        dt = Tensor(rng.uniform(0.05, 0.8, size=(b, m, e)))
+        dt = rng.uniform(0.05, 0.8, size=(b, m, e))
         a = Tensor(-np.exp(rng.normal(size=(e, n))))
-        bp = Tensor(rng.normal(size=(b, m, n)))
-        cp = Tensor(rng.normal(size=(b, m, n)))
+        bp = rng.normal(size=(b, m, n))
+        cp = rng.normal(size=(b, m, n))
         x = rng.normal(size=(b, m, e))
-        dp = discretize(dt, a, bp, "euler")
-        y = selective_scan_recurrent(Tensor(x), dp, cp).data
-        ref = oracle.scan_recurrence(x, dp.Abar.data, dp.Bbar.data, cp.data)
-        assert np.max(np.abs(y - ref)) < 1e-12
+        dtf, bpf, cpf, xf, runs = flat_runs(dt, bp, cp, x)
+        dp = discretize(dtf, a, bpf, "euler", runs=runs)
+        y = selective_scan_recurrent(xf, dp, cpf).data
+        ref = oracle.scan_recurrence(x, dp.Abar.data.reshape(b, m, e, n), dp.Bbar.data.reshape(b, m, e, n), cp)
+        assert np.max(np.abs(y - ref.reshape(y.shape))) < 1e-12
 
 
 class TestLtiKernel:
@@ -149,26 +176,27 @@ class TestLtiKernel:
             d0 = rng.uniform(0.05, 0.5, size=e)
             b0 = rng.normal(size=n)
             c0 = rng.normal(size=n)
-            x = rng.normal(size=(1, m, e))
+            x = rng.normal(size=(m, e))
             dp = discretize(
-                Tensor(np.broadcast_to(d0, (1, m, e)).copy()),
+                Tensor(np.broadcast_to(d0, (m, e)).copy()),
                 Tensor(a),
-                Tensor(np.broadcast_to(b0, (1, m, n)).copy()),
+                Tensor(np.broadcast_to(b0, (m, n)).copy()),
                 "zoh",
+                runs=Runs.cached((m,)),
             )
             y = selective_scan_recurrent(
-                Tensor(x), dp, Tensor(np.broadcast_to(c0, (1, m, n)).copy())
+                Tensor(x), dp, Tensor(np.broadcast_to(c0, (m, n)).copy())
             ).data
-            kern = lti_kernel(dp.Abar.data[0, 0], dp.Bbar.data[0, 0], c0, m)
-            conv = apply_lti_kernel(x, kern)
+            kern = lti_kernel(dp.Abar.data[0], dp.Bbar.data[0], c0, m)
+            conv = apply_lti_kernel(x[None], kern)[0]
             assert np.max(np.abs(y - conv)) < 1e-8
 
 
 class TestParallelScan:
     def test_single_element(self):
-        dt, a, b, c = _const_params(0.4, -0.5, 1.0, 2.0, m=1, e=2, n=2)
-        dp = discretize(dt, a, b, "euler")
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 1, 2)))
+        dt, a, b, c, runs = _const_params(0.4, -0.5, 1.0, 2.0, m=1, e=2, n=2)
+        dp = discretize(dt, a, b, "euler", runs=runs)
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 2)))
         yr = selective_scan_recurrent(x, dp, c).data
         yp = selective_scan_parallel(x, dp, c).data
         assert np.array_equal(yr, yp)
@@ -177,15 +205,27 @@ class TestParallelScan:
         rng = np.random.default_rng(4)
         for mode, m in itertools.product(("euler", "zoh"), (2, 3, 5, 8, 13, 31, 64)):
             b, e, n = 2, 3, 4
-            dt = Tensor(rng.uniform(0.05, 0.8, size=(b, m, e)))
+            dt = rng.uniform(0.05, 0.8, size=(b, m, e))
             a = Tensor(-np.exp(rng.normal(size=(e, n))))
-            bp = Tensor(rng.normal(size=(b, m, n)))
-            cp = Tensor(rng.normal(size=(b, m, n)))
-            x = Tensor(rng.normal(size=(b, m, e)))
-            dp = discretize(dt, a, bp, mode)
+            bp = rng.normal(size=(b, m, n))
+            cp = rng.normal(size=(b, m, n))
+            x = rng.normal(size=(b, m, e))
+            dt, bp, cp, x, runs = flat_runs(dt, bp, cp, x)
+            dp = discretize(dt, a, bp, mode, runs=runs)
             yr = selective_scan_recurrent(x, dp, cp).data
             yp = selective_scan_parallel(x, dp, cp).data
             assert np.max(np.abs(yr - yp)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    def test_matches_recurrent_on_ragged_runs(self, mode):
+        """Runs of different lengths in one call, given in any order: each
+        run starts from a zero state on both routes."""
+        lengths = [5, 1, 13, 8, 8]
+        ts = {k: Tensor(v) for k, v in _vals(np.random.default_rng(8), 1, sum(lengths), 3, 4).items()}
+        runs = Runs.cached(tuple(lengths))
+        yr = _fused(ts, mode, runs).data
+        yp = _fused(ts, mode, runs, selective_scan_parallel).data
+        assert np.max(np.abs(yr - yp)) <= 1e-10
 
     def test_operator_random_bracketing(self):
         # any bracketing of the associative operator reproduces the
@@ -220,8 +260,9 @@ class TestRunSsm:
         bp = rng.normal(size=(b, m, n))
         cp = rng.normal(size=(b, m, n))
         x = rng.normal(size=(b, m, e))
-        dp = discretize(Tensor(delta), Tensor(a), Tensor(bp), "zoh")
-        y = selective_scan_recurrent(Tensor(x), dp, Tensor(cp)).data
+        delta_f, bp_f, cp_f, x_f, runs = flat_runs(delta, bp, cp, x)
+        dp = discretize(delta_f, Tensor(a), bp_f, "zoh", runs=runs)
+        y = selective_scan_recurrent(x_f, dp, cp_f).data.reshape(b, m, e)
         ref = np.zeros((b, m, e))
         for i in range(b):
             h = np.zeros((e, n))
@@ -231,20 +272,20 @@ class TestRunSsm:
                 h = abar * h + bbar * x[i, t][:, None]
                 ref[i, t] = h @ cp[i, t]
         assert np.max(np.abs(y - ref)) <= 1e-12
-        yp = selective_scan_parallel(Tensor(x), dp, Tensor(cp)).data
-        assert np.max(np.abs(yp - y)) <= 1e-10
+        yp = selective_scan_parallel(x_f, dp, cp_f).data
+        assert np.max(np.abs(yp.reshape(y.shape) - y)) <= 1e-10
 
 
 class TestStability:
     def test_bounded_state_4096(self):
         rng = np.random.default_rng(6)
         m, e, n = 4096, 2, 3
-        dt = Tensor(rng.uniform(0.01, 1.0, size=(1, m, e)))
+        dt = Tensor(rng.uniform(0.01, 1.0, size=(m, e)))
         a = Tensor(-np.exp(rng.normal(size=(e, n))))
-        bp = Tensor(rng.normal(size=(1, m, n)))
-        cp = Tensor(rng.normal(size=(1, m, n)))
-        x = rng.normal(size=(1, m, e))
-        dp = discretize(dt, a, bp, "euler")
+        bp = Tensor(rng.normal(size=(m, n)))
+        cp = Tensor(rng.normal(size=(m, n)))
+        x = rng.normal(size=(m, e))
+        dp = discretize(dt, a, bp, "euler", runs=Runs.cached((m,)))
         y = selective_scan_recurrent(Tensor(x), dp, cp).data
         assert np.all(np.isfinite(y))
         bx = dp.Bbar.data * x[..., None]
@@ -257,15 +298,15 @@ class TestStability:
 class TestScanGradient:
     def test_full_scan_gradient(self):
         rng = np.random.default_rng(7)
-        b, m, e, n = 1, 6, 2, 3
+        m, e, n = 6, 2, 3
         a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
-        dt = Tensor(rng.uniform(0.1, 0.7, size=(b, m, e)), requires_grad=True)
-        bp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-        cp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-        x = Tensor(rng.normal(size=(b, m, e)), requires_grad=True)
+        dt = Tensor(rng.uniform(0.1, 0.7, size=(m, e)), requires_grad=True)
+        bp = Tensor(rng.normal(size=(m, n)), requires_grad=True)
+        cp = Tensor(rng.normal(size=(m, n)), requires_grad=True)
+        x = Tensor(rng.normal(size=(m, e)), requires_grad=True)
 
         def f():
-            dp = discretize(dt, a, bp, "euler")
+            dp = discretize(dt, a, bp, "euler", runs=Runs.cached((m,)))
             return tsum(silu(selective_scan_recurrent(x, dp, cp)))
 
         err = grad_check(f, [("A", a), ("d", dt), ("B", bp), ("C", cp), ("x", x)], h=1e-6)
@@ -294,30 +335,17 @@ class TestFusedScan:
         b, e, n = 3, 5, 4
         monkeypatch.setattr(ssm, "SLAB_BYTES", self.SLAB * 8 * b * e * n)
         rng = np.random.default_rng(100 + m)
-        vals = {
-            "x": rng.normal(size=(b, m, e)),
-            "delta": rng.uniform(0.05, 0.8, size=(b, m, e)),
-            "A": -np.exp(rng.normal(size=(e, n))),
-            "Bproj": rng.normal(size=(b, m, n)),
-            "Cproj": rng.normal(size=(b, m, n)),
-        }
-        weight = rng.normal(size=(b, m, e))
-
-        def fused(ts, scan=selective_scan_recurrent):
-            return scan(ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], mode), ts["Cproj"])
-
-        def unfused(ts):
-            abar, bbar = oracle.unfused_discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-            return oracle.unfused_scan(ts["x"], abar, bbar, ts["Cproj"])
-
-        ref = self._run(vals, unfused, weight)
+        vals = _vals(rng, b, m, e, n)
+        weight = rng.normal(size=(b * m, e))
+        runs = Runs.cached((m,) * b)
+        ref = self._run(vals, lambda ts: _unfused(ts, mode, b), weight)
         if parallel:
             ts = {k: Tensor(v.copy(), requires_grad=True) for k, v in vals.items()}
-            y = fused(ts, selective_scan_parallel)
+            y = _fused(ts, mode, runs, selective_scan_parallel)
             assert not y.requires_grad and y._parents == () and y._backward is None
             assert np.max(np.abs(y.data - ref[0])) <= 1e-12 * np.max(np.abs(ref[0]))
             return
-        got = self._run(vals, fused, weight)
+        got = self._run(vals, lambda ts: _fused(ts, mode, runs), weight)
         for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
 
@@ -327,9 +355,9 @@ class TestFusedScan:
         rng = np.random.default_rng(3)
         b, m, e, n = 2, 6, 3, 4
         x, delta, bp, cp = (Tensor(rng.normal(size=s), requires_grad=True)
-                            for s in ((b, m, e), (b, m, e), (b, m, n), (b, m, n)))
+                            for s in ((b * m, e), (b * m, e), (b * m, n), (b * m, n)))
         a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
-        dp = discretize(delta, a, bp, "zoh")
+        dp = discretize(delta, a, bp, "zoh", runs=Runs.cached((m,) * b))
         assert not dp.Abar.requires_grad and not dp.Bbar.requires_grad
         y = selective_scan_recurrent(x, dp, cp)
         assert y._parents == (x, delta, a, bp, cp)
@@ -337,14 +365,15 @@ class TestFusedScan:
     def test_no_grad_records_nothing(self):
         rng = np.random.default_rng(4)
         b, m, e, n = 2, 6, 3, 4
-        x = Tensor(rng.normal(size=(b, m, e)), requires_grad=True)
-        delta = Tensor(rng.uniform(0.1, 0.5, size=(b, m, e)), requires_grad=True)
+        x = Tensor(rng.normal(size=(b * m, e)), requires_grad=True)
+        delta = Tensor(rng.uniform(0.1, 0.5, size=(b * m, e)), requires_grad=True)
         a = Tensor(-np.exp(rng.normal(size=(e, n))), requires_grad=True)
-        bp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-        cp = Tensor(rng.normal(size=(b, m, n)), requires_grad=True)
-        with_grad = selective_scan_recurrent(x, discretize(delta, a, bp, "euler"), cp)
+        bp = Tensor(rng.normal(size=(b * m, n)), requires_grad=True)
+        cp = Tensor(rng.normal(size=(b * m, n)), requires_grad=True)
+        runs = Runs.cached((m,) * b)
+        with_grad = selective_scan_recurrent(x, discretize(delta, a, bp, "euler", runs=runs), cp)
         with no_grad():
-            y = selective_scan_recurrent(x, discretize(delta, a, bp, "euler"), cp)
+            y = selective_scan_recurrent(x, discretize(delta, a, bp, "euler", runs=runs), cp)
         assert not y.requires_grad and y._backward is None and y._parents == ()
         assert np.array_equal(y.data, with_grad.data)
 
@@ -354,32 +383,23 @@ class TestLeanScan:
     first read for the cross-checks, the recurrent scan reads neither, and
     one scan call holds only slab-sized (S, B, N, E) buffers."""
 
-    @staticmethod
-    def _vals(rng, b, m, e, n):
-        return {
-            "x": rng.normal(size=(b, m, e)),
-            "delta": rng.uniform(0.05, 0.8, size=(b, m, e)),
-            "A": -np.exp(rng.normal(size=(e, n))),
-            "Bproj": rng.normal(size=(b, m, n)),
-            "Cproj": rng.normal(size=(b, m, n)),
-        }
-
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
     def test_bbar_matches_unfused_bit_for_bit(self, mode):
-        vals = self._vals(np.random.default_rng(11), 2, 5, 3, 4)
+        vals = _vals(np.random.default_rng(11), 2, 5, 3, 4)
         ts = {k: Tensor(v) for k, v in vals.items()}
-        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-        abar, bbar = oracle.unfused_discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-        assert np.array_equal(dp.Abar.data, abar.data)
-        assert np.array_equal(dp.Bbar.data, bbar.data)
+        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode, runs=Runs.cached((5, 5)))
+        delta, bproj = (reshape(ts[k], (2, 5, -1)) for k in ("delta", "Bproj"))
+        abar, bbar = oracle.unfused_discretize(delta, ts["A"], bproj, mode)
+        assert np.array_equal(dp.Abar.data, abar.data.reshape(dp.Abar.shape))
+        assert np.array_equal(dp.Bbar.data, bbar.data.reshape(dp.Bbar.shape))
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
     def test_scan_never_computes_bbar(self, monkeypatch, mode):
         b, m, e, n = 2, 9, 3, 4
         monkeypatch.setattr(ssm, "SLAB_BYTES", 2 * 8 * b * e * n)
-        vals = self._vals(np.random.default_rng(12), b, m, e, n)
+        vals = _vals(np.random.default_rng(12), b, m, e, n)
         ts = {k: Tensor(v, requires_grad=True) for k, v in vals.items()}
-        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
+        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode, runs=Runs.cached((m,) * b))
         tsum(selective_scan_recurrent(ts["x"], dp, ts["Cproj"])).backward()
         assert ts["A"].grad is not None
         assert "Abar" not in vars(dp) and "Bbar" not in vars(dp)
@@ -389,22 +409,12 @@ class TestLeanScan:
            slab=st.integers(1, 5), mode=st.sampled_from(["euler", "zoh"]))
     def test_matches_unfused_oracle_on_ragged_slabs(self, b, m, e, n, slab, mode):
         rng = np.random.default_rng([b, m, e, n, slab])
-        vals = self._vals(rng, b, m, e, n)
-        weight = rng.normal(size=(b, m, e))
+        vals = _vals(rng, b, m, e, n)
+        weight = rng.normal(size=(b * m, e))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ssm, "SLAB_BYTES", slab * 8 * b * e * n)
-
-            def fused(ts):
-                dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-                return selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
-
-            got = TestFusedScan._run(vals, fused, weight)
-
-        def unfused(ts):
-            abar, bbar = oracle.unfused_discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-            return oracle.unfused_scan(ts["x"], abar, bbar, ts["Cproj"])
-
-        ref = TestFusedScan._run(vals, unfused, weight)
+            got = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, Runs.cached((m,) * b)), weight)
+        ref = TestFusedScan._run(vals, lambda ts: _unfused(ts, mode, b), weight)
         for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), name
 
@@ -416,19 +426,15 @@ class TestLeanScan:
         b, m, e, n = 2, 12, 3, 4
         step_bytes = 8 * b * e * n
         monkeypatch.setattr(ssm, "SLAB_BYTES", 5 * step_bytes)
-        vals = self._vals(np.random.default_rng(14), b, m, e, n)
-        weight = np.random.default_rng(15).normal(size=(b, m, e))
-
-        def fused(ts):
-            dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-            return selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
-
-        runs = []
+        vals = _vals(np.random.default_rng(14), b, m, e, n)
+        weight = np.random.default_rng(15).normal(size=(b * m, e))
+        runs = Runs.cached((m,) * b)
+        results = []
         for chunk in (5, 1, 2, 3):
             monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
-            runs.append(TestFusedScan._run(vals, fused, weight))
-        for got in runs[1:]:
-            for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, runs[0]):
+            results.append(TestFusedScan._run(vals, lambda ts: _fused(ts, mode, runs), weight))
+        for got in results[1:]:
+            for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, results[0]):
                 assert np.array_equal(g, r), name
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
@@ -448,15 +454,15 @@ class TestLeanScan:
         18.6 slab buffers beyond them."""
         b, m, e, n, step = 2, 64, 128, 16, 8
         monkeypatch.setattr(ssm, "SLAB_BYTES", step * 8 * b * e * n)
-        vals = self._vals(np.random.default_rng(13), b, m, e, n)
+        vals = _vals(np.random.default_rng(13), b, m, e, n)
         ts = {k: Tensor(v, requires_grad=True) for k, v in vals.items()}
-        g = np.ones((b, m, e))
+        runs = Runs.cached((m,) * b)
+        g = np.ones((b * m, e))
         slab = 8 * b * step * e * n
         outputs = 8 * (3 * b * m * e + 2 * b * m * n)  # y, dx, ddelta, dBproj, dCproj
         tracemalloc.start()
         try:
-            dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode)
-            y = selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
+            y = _fused(ts, mode, runs)
             y._backward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -465,10 +471,10 @@ class TestLeanScan:
 
 
 class TestFlatRuns:
-    """Flat runs scanned with ``discretize(..., runs=)`` against one plain
-    (1, K, E) scan per run: y and all five gradients, with runs given in
-    any order (the scan packs them longest first) and slabs and chunks
-    that end where runs do and in between."""
+    """Flat runs scanned with ``discretize(..., runs=)`` against one scan
+    per run: y and all five gradients, with runs given in any order (the
+    scan packs them longest first) and slabs and chunks that end where
+    runs do and in between."""
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
     @pytest.mark.parametrize("lengths, slab, chunk", [
@@ -484,56 +490,42 @@ class TestFlatRuns:
         monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
         monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
         rng = np.random.default_rng(lengths)
-        vals = {k: v[0] for k, v in TestLeanScan._vals(rng, 1, sum(lengths), e, n).items() if k != "A"}
+        vals = {k: v for k, v in _vals(rng, 1, sum(lengths), e, n).items() if k != "A"}
         vals["A"] = -np.exp(rng.normal(size=(e, n)))
         weight = rng.normal(size=(sum(lengths), e))
 
-        def scan(ts, runs=None):
-            dp = discretize(ts["delta"], ts["A"], ts["Bproj"], mode, runs=runs)
-            return selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
-
-        got = TestFusedScan._run(vals, lambda ts: scan(ts, Runs(lengths)), weight)
+        got = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, Runs(lengths)), weight)
         want = [np.empty_like(g) for g in got]
         want[3] = 0.0
         for lo, hi in zip(np.cumsum([0] + lengths[:-1]), np.cumsum(lengths)):
-            run = {k: v if k == "A" else v[None, lo:hi] for k, v in vals.items()}
-            ref = TestFusedScan._run(run, scan, weight[None, lo:hi])
+            run = {k: v if k == "A" else v[lo:hi] for k, v in vals.items()}
+            ref = TestFusedScan._run(run, lambda ts: _fused(ts, mode, Runs([hi - lo])), weight[lo:hi])
             for i, r in enumerate(ref):
                 if i == 3:
                     want[3] = want[3] + r  # dA sums over runs
                 else:
-                    want[i][lo:hi] = r[0]
+                    want[i][lo:hi] = r
         for name, g, w in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
 
-    def test_equal_runs_match_batch_bit_for_bit(self):
-        """B equal runs of a flat input are the (B, M, E) batch: same
-        output and gradients, bit for bit."""
-        b, m, e, n = 3, 5, 3, 2
-        vals = TestLeanScan._vals(np.random.default_rng(9), b, m, e, n)
-        weight = np.random.default_rng(10).normal(size=(b, m, e))
-        batch = TestFusedScan._run(vals, lambda ts: selective_scan_recurrent(
-            ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], "zoh"), ts["Cproj"]), weight)
-        flat = {k: v if k == "A" else v.reshape(b * m, -1) for k, v in vals.items()}
-        runs = TestFusedScan._run(flat, lambda ts: selective_scan_recurrent(
-            ts["x"], discretize(ts["delta"], ts["A"], ts["Bproj"], "zoh", runs=Runs([m] * b)), ts["Cproj"]),
-            weight.reshape(b * m, e))
-        for g, r in zip(runs, batch):
-            assert np.array_equal(g, r.reshape(g.shape))
-
     def test_runs_must_cover_rows(self):
-        rng = np.random.default_rng(6)
-        ts = {k: Tensor(v[0]) if k != "A" else Tensor(v) for k, v in TestLeanScan._vals(rng, 1, 6, 2, 2).items()}
-        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([4, 3]))
+        ts = {k: Tensor(v) for k, v in _vals(np.random.default_rng(6), 1, 6, 2, 2).items()}
+        with pytest.raises(ShapeError, match="discretize: runs cover 7 rows, input has 6"):
+            discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([4, 3]))
+        dp = ssm.DiscreteParams(ts["delta"], ts["A"], ts["Bproj"], "euler", Runs([4, 3]))
         with pytest.raises(ShapeError, match="scan: runs cover 7 rows, input has 6"):
             selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
 
-    def test_parallel_route_rejects_runs(self):
-        rng = np.random.default_rng(5)
-        ts = {k: Tensor(v[0]) if k != "A" else Tensor(v) for k, v in TestLeanScan._vals(rng, 1, 6, 2, 3).items()}
-        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([4, 2]))
-        with pytest.raises(ShapeError, match="parallel route"):
-            selective_scan_parallel(ts["x"], dp, ts["Cproj"])
+    def test_a_batch_is_refused(self):
+        """A (B, M, .) batch is not an input form: discretize and the scan
+        each name themselves."""
+        vals = _vals(np.random.default_rng(5), 2, 3, 2, 3)
+        ts = {k: Tensor(v if k == "A" else v.reshape(2, 3, -1)) for k, v in vals.items()}
+        with pytest.raises(ShapeError, match=r"discretize: expected flat \(L, E\) rows, got delta \(2, 3, 2\)"):
+            discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([3, 3]))
+        dp = discretize(Tensor(vals["delta"]), ts["A"], Tensor(vals["Bproj"]), runs=Runs([3, 3]))
+        with pytest.raises(ShapeError, match=r"scan: expected flat \(L, E\) rows, got x \(2, 3, 2\)"):
+            selective_scan_recurrent(ts["x"], dp, Tensor(vals["Cproj"]))
 
 
 def test_gradsuite_scan_checks():

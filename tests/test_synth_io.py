@@ -505,3 +505,22 @@ class TestCheckpoint:
         path.write_bytes(blob + b"\0")
         with pytest.raises(DataError, match=rf"unexpected bytes from byte offset {len(blob)}"):
             load_checkpoint_arrays(path)
+
+    def test_repeated_name_names_parameter_and_offset(self, tmp_path):
+        """A name written twice used to load as its last copy, and
+        load_checkpoint's name comparison still passed."""
+        class Params:
+            def __init__(self, *values):
+                self.values = values
+
+            def named_parameters(self):
+                return [("w", Tensor(np.array(v))) for v in self.values]
+
+        path = tmp_path / "m.smck"
+        save_checkpoint(Params([1.0, 2.0], [3.0, 4.0]), path)
+        second = 4 + 4 + (4 + 1 + 4 + 8 + 16) + 4  # magic, count, the first entry, the name length
+        message = rf"m\.smck: parameter w appears twice; its second copy's name is at byte offset {second}$"
+        with pytest.raises(DataError, match=message):
+            load_checkpoint_arrays(path)
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(Params([0.0, 0.0]), path)
