@@ -3,12 +3,20 @@ the two-modality interaction fusion block.
 
 Both follow the same per-branch recipe: causal depthwise conv, SiLU,
 input-dependent B/C/timescale projections, discretization, selective
-scan. Both take flat (L, D) tokens holding independent sequences end to
-end, and the ``numerics.Runs`` of those sequences: the conv and the scan
-restart at every run. The bidirectional block runs one branch forward
-and one on the reversed runs (re-reversing its output), gates both by
-SiLU of a shared z-projection, sums, projects back to the token dim and
-adds the residual. The fusion block runs one branch per modality and
+scan. A branch is one tape node, folded as Mamba's ``mamba_inner_fn``
+(Gu & Dao 2023) folds it: its forward runs that recipe in numpy, and the
+scan as a node of its own on leaves it makes, through this module's
+``discretize`` and ``selective_scan_recurrent``; its backward runs the
+scan's closure and works back by hand through softplus, the
+projections, SiLU and the conv. It keeps the conv output, its sigmoid
+and the pre-softplus timescale, and forms the timescale's sigmoid and
+the padded conv input again in backward. Under ``no_grad`` it keeps
+nothing. Both blocks take flat (L, D) tokens holding independent
+sequences end to end, and the ``numerics.Runs`` of those sequences: the
+conv and the scan restart at every run. The bidirectional block runs
+one branch forward and one on the reversed runs (re-reversing its
+output), gates both by SiLU of a shared z-projection, sums, projects
+back to the token dim and adds the residual. The fusion block runs one branch per modality and
 cross-gates: each modality's scan output is gated by SiLU of the *other*
 modality's z-projection; gated outputs are concatenated and projected,
 with no residual path.
@@ -31,14 +39,15 @@ from .numerics import (
     Module,
     Runs,
     Tensor,
-    causal_depthwise_conv1d,
+    _conv1d,
+    _conv1d_grads,
+    _node,
+    _records,
+    _sigmoid_np,
+    _softplus_np,
     concat,
-    exp,
     flip_runs,
-    linear,
-    neg,
     silu,
-    softplus,
     uniform_init,
 )
 from .ssm import discretize, selective_scan_recurrent
@@ -68,7 +77,8 @@ def _init_dt_bias(rng: np.random.Generator, e: int, lo: float = 1e-3, hi: float 
 
 class ScanBranch(Module):
     """One direction/modality of the selective scan: conv -> SiLU ->
-    (B, C, delta) projections -> discretize -> scan."""
+    (B, C, delta) projections -> discretize -> scan, recorded as one tape
+    node whose parents are the input and the branch's nine parameters."""
 
     def __init__(self, e: int, n: int, w: int, rng: np.random.Generator, disc_mode: str = "euler"):
         super().__init__()
@@ -83,13 +93,42 @@ class ScanBranch(Module):
 
     def __call__(self, x: Tensor, runs: Runs) -> Tensor:
         """x: flat (L, E) runs."""
-        xs = silu(causal_depthwise_conv1d(x, self.conv_kernel, self.conv_bias, runs))
-        bproj = self.linear_b(xs)
-        cproj = self.linear_c(xs)
-        delta = softplus(linear(xs, self.linear_delta, self.delta_bias))
-        a = neg(exp(self.a_log))
-        dp = discretize(delta, a, bproj, self.disc_mode, runs=runs)
-        return selective_scan_recurrent(xs, dp, cproj)
+        params = (self.conv_kernel, self.conv_bias, self.linear_b.weight, self.linear_b.bias,
+                  self.linear_c.weight, self.linear_c.bias, self.linear_delta, self.delta_bias, self.a_log)
+        kernel, cbias, wb, bb, wc, bc, wd, bd, a_log = params
+        record = _records((x,) + params)
+        conv = _conv1d(x.data, kernel.data, cbias.data, runs)
+        sig = _sigmoid_np(conv)
+        xs = conv * sig
+        if not record:  # under no_grad each goes as soon as it is used
+            conv = sig = None
+        bproj = xs @ wb.data + bb.data
+        cproj = xs @ wc.data + bc.data
+        pre = xs @ wd.data + bd.data
+        delta = _softplus_np(pre)
+        if not record:
+            pre = None
+        a = -np.exp(a_log.data)
+        leaves = [Tensor(v, requires_grad=record) for v in (xs, delta, a, bproj, cproj)]
+        x_in, delta_in, a_in, b_in, c_in = leaves
+        y = selective_scan_recurrent(x_in, discretize(delta_in, a_in, b_in, self.disc_mode, runs=runs), c_in)
+
+        def backward(g):
+            y._backward(g)
+            dxs, ddelta, da, dbp, dcp = [t.grad for t in leaves]
+            dpre = ddelta * _sigmoid_np(pre)
+            dxs += dpre @ wd.data.T  # scan, delta, B, C: the order a tape of one node per op sums in
+            dxs += dbp @ wb.data.T
+            dxs += dcp @ wc.data.T
+            dx, dk, dcb = _conv1d_grads(dxs * sig * (1.0 + conv * (1.0 - sig)), x.data, kernel.data, runs,
+                                        x.requires_grad)
+            grads = (dx, dk, dcb, xs.T @ dbp, dbp.sum(axis=0), xs.T @ dcp, dcp.sum(axis=0),
+                     xs.T @ dpre, dpre.sum(axis=0), da * a)  # the last through A = -exp(a_log)
+            for p, grad in zip((x,) + params, grads):
+                if p.requires_grad:
+                    p._accum(grad)
+
+        return _node(y.data, (x,) + params, backward)
 
 
 class BiMambaBlock(Module):

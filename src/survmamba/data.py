@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .hierarchy import GroupingConfig, HierarchicalBag
 from .survstats import SurvivalOutcome
 
@@ -86,7 +86,9 @@ def make_folds(n: int, k: int = N_FOLDS) -> np.ndarray:
 
 
 def finalize_dataset(records, grouping, bin_edges=None, t_bins: int = 4) -> SurvivalDataset:
-    """Attach bins and folds; computes bin edges when not supplied."""
+    """Attach bins and folds; computes bin edges when not supplied.
+    Supplied edges must reach every patient's time: DataError names the
+    first patient past the last edge."""
     times = [r.time_months for r in records]
     events = [1 - r.censored for r in records]
     if bin_edges is None:
@@ -94,6 +96,11 @@ def finalize_dataset(records, grouping, bin_edges=None, t_bins: int = 4) -> Surv
     else:
         bin_edges = np.asarray(bin_edges, dtype=np.float64)
         bins = np.searchsorted(bin_edges[1:], times, side="left")
+        late = np.flatnonzero(bins == len(bin_edges) - 1)
+        if late.size:
+            r = records[late[0]]
+            raise DataError(f"patient {r.patient_id}: time_months {float(r.time_months)!r} lies past the "
+                            f"last bin edge {float(bin_edges[-1])!r}")
     for r, b in zip(records, bins):
         r.t_bin = int(b)
     return SurvivalDataset(

@@ -23,7 +23,10 @@ count, a non-finite value or, in a manifest or grouping file, malformed
 JSON, a missing key or a value of the wrong JSON type or range raises
 DataError naming the file and the line (bags), byte offset (checkpoints)
 or patient, process, function or key. Equal manifest edges are accepted:
-small cohorts with a single observed death write them.
+small cohorts with a single observed death write them. A last edge below
+some patient's time_months raises DataError naming the manifest, that
+patient and the time; a checkpoint that does not match the model's
+parameter names or shapes raises one naming the checkpoint.
 """
 
 from __future__ import annotations
@@ -281,7 +284,10 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
             edges = np.zeros(0)
         if edges.ndim != 1 or edges.size < 2 or not (np.diff(edges) >= 0).all():
             raise DataError(f"{manifest_path}: bins {bins!r} are not a non-decreasing list of edges")
-    return finalize_dataset(records, grouping, bin_edges=bins, t_bins=t_bins)
+    try:
+        return finalize_dataset(records, grouping, bin_edges=bins, t_bins=t_bins)
+    except DataError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
 
 
 # -- model checkpoints --------------------------------------------------------
@@ -349,8 +355,8 @@ def load_checkpoint(model, path):
     if set(arrays) != set(own):
         missing = sorted(set(own) - set(arrays))[:3]
         extra = sorted(set(arrays) - set(own))[:3]
-        raise DataError(f"checkpoint/model mismatch; missing={missing} extra={extra}")
+        raise DataError(f"{path}: checkpoint/model mismatch; missing={missing} extra={extra}")
     for name, p in own.items():
         if arrays[name].shape != p.data.shape:
-            raise DataError(f"checkpoint {name}: shape {arrays[name].shape} != model {p.data.shape}")
+            raise DataError(f"{path}: checkpoint {name}: shape {arrays[name].shape} != model {p.data.shape}")
         p.data[...] = arrays[name]

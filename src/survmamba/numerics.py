@@ -280,12 +280,15 @@ def silu(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """Overflow-safe ln(1 + e^x); returns ~x for large x, ~0 for very negative x."""
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward(g):
         a._accum(g * _sigmoid_np(x))
 
-    return _node(out, (a,), backward)
+    return _node(_softplus_np(x), (a,), backward)
+
+
+def _softplus_np(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def log_clamped(a: Tensor, floor: float = 1e-12) -> Tensor:
@@ -386,48 +389,72 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out, (x, gamma, beta), backward)
 
 
+def _conv_tap(cross, k, a, b, buf):
+    """a * b for tap k of a causal conv in buf, the tap's run-crossing rows
+    (``Runs.conv_cross``) zeroed."""
+    np.multiply(a, b, out=buf)
+    if cross[k].size:
+        buf[cross[k]] = 0.0
+    return buf
+
+
+def _conv_pad(x: np.ndarray, w: int) -> np.ndarray:
+    """x (L, E) after w - 1 rows of zeros, so tap k reads rows k..k+L-1."""
+    xp = np.zeros((x.shape[0] + w - 1, x.shape[1]))
+    xp[w - 1 :] = x
+    return xp
+
+
+def _conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, runs: Runs) -> np.ndarray:
+    """The causal depthwise conv's output for flat (L, E) x, off the tape."""
+    if x.ndim != 2:
+        raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.shape}")
+    runs.check("conv1d", x.shape[0])
+    n, e = x.shape
+    if kernel.ndim != 2 or kernel.shape[0] != e:
+        raise ShapeError(f"conv1d: kernel {kernel.shape} does not match channels {e}")
+    w = kernel.shape[1]
+    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty((n, e))
+    out = np.broadcast_to(bias, x.shape).copy()
+    for k in range(w):
+        out += _conv_tap(cross, k, kernel[:, k], xp[k : k + n], buf)
+    return out
+
+
+def _conv1d_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, runs: Runs, need_x: bool):
+    """(dx, dkernel, dbias) of the causal depthwise conv for the output
+    gradient g; dx is None unless need_x. The padded input is formed again
+    rather than kept."""
+    n, e = x.shape
+    w = kernel.shape[1]
+    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty((n, e))
+    db = g.sum(axis=0)
+    dk = np.empty((e, w))
+    for k in range(w):
+        dk[:, k] = _conv_tap(cross, k, g, xp[k : k + n], buf).sum(axis=0)
+    if not need_x:
+        return None, dk, db
+    dxp = np.zeros_like(xp)
+    for k in range(w):
+        dxp[k : k + n] += _conv_tap(cross, k, g, kernel[:, k], buf)
+    return dxp[w - 1 :], dk, db
+
+
 def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, runs: Runs) -> Tensor:
     """Per-channel causal 1-d convolution over each run of a flat (L, E)
     input: y[l, e] = bias[e] + sum_k kernel[e, k] * x[l - W + 1 + k, e],
     with rows before the run's start read as zero. Tap k reads a shifted
     view of the input with its run-crossing rows zeroed."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.data.shape}")
-    runs.check("conv1d", x.data.shape[0])
-    n, e = x.data.shape
-    if kernel.data.ndim != 2 or kernel.data.shape[0] != e:
-        raise ShapeError(f"conv1d: kernel {kernel.data.shape} does not match channels {e}")
-    w = kernel.data.shape[1]
-    cross = runs.conv_cross(w)
-    xp = np.zeros((n + w - 1, e))
-    xp[w - 1 :] = x.data
-
-    def tap(k, a, b, buf):
-        """a * b for tap k in buf, its run-crossing rows zeroed."""
-        np.multiply(a, b, out=buf)
-        if cross[k].size:
-            buf[cross[k]] = 0.0
-        return buf
-
-    buf = np.empty((n, e))
-    out = np.broadcast_to(bias.data, x.data.shape).copy()
-    for k in range(w):
-        out += tap(k, kernel.data[:, k], xp[k : k + n], buf)
+    out = _conv1d(x.data, kernel.data, bias.data, runs)
 
     def backward(g):
-        buf = np.empty((n, e))
+        dx, dk, db = _conv1d_grads(g, x.data, kernel.data, runs, x.requires_grad)
         if bias.requires_grad:
-            bias._accum(g.sum(axis=0))
+            bias._accum(db)
         if kernel.requires_grad:
-            dk = np.empty((e, w))
-            for k in range(w):
-                dk[:, k] = tap(k, g, xp[k : k + n], buf).sum(axis=0)
             kernel._accum(dk)
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for k in range(w):
-                dxp[k : k + n] += tap(k, g, kernel.data[:, k], buf)
-            x._accum(dxp[w - 1 :])
+            x._accum(dx)
 
     return _node(out, (x, kernel, bias), backward)
 

@@ -27,16 +27,19 @@ slab it writes Abar into one reused buffer and Bbar * x into one reused
 state buffer, then steps the states there, one contiguous (n_t, N, E)
 block per step; forward does this in chunks of at most ``CHUNK_BYTES``
 per array (sized for n_0 rows a step), so that its buffers stay in cache
-between passes. It keeps only the hidden state entering each slab.
+between passes. It keeps the hidden state entering each slab.
 Backward walks the slabs in reverse with its own reused buffers: it
 recomputes Abar and the slab's states from that checkpoint, runs the
 adjoint recurrence over the same blocks and contracts through B and C
 once per slab into the five input gradients, unpacked to the input
 layout. A slab holds ``SLAB_BYTES`` per array, so short sequences are a
-single slab. The scan keeps its checkpoints only when ``numerics``'
-one recording rule puts it on the tape, so under ``no_grad``, or with
-no input needing a gradient, nothing is recorded and no checkpoint is
-kept.
+single slab. A scan whose steps all fit one forward chunk (each of the
+twelve in a desk training step) keeps that chunk's packed inputs and its Abar and
+state buffers instead, about 2 x ``CHUNK_BYTES``, and backward packs and
+recomputes nothing for it. The scan keeps anything only when
+``numerics``' one recording rule puts it on the tape, so under
+``no_grad``, or with no input needing a gradient, nothing is recorded
+and nothing is kept.
 """
 
 from __future__ import annotations
@@ -167,23 +170,30 @@ def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Runs:
     return runs
 
 
-def _slab_grads(g, src, at, mode, runs, slabs, checkpoints):
+def _slab_grads(g, src, at, mode, runs, slabs, checkpoints, kept):
     """The scan's input gradients (dx, ddelta, dA, dBproj, dCproj) for the
     flat output gradient g, all but dA in packed rows.
     src holds the flat arrays of x, delta, Bproj and Cproj, at is A
     transposed to (N, E) and checkpoints the state entering each slab.
-    Walks the slabs in reverse in the forward's packed layout; the slab
-    buffers are freed on return."""
-    xt, dt, bt, ct, gt = map(runs.pack, src + (g,))  # packed again rather than kept on the tape
-    rows_all, e = xt.shape
+    kept is None, or, for a scan the forward ran as one chunk, its packed
+    x, delta, Bproj and Cproj and its Abar and state buffers, which stand
+    in for the one slab's re-pack and recompute. Walks the slabs in
+    reverse in the forward's packed layout; the slab buffers are freed on
+    return."""
+    gt = runs.pack(g)
+    rows_all, e = gt.shape
     n = at.shape[0]
     b = runs.width[0]
     size = runs.off[slabs[0].stop]  # rows of the first slab, the largest
+    if kept is None:
+        xt, dt, bt, ct = map(runs.pack, src)  # packed again rather than kept on the tape
+        abar_buf, hs_buf = np.empty((size, n, e)), np.empty((b + size, n, e))
+    else:
+        xt, dt, bt, ct, abar_buf, hs_buf = kept
     dx, ddelta = np.empty((rows_all, e)), np.zeros((rows_all, e))
     dbp, dc = np.empty((rows_all, n)), np.empty((rows_all, n))
     da = np.zeros((n, e))
-    abar_buf, dh_buf = np.empty((size, n, e)), np.empty((size, n, e))
-    hs_buf = np.empty((b + size, n, e))
+    dh_buf = np.empty((size, n, e))
     q_buf = np.empty((size, n, e)) if mode == "zoh" else None
     tmp = np.empty((b, n, e))
     carry = np.zeros((b, n, e))  # dL/dh_t flowing back into h_{t-1}, times Abar_t
@@ -194,7 +204,8 @@ def _slab_grads(g, src, at, mode, runs, slabs, checkpoints):
         ds, xs, bs, gs, cs = dt[rows], xt[rows], bt[rows], gt[rows], ct[rows]
         ab, h = abar_buf[:r], hs_buf[: k0 + r]
         h[:k0] = h0
-        _slab_states(h, ab, ds, at, bs, xs, mode, tmp, spans)
+        if kept is None:
+            _slab_states(h, ab, ds, at, bs, xs, mode, tmp, spans)
         dh = np.einsum("le,ln->lne", gs, cs, out=dh_buf[:r])  # dL/dh_t from y_t
         dh[r - kl :] += carry[:kl]
         for i in reversed(range(len(spans))):  # the adjoint recurrence, in reverse
@@ -259,6 +270,9 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
     abar_buf = np.empty((chunk * b, n, e))
     hs_buf = np.zeros(((chunk + 1) * b, n, e))  # the rows entering the chunk, then its states
     tmp = np.empty((b, n, e))
+    # a recorded scan whose steps all fit one chunk keeps that chunk's
+    # inputs and buffers for backward, which then recomputes nothing
+    kept = (xt, dt, bt, ct, abar_buf, hs_buf) if record and chunk == m else None
     for sl in slabs:
         if record:
             checkpoints.append(hs_buf[: runs.width[sl.start]].copy())
@@ -273,7 +287,7 @@ def selective_scan_recurrent(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Te
             h[:kl] = h[k0 + r - kl :]  # the last step's states enter the next chunk
 
     def backward(g):
-        grads = _slab_grads(g, src, at, mode, runs, slabs, checkpoints)
+        grads = _slab_grads(g, src, at, mode, runs, slabs, checkpoints, kept)
         for p, grad in zip(parents, grads):  # unpacked once the slab buffers are freed
             if p.requires_grad:
                 p._accum(grad if p is dp.A else runs.unpack(grad))

@@ -401,6 +401,22 @@ def backward_keep_graph(root):
             node._backward(node.grad)
 
 
+def scan_branch_composition(branch, x, runs):
+    """ScanBranch as it was before it became one tape node: the conv, SiLU,
+    the three projections, softplus and -exp(a_log) as tape ops of their
+    own, then discretize and the scan node, on the branch's parameters."""
+    from survmamba.numerics import causal_depthwise_conv1d, exp, linear, neg, silu, softplus
+    from survmamba.ssm import discretize, selective_scan_recurrent
+
+    xs = silu(causal_depthwise_conv1d(x, branch.conv_kernel, branch.conv_bias, runs))
+    bproj = branch.linear_b(xs)
+    cproj = branch.linear_c(xs)
+    delta = softplus(linear(xs, branch.linear_delta, branch.delta_bias))
+    a = neg(exp(branch.a_log))
+    dp = discretize(delta, a, bproj, branch.disc_mode, runs=runs)
+    return selective_scan_recurrent(xs, dp, cproj)
+
+
 def him_fine_per_length(tokens, block, runs):
     """him_fine as it was before one padded block call: one block call per
     distinct group length, on that length's groups gathered as equal runs,

@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from survmamba.blocks import BiMambaBlock, IFMBlock
+import survmamba.blocks as blocks
+import survmamba.ssm as ssm
+from survmamba.blocks import BiMambaBlock, IFMBlock, ScanBranch
 from survmamba.errors import ShapeError
 from survmamba.gradsuite import check_blocks
-from survmamba.numerics import Runs, Tensor, grad_check, silu, tmean, tsum
+from survmamba.numerics import Runs, Tensor, grad_check, no_grad, silu, tmean, tsum
 
 import _oracles as oracle
 from _oracles import flat_runs
@@ -216,6 +218,85 @@ class TestIFM:
         runs = Runs([5])
         err = grad_check(lambda: tmean(silu(blk(a, b, runs))), list(blk.named_parameters()), h=2e-5)
         assert err <= 1e-5
+
+
+class TestScanBranchNode:
+    """ScanBranch as one tape node against the composition of tape ops it
+    replaced (tests/_oracles.py): the output and the gradients of x and of
+    all nine parameters, bit for bit."""
+
+    @staticmethod
+    def _run(branch, call, x0, runs, weight):
+        branch.zero_grad()
+        x = Tensor(x0.copy(), requires_grad=True)
+        y = call(x, runs)
+        tsum(silu(y) * Tensor(weight)).backward()
+        return [("y", y.data), ("x", x.grad)] + [(name, p.grad) for name, p in branch.named_parameters()]
+
+    @staticmethod
+    def _branch(rng, e, n, w, mode):
+        branch = ScanBranch(e, n, w, rng, mode)
+        for _, p in branch.named_parameters():
+            p.data += rng.normal(scale=0.3, size=p.shape)
+        return branch
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    @pytest.mark.parametrize("lengths, slab, chunk", [
+        ((6, 6, 6), None, None),  # equal runs, B > 1, as one chunk: the kept path
+        ((5, 1, 9, 3), None, None),  # ragged runs as one chunk
+        ((2, 9, 6, 1, 6), 2, 1),  # slabs and chunks: the recompute path
+        ((3, 11, 5, 8), 4, 3),
+    ])
+    def test_matches_composition_bit_for_bit(self, monkeypatch, mode, lengths, slab, chunk):
+        e, n, w = 5, 3, 3
+        if slab:
+            step_bytes = 8 * len(lengths) * e * n  # one step with every run going
+            monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
+            monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
+        rng = np.random.default_rng(list(lengths))
+        branch = self._branch(rng, e, n, w, mode)
+        runs = Runs(lengths)
+        x0, weight = rng.normal(size=(runs.rows, e)), rng.normal(size=(runs.rows, e))
+        got = self._run(branch, branch, x0, runs, weight)
+        want = self._run(branch, lambda x, r: oracle.scan_branch_composition(branch, x, r), x0, runs, weight)
+        assert len(got) == 11
+        for (name, g), (_, r) in zip(got, want):
+            assert np.array_equal(g, r), name
+
+    def test_one_node_over_x_and_the_parameters(self):
+        branch = self._branch(np.random.default_rng(2), 4, 2, 2, "euler")
+        x = Tensor(np.random.default_rng(3).normal(size=(7, 4)), requires_grad=True)
+        y = branch(x, Runs([4, 3]))
+        assert len(y._parents) == 10 and y._parents[0] is x
+        assert {id(p) for p in y._parents[1:]} == {id(p) for p in branch.parameters()}
+
+    def test_no_grad_keeps_nothing(self, monkeypatch):
+        """Under no_grad the branch output has no closure and the scan
+        records none: past the call, the output is all the branch holds."""
+        branch = self._branch(np.random.default_rng(4), 16, 4, 3, "zoh")
+        scans = []
+        scan = blocks.selective_scan_recurrent
+        monkeypatch.setattr(blocks, "selective_scan_recurrent", lambda *a: scans.append(scan(*a)) or scans[-1])
+        x = Tensor(np.random.default_rng(5).normal(size=(64, 16)), requires_grad=True)
+        runs = Runs.cached((16,) * 4)
+        with no_grad():
+            branch(x, runs)  # the runs form their conv and packing indices on first use
+        held = []
+        for record in (False, True):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                if record:
+                    y = branch(x, runs)
+                else:
+                    with no_grad():
+                        y = branch(x, runs)
+                held.append(tracemalloc.get_traced_memory()[0] - base - y.data.nbytes)
+            finally:
+                tracemalloc.stop()
+            assert (y._backward is None) is not record and (scans[-1]._backward is None) is not record
+        assert y._backward is not None and held[1] > 8 * y.data.nbytes  # the recorded node keeps its inputs
+        assert y.data is scans[-1].data and held[0] < y.data.nbytes / 2, held  # no (L, E) array kept
 
 
 class TestScanMemory:

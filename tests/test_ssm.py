@@ -470,6 +470,42 @@ class TestLeanScan:
         assert peak <= outputs + 8 * slab, (peak - outputs) / slab
 
 
+class TestKeptChunk:
+    """A recorded scan whose steps all fit one forward chunk keeps that
+    chunk's packed inputs and its Abar and state buffers for backward,
+    which then neither packs them again nor recomputes them."""
+
+    @pytest.mark.parametrize("mode", ["euler", "zoh"])
+    def test_kept_path_matches_recompute_path(self, monkeypatch, mode):
+        """The same ragged call as one chunk (kept), as one slab of 1-step
+        forward chunks and on 2-step slabs (both recomputed): y and the
+        input gradients bit for bit. Only dA, summed slab by slab, may
+        round differently on several slabs. The kept path forms Abar and
+        the states once, in forward."""
+        lengths, e, n = [7, 3, 7, 5], 3, 2
+        rng = np.random.default_rng(21)
+        vals = _vals(rng, 1, sum(lengths), e, n)
+        weight = rng.normal(size=(sum(lengths), e))
+        runs = Runs(lengths)
+        fills = []
+        states = ssm._slab_states
+        monkeypatch.setattr(ssm, "_slab_states", lambda *a: fills.append(a[1].shape[0]) or states(*a))
+        kept = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, runs), weight)
+        assert fills == [runs.rows]
+        step_bytes = 8 * len(lengths) * e * n
+        monkeypatch.setattr(ssm, "CHUNK_BYTES", step_bytes)
+        for slab, slabs in ((max(lengths), 1), (2, 4)):
+            monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
+            fills.clear()
+            got = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, runs), weight)
+            assert len(fills) == max(lengths) + slabs  # forward per chunk, backward per slab
+            for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, kept):
+                if name == "A" and slabs > 1:
+                    assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+                else:
+                    assert np.array_equal(g, r), (name, slabs)
+
+
 class TestFlatRuns:
     """Flat runs scanned with ``discretize(..., runs=)`` against one scan
     per run: y and all five gradients, with runs given in any order (the

@@ -1,11 +1,12 @@
 """Synthetic generator, bin assignment, folds, and file round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from survmamba.data import assign_bins, make_folds
+from survmamba.data import assign_bins, finalize_dataset, make_folds
 from survmamba.dataio import (
     load_checkpoint,
     load_checkpoint_arrays,
@@ -360,6 +361,28 @@ class TestDatasetIO:
         path.write_text(json.dumps(doc))
         assert load_dataset(path).n_bins == 4
 
+    def test_last_edge_below_a_time_names_manifest_patient_and_time(self, tmp_path):
+        """Edges that end below some patient's time used to load, give that
+        patient t_bin == n_bins and fail only in training, in survival_nll,
+        naming neither the manifest nor the patient."""
+        ds = synth_generate(SynthSpec(n_patients=12, regions=1, patches_per_region=2, processes=1,
+                                      functions_per_process=2, genes_per_function=2, feature_dim=3), seed=1)
+        path = save_dataset(ds, tmp_path / "d")
+        doc = json.loads(path.read_text())
+        t = sorted(r.time_months for r in ds.records)
+        doc["bins"] = [0.0, t[3], t[6], t[8], t[9]]
+        path.write_text(json.dumps(doc))
+        late = next(r for r in ds.records if r.time_months > t[9])  # the first in manifest order
+        message = f"manifest.json: patient {late.patient_id}: time_months {late.time_months!r} lies past " \
+                  f"the last bin edge {t[9]!r}"
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_dataset(path)
+        with pytest.raises(DataError, match=rf"^patient {late.patient_id}: time_months"):
+            finalize_dataset(ds.records, ds.grouping, bin_edges=doc["bins"])
+        doc["bins"][-1] = t[-1]  # a last edge on the latest time keeps it in the last bin
+        path.write_text(json.dumps(doc))
+        assert max(r.t_bin for r in load_dataset(path).records) == 3
+
     def test_expression_too_short_names_patient(self, tmp_path):
         ds = synth_generate(SynthSpec(n_patients=6, regions=1, patches_per_region=2,
                                       processes=1, functions_per_process=2,
@@ -460,6 +483,34 @@ class TestCheckpoint:
         path = tmp_path / "m.smck"
         save_checkpoint(model, path)
         assert path.read_bytes()[:4] == b"SMCK"
+
+    def test_name_or_shape_mismatch_names_the_checkpoint(self, tmp_path):
+        from survmamba.gradsuite import toy_pipeline_model
+
+        model, _ = toy_pipeline_model()
+        path = tmp_path / "m.smck"
+        save_checkpoint(model, path)
+        params = dict(model.named_parameters())
+        first = next(iter(params))
+        a_log = next(n for n in params if n.endswith("a_log"))
+        e, n = params[a_log].shape
+
+        class Edited:
+            def __init__(self, edit):
+                self.edit = edit
+
+            def named_parameters(self):
+                return [self.edit(name, Tensor(p.data)) for name, p in params.items()]
+
+        save_checkpoint(Edited(lambda name, p: ("renamed" if name == first else name, p)), tmp_path / "r.smck")
+        message = f"r.smck: checkpoint/model mismatch; missing=['{first}'] extra=['renamed']"
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_checkpoint(model, tmp_path / "r.smck")
+        save_checkpoint(Edited(lambda name, p: (name, Tensor(p.data[:, :1]) if name == a_log else p)),
+                        tmp_path / "s.smck")
+        message = f"s.smck: checkpoint {a_log}: shape ({e}, 1) != model ({e}, {n})"
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_checkpoint(model, tmp_path / "s.smck")
 
     def test_mismatch_detected(self, tmp_path):
         from survmamba.gradsuite import toy_pipeline_model
