@@ -87,14 +87,19 @@ def make_folds(n: int, k: int = N_FOLDS) -> np.ndarray:
 
 def finalize_dataset(records, grouping, bin_edges=None, t_bins: int = 4) -> SurvivalDataset:
     """Attach bins and folds; computes bin edges when not supplied.
-    Supplied edges must reach every patient's time: DataError names the
-    first patient past the last edge."""
+    Supplied edges must cover every patient's time: DataError names the
+    first patient before the first edge or past the last."""
     times = [r.time_months for r in records]
     events = [1 - r.censored for r in records]
     if bin_edges is None:
         bin_edges, bins = assign_bins(times, events, t_bins)
     else:
         bin_edges = np.asarray(bin_edges, dtype=np.float64)
+        early = np.flatnonzero(np.less(times, bin_edges[0]))
+        if early.size:
+            r = records[early[0]]
+            raise DataError(f"patient {r.patient_id}: time_months {float(r.time_months)!r} lies before the "
+                            f"first bin edge {float(bin_edges[0])!r}")
         bins = np.searchsorted(bin_edges[1:], times, side="left")
         late = np.flatnonzero(bins == len(bin_edges) - 1)
         if late.size:

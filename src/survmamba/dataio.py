@@ -23,10 +23,11 @@ count, a non-finite value or, in a manifest or grouping file, malformed
 JSON, a missing key or a value of the wrong JSON type or range raises
 DataError naming the file and the line (bags), byte offset (checkpoints)
 or patient, process, function or key. Equal manifest edges are accepted:
-small cohorts with a single observed death write them. A last edge below
-some patient's time_months raises DataError naming the manifest, that
-patient and the time; a checkpoint that does not match the model's
-parameter names or shapes raises one naming the checkpoint.
+small cohorts with a single observed death write them. A first edge
+above, or a last edge below, some patient's time_months raises DataError
+naming the manifest, that patient, the time and the edge; a checkpoint
+that does not match the model's parameter names or shapes raises one
+naming the checkpoint.
 """
 
 from __future__ import annotations

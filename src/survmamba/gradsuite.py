@@ -20,13 +20,19 @@ from .model import ModelConfig, SurvMambaModel
 from .numerics import (
     Runs,
     Tensor,
+    _layer_norm,
+    _layer_norm_grads,
+    _node,
     causal_depthwise_conv1d,
     cumprod,
     grad_check,
-    layer_norm,
     linear,
+    log_clamped,
+    reshape,
+    sigmoid,
     silu,
     softplus,
+    stacked_linear,
     tmean,
     tsum,
 )
@@ -42,6 +48,18 @@ def _perturb(module, seed: int, scale: float = 0.5):
     rng = np.random.default_rng(seed)
     for _, p in module.named_parameters():
         p.data += rng.normal(scale=scale, size=p.shape)
+
+
+def _layer_norm_node(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """The blocks' layer norm, ``numerics._layer_norm`` and its gradients,
+    as a tape node of its own, for the check."""
+    out, xhat, inv = _layer_norm(x.data, gamma.data, beta.data, 1e-5)
+
+    def backward(g):
+        for p, grad in zip((x, gamma, beta), _layer_norm_grads(g, gamma.data, xhat, inv, True)):
+            p._accum(grad)
+
+    return _node(out, (x, gamma, beta), backward)
 
 
 def check_primitives() -> list:
@@ -71,7 +89,7 @@ def check_primitives() -> list:
     bet = Tensor(rng.normal(size=5), requires_grad=True)
     out.append((
         "primitive.layer_norm",
-        grad_check(lambda: tsum(silu(layer_norm(xn, gam, bet))), [("x", xn), ("g", gam), ("b", bet)], h=1e-6),
+        grad_check(lambda: tsum(silu(_layer_norm_node(xn, gam, bet))), [("x", xn), ("g", gam), ("b", bet)], h=1e-6),
         PRIMITIVE_BOUND,
     ))
 
@@ -93,6 +111,25 @@ def check_primitives() -> list:
     xq.data[0, 2] = 0.0  # a zero factor, as a hazard of exactly 1 gives
     out.append(("primitive.cumprod", grad_check(lambda: tsum(silu(cumprod(xq))), [("x", xq)], h=1e-6),
                 PRIMITIVE_BOUND))
+
+    xk = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)  # a stack of 2 over 3 maps
+    wk = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    bk = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    out.append((
+        "primitive.stacked_linear",
+        grad_check(lambda: tsum(silu(stacked_linear(xk, wk, bk))), [("x", xk), ("w", wk), ("b", bk)], h=1e-6),
+        PRIMITIVE_BOUND,
+    ))
+
+    # the head's ops: sigmoid hazards, the clamped log, a negated pick
+    # (a repeated index gathers its row twice) and a reshape
+    xh = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    pick = np.array([0, 2, 2])
+    out.append((
+        "primitive.head_ops",
+        grad_check(lambda: tsum(-log_clamped(sigmoid(reshape(xh, (3, 2))))[pick]), [("x", xh)], h=1e-6),
+        PRIMITIVE_BOUND,
+    ))
     return out
 
 

@@ -182,7 +182,7 @@ class GenomicsEncoder(Module):
         order = [rank[fid] for _, fids in grouping.processes for fid in fids]
         self._order = None if order == list(range(len(rank))) else np.asarray(order, dtype=np.int64)
         self.runs = Runs([len(fids) for _, fids in grouping.processes])
-        self._max_gene = max(g for _, genes in grouping.functions for g in genes)
+        self.n_genes = 1 + max(g for _, genes in grouping.functions for g in genes)  # the expression length read
 
     def set_function_mlp(self, fid: str, w1, b1, w2, b2):
         """Overwrite one function's MLP weights (test/fixture helper)."""
@@ -199,11 +199,11 @@ class GenomicsEncoder(Module):
         patient's runs). The banks run once on the vectors' stack."""
         vectors = [np.asarray(e, dtype=np.float64) for e in (expr if isinstance(expr, list) else [expr])]
         for v in vectors:
-            if self._max_gene >= v.shape[0]:
+            if self.n_genes > v.shape[0]:
                 fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= v.shape[0])
                 raise DataError(f"genomics: function {fid!r} needs gene index {top} "
-                                f"but expression vector has {v.shape[0]} genes")
-        x = np.stack([v[: self._max_gene + 1] for v in vectors])
+                                f"but expression vector has {v.shape[0]} genes; the catalog needs {self.n_genes}")
+        x = np.stack([v[: self.n_genes] for v in vectors])
         tokens = [bank(Tensor(x[..., gene_idx])) for bank, gene_idx in self._banks]
         tokens = tokens[0] if len(tokens) == 1 else concat(tokens, axis=-2)
         p, f, d = tokens.shape

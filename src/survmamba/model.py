@@ -175,10 +175,14 @@ class SurvMambaModel(Module):
         all the records before the next, and the adaptive mix. The coarse
         stages make one call per block over all the records, which
         `predict_risks` has sliced to fit the row budget."""
+        genes = self.enc.genomics.n_genes
         for r in records:
             if r.histology.token_dim != self.d_raw:
                 raise DataError(f"patient {r.patient_id}: histology tokens have dim {r.histology.token_dim}, "
                                 f"the model expects {self.d_raw}")
+            if len(r.genomics) < genes:
+                raise DataError(f"patient {r.patient_id}: expression vector has {len(r.genomics)} genes, "
+                                f"the catalog needs {genes} (its largest gene index + 1)")
         img = [self.enc.histology(r.histology) for r in records]
         gen, gen_runs = self.enc.genomics([r.genomics for r in records])
         img_tokens, img_coarse = self._him([t for t, _ in img], [r for _, r in img], self.him.image)

@@ -361,32 +361,32 @@ def stacked_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row over the last axis to zero mean / unit variance
-    (population variance), then apply the affine scale and shift. A row
-    whose variance overflows comes out NaN, not scaled to zero.
-    """
-    d = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> tuple:
+    """Each row of x normalized over the last axis to zero mean and unit
+    (population) variance, then scaled and shifted: (out, xhat, inv), the
+    last two for ``_layer_norm_grads``. A row whose variance overflows
+    comes out NaN, not scaled to zero."""
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d  # each mean as ndarray.mean forms it
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = np.where(np.isfinite(var), 1.0 / np.sqrt(var + eps), np.nan)
     xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    return xhat * gamma + beta, xhat, inv
 
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gamma.data
-            # d/dx of (x - mu) * inv with mu, inv functions of the row
-            mean_gx = gx.mean(axis=-1, keepdims=True)
-            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (gx - mean_gx - xhat * mean_gx_xhat))
 
-    return _node(out, (x, gamma, beta), backward)
+def _layer_norm_grads(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray, inv: np.ndarray, need_x: bool) -> tuple:
+    """(dx, dgamma, dbeta) of ``_layer_norm`` for the output gradient g;
+    dx is None unless need_x."""
+    d = xhat.shape[-1]
+    dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = g.reshape(-1, d).sum(axis=0)
+    if not need_x:
+        return None, dgamma, dbeta
+    gx = g * gamma
+    # d/dx of (x - mu) * inv with mu, inv functions of the row
+    mean_gx = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    mean_gx_xhat = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+    return inv * (gx - mean_gx - xhat * mean_gx_xhat), dgamma, dbeta
 
 
 def _conv_tap(cross, k, a, b, buf):
@@ -394,50 +394,53 @@ def _conv_tap(cross, k, a, b, buf):
     (``Runs.conv_cross``) zeroed."""
     np.multiply(a, b, out=buf)
     if cross[k].size:
-        buf[cross[k]] = 0.0
+        buf[..., cross[k], :] = 0.0
     return buf
 
 
 def _conv_pad(x: np.ndarray, w: int) -> np.ndarray:
-    """x (L, E) after w - 1 rows of zeros, so tap k reads rows k..k+L-1."""
-    xp = np.zeros((x.shape[0] + w - 1, x.shape[1]))
-    xp[w - 1 :] = x
+    """x (..., L, E) after w - 1 rows of zeros, so tap k reads rows k..k+L-1."""
+    xp = np.zeros(x.shape[:-2] + (x.shape[-2] + w - 1, x.shape[-1]))
+    xp[..., w - 1 :, :] = x
     return xp
 
 
 def _conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, runs: Runs) -> np.ndarray:
-    """The causal depthwise conv's output for flat (L, E) x, off the tape."""
-    if x.ndim != 2:
+    """The causal depthwise conv's output for flat (L, E) x, off the tape;
+    a (G, L, E) stack takes a kernel (G, E, W) and a bias (G, E), one per
+    leading index."""
+    lead = kernel.shape[:-2]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
         raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.shape}")
-    runs.check("conv1d", x.shape[0])
-    n, e = x.shape
-    if kernel.ndim != 2 or kernel.shape[0] != e:
+    runs.check("conv1d", x.shape[-2])
+    n, e = x.shape[-2:]
+    if kernel.ndim < 2 or kernel.shape[-2] != e:
         raise ShapeError(f"conv1d: kernel {kernel.shape} does not match channels {e}")
-    w = kernel.shape[1]
-    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty((n, e))
-    out = np.broadcast_to(bias, x.shape).copy()
+    w = kernel.shape[-1]
+    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty(x.shape)
+    out = np.broadcast_to(bias[..., None, :], x.shape).copy()
     for k in range(w):
-        out += _conv_tap(cross, k, kernel[:, k], xp[k : k + n], buf)
+        out += _conv_tap(cross, k, kernel[..., None, :, k], xp[..., k : k + n, :], buf)
     return out
 
 
 def _conv1d_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, runs: Runs, need_x: bool):
     """(dx, dkernel, dbias) of the causal depthwise conv for the output
-    gradient g; dx is None unless need_x. The padded input is formed again
-    rather than kept."""
-    n, e = x.shape
-    w = kernel.shape[1]
-    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty((n, e))
-    db = g.sum(axis=0)
-    dk = np.empty((e, w))
+    gradient g, shaped as ``_conv1d`` takes them; dx is None unless
+    need_x. The padded input is formed again rather than kept."""
+    n = x.shape[-2]
+    w = kernel.shape[-1]
+    cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty(x.shape)
+    db = g.sum(axis=-2)
+    dk = np.empty(kernel.shape)
     for k in range(w):
-        dk[:, k] = _conv_tap(cross, k, g, xp[k : k + n], buf).sum(axis=0)
+        dk[..., k] = _conv_tap(cross, k, g, xp[..., k : k + n, :], buf).sum(axis=-2)
     if not need_x:
         return None, dk, db
     dxp = np.zeros_like(xp)
     for k in range(w):
-        dxp[k : k + n] += _conv_tap(cross, k, g, kernel[:, k], buf)
-    return dxp[w - 1 :], dk, db
+        dxp[..., k : k + n, :] += _conv_tap(cross, k, g, kernel[..., None, :, k], buf)
+    return dxp[..., w - 1 :, :], dk, db
 
 
 def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, runs: Runs) -> Tensor:
@@ -467,17 +470,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         a._accum(g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), backward)
-
-
-def flip_runs(a: Tensor, runs: Runs) -> Tensor:
-    """Reverse each run of a flat (L, ...) tensor in time. The permutation
-    is its own inverse, so backward applies it again."""
-    runs.check("flip_runs", a.data.shape[0])
-
-    def backward(g):
-        a._accum(runs.flip(g))
-
-    return _node(runs.flip(a.data), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -637,21 +629,21 @@ class Runs:
 
     @cached_property
     def _gathers(self) -> tuple:
-        """The input row of each packed row and of each flipped row."""
+        """The input row of each packed row and of each flipped row, and
+        the packed row of each input row."""
         order = np.argsort(-self.sizes, kind="stable")
         steps = np.arange(self.sizes[order[0]])[:, None]
         packed = (self.starts[order] + steps)[steps < self.sizes[order]]
-        return packed, np.repeat(2 * self.starts + self.sizes - 1, self.sizes) - np.arange(self.rows)
+        flipped = np.repeat(2 * self.starts + self.sizes - 1, self.sizes) - np.arange(self.rows)
+        return packed, flipped, np.argsort(packed)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
-        """Flat (L, ...) rows -> time-major packed rows."""
-        return a[self._gathers[0]]
+        """Flat (..., L, C) rows -> time-major packed rows, on the same axis."""
+        return a.take(self._gathers[0], axis=-2)
 
     def unpack(self, p: np.ndarray) -> np.ndarray:
-        """Time-major packed rows -> flat (L, ...) rows in input order."""
-        out = np.empty_like(p)
-        out[self._gathers[0]] = p
-        return out
+        """Time-major packed (..., L, C) rows -> flat rows in input order."""
+        return p.take(self._gathers[2], axis=-2)
 
     def flip(self, a: np.ndarray) -> np.ndarray:
         """a (L, ...) with each run reversed in time."""
@@ -746,14 +738,14 @@ class LinearLayer(Module):
 
 
 class LayerNorm(Module):
+    """The scale gamma, shift beta and eps of a layer norm, which the
+    blocks run inside their nodes (``_layer_norm``)."""
+
     def __init__(self, d: int, eps: float = 1e-5):
         super().__init__()
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
         self.eps = eps
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 # -- gradient verification ----------------------------------------------------

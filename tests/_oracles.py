@@ -417,6 +417,81 @@ def scan_branch_composition(branch, x, runs):
     return selective_scan_recurrent(xs, dp, cproj)
 
 
+def flip_runs(a, runs):
+    """The per-run flip as a tape op, as the library had it before the
+    bidirectional block became one node: reverse each run of a flat
+    (L, ...) tensor in time; the permutation is its own inverse, so
+    backward applies it again."""
+    from survmamba.numerics import _node
+
+    runs.check("flip_runs", a.data.shape[0])
+
+    def backward(g):
+        a._accum(runs.flip(g))
+
+    return _node(runs.flip(a.data), (a,), backward)
+
+
+def layer_norm_op(x, gamma, beta, eps=1e-5):
+    """The layer-norm tape op as the library had it before the blocks
+    became one node each: each row normalized over the last axis to zero
+    mean and unit (population) variance, then scaled and shifted."""
+    from survmamba.numerics import _node
+
+    d = x.data.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = np.where(np.isfinite(var), 1.0 / np.sqrt(var + eps), np.nan)
+    xhat = xc * inv
+    out = xhat * gamma.data + beta.data
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accum((g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            beta._accum(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gamma.data
+            mean_gx = gx.mean(axis=-1, keepdims=True)
+            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+            x._accum(inv * (gx - mean_gx - xhat * mean_gx_xhat))
+
+    return _node(out, (x, gamma, beta), backward)
+
+
+def bimamba_composition(block, tokens, runs):
+    """BiMambaBlock as it was before it became one tape node: the norm,
+    the x/z projections, SiLU, the two branch nodes (the reversed one
+    between two flips), the gates, the output projection and the residual
+    as tape ops of their own, on the block's parameters."""
+    from survmamba.numerics import silu
+
+    normed = layer_norm_op(tokens, block.norm.gamma, block.norm.beta, block.norm.eps)
+    x = block.linear_x(normed)
+    gate = silu(block.linear_z(normed))
+    y_f = block.fwd(x, runs)
+    y_b = flip_runs(block.bwd(flip_runs(x, runs), runs), runs)
+    return block.linear_out(y_f * gate + y_b * gate) + tokens
+
+
+def ifm_composition(block, tokens_a, tokens_b, runs):
+    """IFMBlock as it was before it became one tape node: per modality the
+    norm, the in-projection and the branch node, the shared z-projection
+    with SiLU, the cross gates, the concatenation and the output
+    projection as tape ops of their own."""
+    from survmamba.numerics import concat, silu
+
+    m1, m2 = block.m1, block.m2
+    n1 = layer_norm_op(tokens_a, m1.norm.gamma, m1.norm.beta, m1.norm.eps)
+    n2 = layer_norm_op(tokens_b, m2.norm.gamma, m2.norm.beta, m2.norm.eps)
+    y1 = m1.branch(m1.in_proj(n1), runs)
+    y2 = m2.branch(m2.in_proj(n2), runs)
+    z1 = silu(block.linear_z(n1))
+    z2 = silu(block.linear_z(n2))
+    return block.linear_out(concat([y1 * z2, y2 * z1], axis=-1))
+
+
 def him_fine_per_length(tokens, block, runs):
     """him_fine as it was before one padded block call: one block call per
     distinct group length, on that length's groups gathered as equal runs,

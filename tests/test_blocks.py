@@ -3,9 +3,12 @@ the construction identities and symmetry properties."""
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import survmamba.blocks as blocks
 import survmamba.ssm as ssm
@@ -58,7 +61,7 @@ class TestBiMamba:
         blk = _randomized_bimamba()
         blk.bwd = blk.fwd
         x = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
-        normed = blk.norm(x)
+        normed = oracle.layer_norm_op(x, blk.norm.gamma, blk.norm.beta)
         xe = blk.linear_x(normed)
         y_f = blk.fwd(xe, Runs([1]))
         y_b = blk.bwd(xe, Runs([1]))
@@ -297,6 +300,130 @@ class TestScanBranchNode:
             assert (y._backward is None) is not record and (scans[-1]._backward is None) is not record
         assert y._backward is not None and held[1] > 8 * y.data.nbytes  # the recorded node keeps its inputs
         assert y.data is scans[-1].data and held[0] < y.data.nbytes / 2, held  # no (L, E) array kept
+
+
+_RUN_SIZES = st.one_of(
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),  # ragged
+    st.tuples(st.integers(1, 9), st.integers(1, 4)).map(lambda t: [t[0]] * t[1]),  # equal
+)
+# steps per slab and per forward chunk, or None for the defaults: a scan
+# of more than one chunk recomputes its states in backward
+_SLABS = st.sampled_from([None, (1, 1), (2, 1), (3, 2), (5, 5)])
+
+
+def _patched_slabs(slabs, runs, e, n):
+    """The scan's slab and chunk sizes set to whole steps of the widest step."""
+    if slabs is None:
+        return mock.patch.multiple(ssm, SLAB_BYTES=ssm.SLAB_BYTES, CHUNK_BYTES=ssm.CHUNK_BYTES)
+    step_bytes = 8 * runs.width[0] * e * n
+    return mock.patch.multiple(ssm, SLAB_BYTES=slabs[0] * step_bytes, CHUNK_BYTES=slabs[1] * step_bytes)
+
+
+class TestBlockNodes:
+    """Each block as one tape node against the composition of tape ops it
+    replaced (tests/_oracles.py): the output and the gradients of the
+    tokens and of every parameter, bit for bit; and the stacked branch
+    pair the nodes run while recording against two lone branch calls."""
+
+    D, E, N = 3, 4, 2
+
+    @staticmethod
+    def _run(blk, call, tokens, runs, weight):
+        """The outputs and every gradient of two calls, the second on the
+        tokens reversed, each parameter's gradients summed as a minibatch
+        sums them: a parameter that takes two terms per call then shows the
+        order they come in."""
+        blk.zero_grad()
+        out = []
+        for k, rows in enumerate((slice(None), slice(None, None, -1))):
+            ts = [Tensor(t[rows].copy(), requires_grad=True) for t in tokens]
+            y = call(*ts, runs)
+            tsum(silu(y) * Tensor(weight)).backward()
+            out += [(f"y{k}", y.data)] + [(f"tokens{i}.{k}", t.grad) for i, t in enumerate(ts)]
+        return out + [(name, p.grad) for name, p in blk.named_parameters()]
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from([BiMambaBlock, IFMBlock]), mode=st.sampled_from(ssm.DISCRETIZE_MODES),
+           sizes=_RUN_SIZES, w=st.integers(1, 3), slabs=_SLABS, seed=st.integers(0, 2**16))
+    def test_block_node_matches_composition(self, kind, mode, sizes, w, slabs, seed):
+        rng = np.random.default_rng(seed)
+        blk = kind(self.D, self.E, self.N, w, rng=rng, disc_mode=mode)
+        for _, p in blk.named_parameters():
+            p.data += rng.normal(scale=0.3, size=p.shape)
+        runs = Runs(sizes)
+        tokens = [rng.normal(size=(runs.rows, self.D)) for _ in range(1 if kind is BiMambaBlock else 2)]
+        weight = rng.normal(size=(runs.rows, self.D))
+        comp = oracle.bimamba_composition if kind is BiMambaBlock else oracle.ifm_composition
+        with _patched_slabs(slabs, runs, self.E, self.N):
+            got = self._run(blk, blk, tokens, runs, weight)
+            want = self._run(blk, lambda *a: comp(blk, *a), tokens, runs, weight)
+            with no_grad():  # one lone branch call after the other
+                scored = blk(*[Tensor(t) for t in tokens], runs)
+        assert len(got) == len(want) == 2 * (1 + len(tokens)) + len(blk.parameters())
+        for (name, g), (_, r) in zip(got, want):
+            assert np.array_equal(g, r), name
+        assert np.array_equal(scored.data, got[0][1])
+
+    @settings(max_examples=30)
+    @given(mode=st.sampled_from(ssm.DISCRETIZE_MODES), sizes=_RUN_SIZES, slabs=_SLABS, seed=st.integers(0, 2**16))
+    def test_stacked_branches_match_two_lone_calls(self, mode, sizes, slabs, seed):
+        rng = np.random.default_rng(seed)
+        pair = [ScanBranch(self.E, self.N, 3, rng, mode) for _ in range(2)]
+        for branch in pair:
+            for _, p in branch.named_parameters():
+                p.data += rng.normal(scale=0.3, size=p.shape)
+        runs = Runs(sizes)
+        x, gy = rng.normal(size=(2, runs.rows, self.E)), rng.normal(size=(2, runs.rows, self.E))
+        with _patched_slabs(slabs, runs, self.E, self.N):
+            y, back = blocks._branches(x, pair, runs, True)
+            dx = back(gy, True)
+            grads = [[p.grad for p in branch.params] for branch in pair]
+            for g, branch in enumerate(pair):
+                branch.zero_grad()
+                y1, back1 = blocks._branches(x[g], (branch,), runs, True)
+                dx1 = back1(gy[g], True)
+                assert np.array_equal(y[g], y1) and np.array_equal(dx[g], dx1), g
+                assert all(p.grad is not None for p in branch.params)
+                for a, p in zip(grads[g], branch.params):
+                    assert np.array_equal(a, p.grad), g
+
+    def test_one_node_over_the_tokens_and_every_parameter(self):
+        blk = _randomized_ifm()
+        a, b = (Tensor(np.random.default_rng(i).normal(size=(6, 3)), requires_grad=True) for i in (1, 2))
+        out = blk(a, b, Runs([4, 2]))
+        assert out._parents[:2] == (a, b)
+        assert {id(p) for p in out._parents[2:]} == {id(p) for p in blk.parameters()}
+        assert all(p._backward is None for p in out._parents)  # leaves: the node's inner ops record nothing
+
+    def test_mixed_disc_modes_run_one_branch_after_the_other(self):
+        """Branches of two disc modes cannot share one scan: the block runs
+        them one after the other and still matches its composition."""
+        blk = _randomized_bimamba()
+        blk.bwd.disc_mode = "zoh"
+        runs = Runs([4, 2])
+        tokens = [np.random.default_rng(5).normal(size=(6, 3))]
+        weight = np.random.default_rng(6).normal(size=(6, 3))
+        got = self._run(blk, blk, tokens, runs, weight)
+        want = self._run(blk, lambda *a: oracle.bimamba_composition(blk, *a), tokens, runs, weight)
+        for (name, g), (_, r) in zip(got, want):
+            assert np.array_equal(g, r), name
+
+    @pytest.mark.parametrize("chunk_steps, stacked", [(3, True), (2, False)])
+    def test_a_pair_stacks_while_recording_one_chunk_scans(self, monkeypatch, chunk_steps, stacked):
+        """G = 2 while the tape records and each branch's scan fits one
+        forward chunk; else, and always under no_grad, one branch after the
+        other."""
+        seen = []
+        scan = blocks.selective_scan_recurrent
+        monkeypatch.setattr(blocks, "selective_scan_recurrent", lambda x, *a: seen.append(x.ndim) or scan(x, *a))
+        blk = _randomized_bimamba()  # E = 4, N = 2
+        runs = Runs([3] * 4)  # three steps of four rows
+        monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk_steps * 8 * 4 * 4 * 2)  # in steps of one branch
+        tokens = np.random.default_rng(7).normal(size=(runs.rows, 3))
+        tsum(blk(Tensor(tokens, requires_grad=True), runs)).backward()
+        with no_grad():
+            blk(Tensor(tokens), runs)
+        assert seen == ([3] if stacked else [2, 2]) + [2, 2]
 
 
 class TestScanMemory:

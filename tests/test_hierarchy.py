@@ -411,17 +411,56 @@ class TestHimCoarse:
         assert np.array_equal(out.data, vec[None])
 
 
-def _interior_nodes(root) -> int:
+def _interior(root) -> list:
     """Tape nodes with a backward closure, walked from a loss."""
-    seen, todo, interior = {id(root)}, [root], 0
+    seen, todo, interior = {id(root)}, [root], []
     while todo:
         node = todo.pop()
-        interior += node._backward is not None
+        if node._backward is not None:
+            interior.append(node)
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 todo.append(p)
     return interior
+
+
+def _interior_nodes(root) -> int:
+    return len(_interior(root))
+
+
+def _node_kinds(root) -> set:
+    """The kinds of interior node on a graph: the op or block whose closure
+    each one runs, such as 'linear' or 'BiMambaBlock.__call__'."""
+    return {node._backward.__qualname__.split(".<locals>")[0] for node in _interior(root)}
+
+
+def test_every_node_kind_on_a_desk_loss_has_a_gradient_suite_entry(monkeypatch):
+    """Each kind of node a desk training loss records is on the graph of a
+    gradient-suite check of its own: the suites are run with grad_check
+    spied on, leaving out the end-to-end pipeline check, whose graph holds
+    every kind by construction."""
+    import survmamba.gradsuite as gradsuite
+    from survmamba.synth import SynthSpec, synth_generate
+    from survmamba.training import TrainConfig, build_model
+
+    checked = set()
+    grad_check = gradsuite.grad_check
+
+    def spy(f, params, h=1e-5):
+        checked.update(_node_kinds(f()))
+        return grad_check(f, params, h)
+
+    monkeypatch.setattr(gradsuite, "grad_check", spy)
+    for suite in ("numerics", "ssm", "blocks", "hierarchy"):
+        gradsuite.run_grad_checks(suite)
+    ds = synth_generate(SynthSpec(n_patients=12), seed=0)
+    model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
+    desk = set()
+    for rec in ds.records:  # censored and not, events in the first and later bins
+        desk |= _node_kinds(model.loss(rec))
+    assert {"BiMambaBlock.__call__", "IFMBlock.__call__", "stacked_linear", "cumprod"} <= desk
+    assert desk <= checked, sorted(desk - checked)
 
 
 class TestTapeSize:
@@ -432,24 +471,24 @@ class TestTapeSize:
         an 8x4 catalog, for an event in the first or the last of 4 bins
         or a censored patient: the flat token layout keeps the tape at its
         block and fusion nodes, with no per-group slicing, pooling or
-        stacking, the head's survival products are one node and each scan
-        branch is one node. Measured: 102, 105 and 108 nodes (198, 201 and
-        204 with a node per branch op)."""
+        stacking, the head's survival products are one node and each block
+        is one node. Measured: 28, 31 and 34 nodes (102, 105 and 108 with a
+        node per scan branch, 198, 201 and 204 with a node per branch op)."""
         from survmamba.synth import SynthSpec, synth_generate
         from survmamba.training import TrainConfig, build_model
 
         ds = synth_generate(SynthSpec(n_patients=12), seed=0)
         model = build_model(ds, TrainConfig(d_model=32, e_expand=64, n_state=8))
         rec = next(r for r in ds.records if r.t_bin == t_bin and r.censored == censored)
-        assert _interior_nodes(model.loss(rec)) <= 110
+        assert _interior_nodes(model.loss(rec)) <= 35
 
     def test_ragged_desk_patient_step_interior_nodes(self):
         """The same bound on ragged bags: one patient at the desk config
         with six regions of 1-12 patches and the ragged default catalog
         (42 processes of 8-9 functions). One block call per modality
-        keeps the tape at the size it has on uniform bags."""
+        keeps the tape at the size it has on uniform bags. Measured: 28."""
         model, rec = _ragged_desk_patient(depth=1)
-        assert _interior_nodes(model.loss(rec)) <= 110
+        assert _interior_nodes(model.loss(rec)) <= 35
 
 
 def _ragged_desk_patient(depth):

@@ -238,3 +238,19 @@ def test_a_bag_of_the_wrong_token_dim_names_patient_and_dims():
         model.loss(bad)
     with pytest.raises(DataError, match=message):
         model.predict_risks(ds.records[:3] + [bad])
+
+
+def test_a_short_expression_vector_names_patient_and_genes_needed():
+    """An in-memory record one gene short used to fail inside the genomics
+    encoder, naming a function and a gene index but neither the patient
+    nor the length the catalog reads."""
+    model = _tiny("euler", 1)
+    rng = np.random.default_rng(9)
+    records = [_record(i, [3, 2], rng) for i in range(3)]
+    short = dataclasses.replace(records[1], genomics=records[1].genomics[:-1])
+    message = (rf"^patient {short.patient_id}: expression vector has {CATALOG.n_genes - 1} genes, "
+               rf"the catalog needs {CATALOG.n_genes} \(its largest gene index \+ 1\)$")
+    with pytest.raises(DataError, match=message):
+        model.predict_risks([records[0], short, records[2]])
+    with pytest.raises(DataError, match=message):
+        model.predict_risk(short)

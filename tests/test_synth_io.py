@@ -383,6 +383,27 @@ class TestDatasetIO:
         path.write_text(json.dumps(doc))
         assert max(r.t_bin for r in load_dataset(path).records) == 3
 
+    def test_first_edge_above_a_time_names_manifest_patient_and_time(self, tmp_path):
+        """Edges that start above some patient's time used to load and put
+        that patient in bin 0, although bins are (edge_k, edge_k+1]."""
+        ds = synth_generate(SynthSpec(n_patients=12, regions=1, patches_per_region=2, processes=1,
+                                      functions_per_process=2, genes_per_function=2, feature_dim=3), seed=1)
+        path = save_dataset(ds, tmp_path / "d")
+        doc = json.loads(path.read_text())
+        t = sorted(r.time_months for r in ds.records)
+        doc["bins"] = [t[2], t[3], t[6], t[8], float("inf")]
+        path.write_text(json.dumps(doc))
+        early = next(r for r in ds.records if r.time_months < t[2])  # the first in manifest order
+        message = f"manifest.json: patient {early.patient_id}: time_months {early.time_months!r} lies before " \
+                  f"the first bin edge {t[2]!r}"
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_dataset(path)
+        with pytest.raises(DataError, match=rf"^patient {early.patient_id}: time_months"):
+            finalize_dataset(ds.records, ds.grouping, bin_edges=doc["bins"])
+        doc["bins"][0] = t[0]  # a first edge on the earliest time keeps it in bin 0
+        path.write_text(json.dumps(doc))
+        assert min(r.t_bin for r in load_dataset(path).records) == 0
+
     def test_expression_too_short_names_patient(self, tmp_path):
         ds = synth_generate(SynthSpec(n_patients=6, regions=1, patches_per_region=2,
                                       processes=1, functions_per_process=2,
