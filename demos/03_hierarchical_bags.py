@@ -43,7 +43,7 @@ print("histology tokens:", img_tokens.shape, "in regions of", img_runs.sizes.tol
 
 grouping = make_grouping(n_processes=2, functions_per_process=3, genes_per_function=3)
 gen_enc = GenomicsEncoder(grouping, d_model=D, hidden=8, rng=np.random.default_rng(4))
-gen_tokens, gen_runs = gen_enc(rng.normal(size=18))
+gen_tokens, gen_runs = gen_enc([rng.normal(size=18)])
 print("genomics tokens: ", gen_tokens.shape, "in processes of", gen_runs.sizes.tolist())
 
 # -- dual-level aggregation ---------------------------------------------------

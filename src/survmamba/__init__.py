@@ -3,14 +3,14 @@ histology/genomics bags, in plain numpy.
 
 Layers of the library, bottom up:
 
-* ``numerics``  - float64 tensors with reverse-mode autodiff and the
-  primitive ops (linear, SiLU, softplus, layer norm, causal depthwise
-  conv, cumulative product), the ``Runs`` layout of independent sequences laid end to end,
-  plus finite-difference gradient verification.
+* ``numerics``  - float64 tensors with reverse-mode autodiff, the tape
+  ops the model records, the numpy kernels its block nodes run (conv,
+  softplus, layer norm), the ``Runs`` layout of independent sequences
+  laid end to end, plus finite-difference gradient verification.
 * ``ssm``       - the selective scan: discretization and the sequential
   recurrence, one differentiable tape node.
 * ``blocks``    - the bidirectional scan block and the cross-gated
-  two-modality fusion block.
+  two-modality fusion block, each call one tape node.
 * ``hierarchy`` - two-level bags, per-modality encoders, and the
   dual-level aggregation pipeline (shared fine block, pooling, coarse
   block).

@@ -36,11 +36,12 @@ it would hold both branches' slab buffers at once, and its steps are
 bound by arithmetic, which a stack does not cut (every paper-width
 call). Those, and every call under ``no_grad`` (scoring, whose scan
 chunks and peak memory thus stay those of one branch), call the branch
-kernel once per branch (G = 1). Under ``no_grad`` a block
-keeps nothing and frees each intermediate once it has been used; its
-backward drops each saved array once past its last use, as the sweep
-freed the nodes of the composition. A lone ``ScanBranch`` call runs the
-same kernel on one branch's (L, E) rows and records a node of its own.
+kernel once per branch (G = 1) on that branch's (L, E) rows. Under
+``no_grad`` a block keeps nothing and frees each intermediate once it
+has been used; its backward drops each saved array once past its last
+use, as the sweep freed the nodes of the composition. A ``ScanBranch``
+holds one branch's parameters and runs nothing itself; the block owns
+the disc mode of both its branches.
 
 Output projections are zero-initialized, so a freshly built
 bidirectional block is an exact identity and a fresh fusion block
@@ -108,10 +109,10 @@ def _affine(x: np.ndarray, ws, bs) -> np.ndarray:
     return out
 
 
-def _branches(x: np.ndarray, branches, runs: Runs, record: bool) -> tuple:
-    """The scan branches' numpy forward over x: a lone branch's flat
-    (L, E) rows, or a (G, L, E) stack with branches[g] over x[g], which
-    share one disc mode. The conv, SiLU, softplus and the scan run once
+def _branches(x: np.ndarray, branches, runs: Runs, mode: str, record: bool) -> tuple:
+    """The scan branches' numpy forward over x, discretized by mode: a
+    lone branch's flat (L, E) rows, or a (G, L, E) stack with branches[g]
+    over x[g]. The conv, SiLU, softplus and the scan run once
     over the stack; each projection runs per branch on its own weights.
     Returns y, shaped as x, and, when record, the backward
     gy, need_x -> dx (None unless need_x), which gives each branch's nine
@@ -137,7 +138,7 @@ def _branches(x: np.ndarray, branches, runs: Runs, record: bool) -> tuple:
     a = -np.exp(a_log)
     leaves = [Tensor(v, requires_grad=record) for v in (xs, delta, a, bproj, cproj)]
     x_in, delta_in, a_in, b_in, c_in = leaves
-    y = selective_scan_recurrent(x_in, discretize(delta_in, a_in, b_in, branches[0].disc_mode, runs=runs), c_in)
+    y = selective_scan_recurrent(x_in, discretize(delta_in, a_in, b_in, mode, runs=runs), c_in)
     if not record:
         return y.data, None
 
@@ -174,7 +175,7 @@ def _give(*pairs):
             p._accum(grad())
 
 
-def _pair(inputs, branches, runs: Runs, record: bool) -> tuple:
+def _pair(inputs, branches, runs: Runs, mode: str, record: bool) -> tuple:
     """A block's two scan branches, branches[g] over inputs[g](), a thunk
     for its flat (L, E) input: (y1, y2, backward), where backward, None
     unless record, takes (g1, g2), returns (dx1, dx2) and gives every
@@ -182,11 +183,10 @@ def _pair(inputs, branches, runs: Runs, record: bool) -> tuple:
     two run as one stacked branch (G = 2) and when one after the other
     (G = 1), each input then formed only when its branch runs."""
     e, n = branches[0].a_log.shape
-    if (record and ssm._chunk_steps(runs, e, n)[1] == len(runs.width)
-            and branches[0].disc_mode == branches[1].disc_mode):
-        ys, back = _branches(np.array([make() for make in inputs]), branches, runs, True)
+    if record and ssm._chunk_steps(runs, e, n)[1] == len(runs.width):
+        ys, back = _branches(np.array([make() for make in inputs]), branches, runs, mode, True)
         return ys[0], ys[1], lambda g1, g2: back(np.array([g1, g2]), True)
-    (y1, back1), (y2, back2) = (_branches(make(), (br,), runs, record) for make, br in zip(inputs, branches))
+    (y1, back1), (y2, back2) = (_branches(make(), (br,), runs, mode, record) for make, br in zip(inputs, branches))
     if not record:
         return y1, y2, None
 
@@ -202,12 +202,11 @@ def _pair(inputs, branches, runs: Runs, record: bool) -> tuple:
 
 
 class ScanBranch(Module):
-    """One direction/modality of the selective scan: conv -> SiLU ->
-    (B, C, delta) projections -> discretize -> scan. Called on its own it
-    records one tape node whose parents are the input and the branch's
-    nine parameters; the blocks run it inside their own nodes."""
+    """The nine parameters of one direction/modality of the selective
+    scan: conv -> SiLU -> (B, C, delta) projections -> discretize -> scan,
+    which the blocks run inside their own nodes."""
 
-    def __init__(self, e: int, n: int, w: int, rng: np.random.Generator, disc_mode: str = "euler"):
+    def __init__(self, e: int, n: int, w: int, rng: np.random.Generator):
         super().__init__()
         self.conv_kernel = Tensor(uniform_init(rng, (e, w), w), requires_grad=True)
         self.conv_bias = Tensor(np.zeros(e), requires_grad=True)
@@ -216,24 +215,12 @@ class ScanBranch(Module):
         self.linear_delta = Tensor(uniform_init(rng, (e, e), e), requires_grad=True)
         self.delta_bias = Tensor(_init_dt_bias(rng, e), requires_grad=True)
         self.a_log = Tensor(_init_a_log(e, n), requires_grad=True)
-        self.disc_mode = disc_mode
 
     @property
     def params(self) -> tuple:
         """The nine parameters, in the order the branch kernel takes them."""
         return (self.conv_kernel, self.conv_bias, self.linear_b.weight, self.linear_b.bias,
                 self.linear_c.weight, self.linear_c.bias, self.linear_delta, self.delta_bias, self.a_log)
-
-    def __call__(self, x: Tensor, runs: Runs) -> Tensor:
-        """x: flat (L, E) runs."""
-        parents = (x,) + self.params
-        y, back = _branches(x.data, (self,), runs, _records(parents))
-
-        def backward(g):
-            dx = back(g, x.requires_grad)
-            _give((x, lambda: dx))
-
-        return _node(y, parents, backward)
 
 
 class BiMambaBlock(Module):
@@ -249,11 +236,12 @@ class BiMambaBlock(Module):
         super().__init__()
         e = e_expand
         self.d_model, self.e_expand, self.n_state, self.conv_width = d_model, e, n_state, conv_width
+        self.disc_mode = disc_mode
         self.norm = LayerNorm(d_model)
         self.linear_x = LinearLayer(d_model, e, rng)
         self.linear_z = LinearLayer(d_model, e, rng)
-        self.fwd = ScanBranch(e, n_state, conv_width, rng, disc_mode)
-        self.bwd = ScanBranch(e, n_state, conv_width, rng, disc_mode)
+        self.fwd = ScanBranch(e, n_state, conv_width, rng)
+        self.bwd = ScanBranch(e, n_state, conv_width, rng)
         self.linear_out = LinearLayer(e, d_model, rng, zero_init=True)
 
     def __call__(self, tokens: Tensor, runs: Runs) -> Tensor:
@@ -270,7 +258,7 @@ class BiMambaBlock(Module):
         gate = zl * sz
         if not record:  # each intermediate goes once used
             normed = xhat = inv = zl = sz = None
-        y_f, y_b, back = _pair((lambda: x, lambda: runs.flip(x)), (fwd, bwd), runs, record)
+        y_f, y_b, back = _pair((lambda: x, lambda: runs.flip(x)), (fwd, bwd), runs, self.disc_mode, record)
         y_b = runs.flip(y_b)
         x = None
         y = y_f * gate + y_b * gate
@@ -305,11 +293,11 @@ class BiMambaBlock(Module):
 class IFMModality(Module):
     """Per-modality parameters of the fusion block."""
 
-    def __init__(self, d: int, e: int, n: int, w: int, rng, disc_mode: str):
+    def __init__(self, d: int, e: int, n: int, w: int, rng):
         super().__init__()
         self.norm = LayerNorm(d)
         self.in_proj = LinearLayer(d, e, rng)
-        self.branch = ScanBranch(e, n, w, rng, disc_mode)
+        self.branch = ScanBranch(e, n, w, rng)
 
 
 class IFMBlock(Module):
@@ -321,8 +309,9 @@ class IFMBlock(Module):
         super().__init__()
         e = e_expand
         self.d_model, self.e_expand, self.n_state, self.conv_width = d_model, e, n_state, conv_width
-        self.m1 = IFMModality(d_model, e, n_state, conv_width, rng, disc_mode)
-        self.m2 = IFMModality(d_model, e, n_state, conv_width, rng, disc_mode)
+        self.disc_mode = disc_mode
+        self.m1 = IFMModality(d_model, e, n_state, conv_width, rng)
+        self.m2 = IFMModality(d_model, e, n_state, conv_width, rng)
         self.linear_z = LinearLayer(d_model, e, rng)
         self.linear_out = LinearLayer(2 * e, d_model, rng, zero_init=True)
 
@@ -344,7 +333,8 @@ class IFMBlock(Module):
         w1, b1, w2, b2 = m1.in_proj.weight.data, m1.in_proj.bias.data, m2.in_proj.weight.data, m2.in_proj.bias.data
         if not record:  # each intermediate goes once used
             xhat1 = inv1 = xhat2 = inv2 = None
-        y1, y2, back = _pair((lambda: n1 @ w1 + b1, lambda: n2 @ w2 + b2), (m1.branch, m2.branch), runs, record)
+        y1, y2, back = _pair((lambda: n1 @ w1 + b1, lambda: n2 @ w2 + b2), (m1.branch, m2.branch), runs,
+                           self.disc_mode, record)
         zl1 = n1 @ lz.weight.data + lz.bias.data
         zl2 = n2 @ lz.weight.data + lz.bias.data
         s1, s2 = _sigmoid_np(zl1), _sigmoid_np(zl2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +37,14 @@ def _load_cfg(path) -> TrainConfig:
     return TrainConfig.from_json(path) if path else TrainConfig()
 
 
+def _check_out_dir(flag: str, path):
+    """Refuse an output path (if one is given) in a missing directory, before any work."""
+    if path and not Path(path).parent.is_dir():
+        raise ConfigError(f"{flag}: directory {str(Path(path).parent)!r} of {path!r} does not exist")
+
+
 def _cmd_train(args):
+    _check_out_dir("--out", args.out)
     cfg = _load_cfg(args.config)
     dataset = load_dataset(args.data, t_bins=cfg.t_bins)
     model, trace = train(dataset, args.fold, cfg)
@@ -63,6 +71,7 @@ def _print_km_table(curves, summary: str, out=None):
 
 
 def _cmd_eval(args):
+    _check_out_dir("--km-out", args.km_out)
     cfg = _load_cfg(args.config)
     dataset = load_dataset(args.data, t_bins=cfg.t_bins)
     model = build_model(dataset, cfg)
@@ -209,11 +218,11 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """Console entry: main(), with bad input or a non-finite result
-    reported as one `error: <message>` line on stderr and exit status 2."""
+    """Console entry: main(), with bad input, a non-finite result or a failed
+    write reported as one `error: <message>` line on stderr and exit status 2."""
     try:
         return main(argv)
-    except (DataError, ConfigError, NonFiniteError) as exc:
+    except (DataError, ConfigError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -178,19 +178,19 @@ def read_grouping(path) -> GroupingConfig:
     path = Path(path)
     doc = _read_json(path, "grouping config")
 
-    def entries(key, noun, members, valid, what):
-        """[(id, members)] of the doc's `key` list; DataError names the entry."""
+    def entries(key, noun, members, valid=None, what=""):
+        """[(id, members)] of the doc's `key` list; DataError names the entry.
+        GroupingConfig checks the gene indices."""
         out = []
         for i, entry in enumerate(_key(doc, key, str(path), list, "a non-empty list")):
             eid = _key(entry, "id", str(path), str, "a string", f" ({noun} #{i})")
             vals = _key(entry, members, str(path), list, "a non-empty list", f" ({noun} {eid!r})")
-            if not all(map(valid, vals)):
+            if valid and not all(map(valid, vals)):
                 raise DataError(f"{path}: {members} {vals!r} are not {what} ({noun} {eid!r})")
             out.append((eid, vals))
         return out
 
-    functions = entries("functions", "function", "genes", lambda g: type(g) is int and g >= 0,
-                        "non-negative integers")
+    functions = entries("functions", "function", "genes")
     processes = entries("processes", "process", "functions", lambda f: type(f) is str, "function ids")
     try:
         return GroupingConfig(processes=processes, functions=functions)

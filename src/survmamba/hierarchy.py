@@ -75,7 +75,8 @@ class GroupingConfig:
 
     processes: ordered (process_id, [function_id, ...]); functions:
     ordered (function_id, [gene index, ...]). A gene may belong to
-    several functions; every process must list at least one function.
+    several functions; every function lists at least one gene index, a
+    non-negative integer, and every process at least one function.
     """
 
     processes: list
@@ -86,6 +87,11 @@ class GroupingConfig:
         self._fn_index = {fid: genes for fid, genes in self.functions}
         if len(self._fn_index) != len(self.functions):
             raise DataError("grouping: duplicate function ids")
+        for fid, genes in self.functions:
+            if not genes:
+                raise DataError(f"genes {genes!r} is not a non-empty list (function {fid!r})")
+            if not all((type(g) is int or isinstance(g, np.integer)) and g >= 0 for g in genes):  # bools are not
+                raise DataError(f"genes {genes!r} are not non-negative integers (function {fid!r})")
         for pid, fids in self.processes:
             if not fids:
                 raise DataError(f"grouping: process {pid!r} lists no functions")
@@ -182,22 +188,14 @@ class GenomicsEncoder(Module):
         order = [rank[fid] for _, fids in grouping.processes for fid in fids]
         self._order = None if order == list(range(len(rank))) else np.asarray(order, dtype=np.int64)
         self.runs = Runs([len(fids) for _, fids in grouping.processes])
-        self.n_genes = 1 + max(g for _, genes in grouping.functions for g in genes)  # the expression length read
+        self.n_genes = grouping.n_genes  # the expression length read
 
-    def set_function_mlp(self, fid: str, w1, b1, w2, b2):
-        """Overwrite one function's MLP weights (test/fixture helper)."""
-        bank, row = self._slot[fid]
-        bank.w1.data[row] = w1
-        bank.b1.data[row] = b1
-        bank.w2.data[row] = w2
-        bank.b2.data[row] = b2
-
-    def __call__(self, expr) -> tuple:
-        """expr: a list of P patients' 1-d gene expression vectors, or one
-        vector for a list of one -> ((P * n_functions, D) tokens, each
-        patient's in process order and the patients end to end, and each
-        patient's runs). The banks run once on the vectors' stack."""
-        vectors = [np.asarray(e, dtype=np.float64) for e in (expr if isinstance(expr, list) else [expr])]
+    def __call__(self, expr: list) -> tuple:
+        """expr: a list of P patients' 1-d gene expression vectors ->
+        ((P * n_functions, D) tokens, each patient's in process order and
+        the patients end to end, and each patient's runs). The banks run
+        once on the vectors' stack."""
+        vectors = [np.asarray(e, dtype=np.float64) for e in expr]
         for v in vectors:
             if self.n_genes > v.shape[0]:
                 fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= v.shape[0])

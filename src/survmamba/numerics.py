@@ -1,5 +1,5 @@
-"""Dense float64 tensors with reverse-mode autodiff, plus the primitive
-neural ops everything else is built from.
+"""Dense float64 tensors with reverse-mode autodiff, the tape ops the model
+records, and the numpy kernels its block nodes run (conv, softplus, norm).
 
 The engine is a recorded tape over numpy arrays: each op that
 ``_records`` admits produces a new Tensor that remembers its parents and
@@ -9,8 +9,7 @@ gradients additively into ``.grad`` buffers. Each interior node's
 gradient, closure and parent links are dropped as soon as its closure
 has run, so a graph can be swept only once; leaves keep their gradients.
 All storage is 64-bit; there is no broadcasting API beyond what the
-primitives themselves need (bias vectors over trailing dims, and the
-timescale/state broadcasts inside the SSM discretization).
+primitives themselves need (bias vectors over trailing dims).
 
 Sets of independent sequences travel as one flat (L, ...) array, the
 sequences laid end to end, plus a ``Runs`` value built once per set: the
@@ -147,12 +146,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(_wrap(other), neg(self))
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -222,32 +215,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out, (a, b), backward)
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         a._accum(-g)
 
     return _node(-a.data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g):
-        a._accum(g * out)
-
-    return _node(out, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -277,17 +249,8 @@ def silu(a: Tensor) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def softplus(a: Tensor) -> Tensor:
-    """Overflow-safe ln(1 + e^x); returns ~x for large x, ~0 for very negative x."""
-    x = a.data
-
-    def backward(g):
-        a._accum(g * _sigmoid_np(x))
-
-    return _node(_softplus_np(x), (a,), backward)
-
-
 def _softplus_np(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe ln(1 + e^x): ~x for large x, ~0 for very negative x."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
@@ -406,9 +369,10 @@ def _conv_pad(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def _conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, runs: Runs) -> np.ndarray:
-    """The causal depthwise conv's output for flat (L, E) x, off the tape;
-    a (G, L, E) stack takes a kernel (G, E, W) and a bias (G, E), one per
-    leading index."""
+    """Causal depthwise conv over each run of flat (L, E) x, off the tape:
+    y[l, e] = bias[e] + sum_k kernel[e, k] * x[l - W + 1 + k, e], rows before
+    the run's start read as zero; a (G, L, E) stack takes a kernel (G, E, W)
+    and a bias (G, E), one per leading index."""
     lead = kernel.shape[:-2]
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
         raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.shape}")
@@ -441,25 +405,6 @@ def _conv1d_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, runs: Runs, 
     for k in range(w):
         dxp[..., k : k + n, :] += _conv_tap(cross, k, g, kernel[..., None, :, k], buf)
     return dxp[..., w - 1 :, :], dk, db
-
-
-def causal_depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, runs: Runs) -> Tensor:
-    """Per-channel causal 1-d convolution over each run of a flat (L, E)
-    input: y[l, e] = bias[e] + sum_k kernel[e, k] * x[l - W + 1 + k, e],
-    with rows before the run's start read as zero. Tap k reads a shifted
-    view of the input with its run-crossing rows zeroed."""
-    out = _conv1d(x.data, kernel.data, bias.data, runs)
-
-    def backward(g):
-        dx, dk, db = _conv1d_grads(g, x.data, kernel.data, runs, x.requires_grad)
-        if bias.requires_grad:
-            bias._accum(db)
-        if kernel.requires_grad:
-            kernel._accum(dk)
-        if x.requires_grad:
-            x._accum(dx)
-
-    return _node(out, (x, kernel, bias), backward)
 
 
 # -- shape ops --------------------------------------------------------------

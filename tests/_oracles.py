@@ -6,7 +6,11 @@ library. The point is a second, dumber route to the same numbers. The
 parallel scan and the LTI kernel take the library's DiscreteParams and
 shape check, but do their own arithmetic. ``flat_runs`` turns the
 (B, M, ...) batches the transcriptions work on into the one input form
-of the library's blocks and scan.
+of the library's blocks and scan. The compositions further down replay
+what the library's block nodes replaced, as tape ops of their own; the
+ops the model no longer records (``exp_op``, ``softplus_op``, ``div_op``
+and ``causal_depthwise_conv1d``) live here with them, on the library's
+numpy kernels.
 """
 
 import numpy as np
@@ -96,8 +100,8 @@ def bimamba_forward(block, tokens):
     x = normed @ block.linear_x.weight.data + block.linear_x.bias.data
     z = normed @ block.linear_z.weight.data + block.linear_z.bias.data
     gate = silu(z)
-    y_f = _branch(x, block.fwd, block.fwd.disc_mode)
-    y_b = _branch(x[:, ::-1], block.bwd, block.bwd.disc_mode)[:, ::-1]
+    y_f = _branch(x, block.fwd, block.disc_mode)
+    y_b = _branch(x[:, ::-1], block.bwd, block.disc_mode)[:, ::-1]
     summed = y_f * gate + y_b * gate
     return summed @ block.linear_out.weight.data + block.linear_out.bias.data + t_in
 
@@ -110,8 +114,8 @@ def ifm_forward(block, tok_a, tok_b):
     n2 = layer_norm(b_in, block.m2.norm.gamma.data, block.m2.norm.beta.data)
     x1 = n1 @ block.m1.in_proj.weight.data + block.m1.in_proj.bias.data
     x2 = n2 @ block.m2.in_proj.weight.data + block.m2.in_proj.bias.data
-    y1 = _branch(x1, block.m1.branch, block.m1.branch.disc_mode)
-    y2 = _branch(x2, block.m2.branch, block.m2.branch.disc_mode)
+    y1 = _branch(x1, block.m1.branch, block.disc_mode)
+    y2 = _branch(x2, block.m2.branch, block.disc_mode)
     z1 = silu(n1 @ block.linear_z.weight.data + block.linear_z.bias.data)
     z2 = silu(n2 @ block.linear_z.weight.data + block.linear_z.bias.data)
     cat = np.concatenate([y1 * z2, y2 * z1], axis=-1)
@@ -325,17 +329,17 @@ class GatherRAdam:
 def unfused_discretize(delta, A, Bproj, mode="euler"):
     """The discretization as it was before the fused scan: tape ops that
     keep (B, M, E, N) Abar and Bbar on the tape. Returns (Abar, Bbar)."""
-    from survmamba.numerics import exp, mul, reshape
+    from survmamba.numerics import mul, reshape
 
     b, m, e = delta.shape
     n = A.shape[-1]
     d4 = reshape(delta, (b, m, e, 1))
     bp4 = reshape(Bproj, (b, m, 1, n))
-    abar = exp(mul(d4, A))
+    abar = exp_op(mul(d4, A))
     if mode == "euler":
         bbar = mul(d4, bp4)
     else:
-        bbar = mul((abar - 1.0) / A, bp4)
+        bbar = mul(div_op(abar - 1.0, A), bp4)
     return abar, bbar
 
 
@@ -401,19 +405,80 @@ def backward_keep_graph(root):
             node._backward(node.grad)
 
 
-def scan_branch_composition(branch, x, runs):
-    """ScanBranch as it was before it became one tape node: the conv, SiLU,
-    the three projections, softplus and -exp(a_log) as tape ops of their
-    own, then discretize and the scan node, on the branch's parameters."""
-    from survmamba.numerics import causal_depthwise_conv1d, exp, linear, neg, silu, softplus
+def exp_op(a):
+    """Elementwise e^a as a tape op."""
+    from survmamba.numerics import _node
+
+    out = np.exp(a.data)
+
+    def backward(g):
+        a._accum(g * out)
+
+    return _node(out, (a,), backward)
+
+
+def softplus_op(a):
+    """The library's softplus kernel (``numerics._softplus_np``) as a tape
+    op; backward forms the sigmoid."""
+    from survmamba.numerics import _node, _sigmoid_np, _softplus_np
+
+    x = a.data
+
+    def backward(g):
+        a._accum(g * _sigmoid_np(x))
+
+    return _node(_softplus_np(x), (a,), backward)
+
+
+def div_op(a, b):
+    """Elementwise a / b of two Tensors as a tape op, broadcasting as
+    numpy does."""
+    from survmamba.numerics import _node, _unbroadcast
+
+    out = a.data / b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return _node(out, (a, b), backward)
+
+
+def causal_depthwise_conv1d(x, kernel, bias, runs):
+    """The library's causal depthwise conv kernels (``numerics._conv1d``
+    and ``_conv1d_grads``) as a tape op over Tensors x, kernel and bias."""
+    from survmamba.numerics import _conv1d, _conv1d_grads, _node
+
+    out = _conv1d(x.data, kernel.data, bias.data, runs)
+
+    def backward(g):
+        dx, dk, db = _conv1d_grads(g, x.data, kernel.data, runs, x.requires_grad)
+        if bias.requires_grad:
+            bias._accum(db)
+        if kernel.requires_grad:
+            kernel._accum(dk)
+        if x.requires_grad:
+            x._accum(dx)
+
+    return _node(out, (x, kernel, bias), backward)
+
+
+def scan_branch_composition(branch, x, runs, mode):
+    """A scan branch as it ran before it became part of a block node: the
+    conv, SiLU, the three projections, softplus and -exp(a_log) as tape ops
+    of their own, then discretize by mode and the scan node, on the
+    branch's parameters."""
+    from survmamba.numerics import linear, neg, silu
     from survmamba.ssm import discretize, selective_scan_recurrent
 
     xs = silu(causal_depthwise_conv1d(x, branch.conv_kernel, branch.conv_bias, runs))
     bproj = branch.linear_b(xs)
     cproj = branch.linear_c(xs)
-    delta = softplus(linear(xs, branch.linear_delta, branch.delta_bias))
-    a = neg(exp(branch.a_log))
-    dp = discretize(delta, a, bproj, branch.disc_mode, runs=runs)
+    delta = softplus_op(linear(xs, branch.linear_delta, branch.delta_bias))
+    a = neg(exp_op(branch.a_log))
+    dp = discretize(delta, a, bproj, mode, runs=runs)
     return selective_scan_recurrent(xs, dp, cproj)
 
 
@@ -462,22 +527,22 @@ def layer_norm_op(x, gamma, beta, eps=1e-5):
 
 def bimamba_composition(block, tokens, runs):
     """BiMambaBlock as it was before it became one tape node: the norm,
-    the x/z projections, SiLU, the two branch nodes (the reversed one
-    between two flips), the gates, the output projection and the residual
+    the x/z projections, SiLU, the two branch compositions (the reversed
+    one between two flips), the gates, the output projection and the residual
     as tape ops of their own, on the block's parameters."""
     from survmamba.numerics import silu
 
     normed = layer_norm_op(tokens, block.norm.gamma, block.norm.beta, block.norm.eps)
     x = block.linear_x(normed)
     gate = silu(block.linear_z(normed))
-    y_f = block.fwd(x, runs)
-    y_b = flip_runs(block.bwd(flip_runs(x, runs), runs), runs)
+    y_f = scan_branch_composition(block.fwd, x, runs, block.disc_mode)
+    y_b = flip_runs(scan_branch_composition(block.bwd, flip_runs(x, runs), runs, block.disc_mode), runs)
     return block.linear_out(y_f * gate + y_b * gate) + tokens
 
 
 def ifm_composition(block, tokens_a, tokens_b, runs):
     """IFMBlock as it was before it became one tape node: per modality the
-    norm, the in-projection and the branch node, the shared z-projection
+    norm, the in-projection and the branch composition, the shared z-projection
     with SiLU, the cross gates, the concatenation and the output
     projection as tape ops of their own."""
     from survmamba.numerics import concat, silu
@@ -485,8 +550,8 @@ def ifm_composition(block, tokens_a, tokens_b, runs):
     m1, m2 = block.m1, block.m2
     n1 = layer_norm_op(tokens_a, m1.norm.gamma, m1.norm.beta, m1.norm.eps)
     n2 = layer_norm_op(tokens_b, m2.norm.gamma, m2.norm.beta, m2.norm.eps)
-    y1 = m1.branch(m1.in_proj(n1), runs)
-    y2 = m2.branch(m2.in_proj(n2), runs)
+    y1 = scan_branch_composition(m1.branch, m1.in_proj(n1), runs, block.disc_mode)
+    y2 = scan_branch_composition(m2.branch, m2.in_proj(n2), runs, block.disc_mode)
     z1 = silu(block.linear_z(n1))
     z2 = silu(block.linear_z(n2))
     return block.linear_out(concat([y1 * z2, y2 * z1], axis=-1))
@@ -559,7 +624,7 @@ def per_patient_risk(model, record):
 
     with no_grad():
         img, img_coarse = modality(*model.enc.histology(record.histology), model.him.image)
-        gen, gen_coarse = modality(*model.enc.genomics(record.genomics), model.him.genomics)
+        gen, gen_coarse = modality(*model.enc.genomics([record.genomics]), model.him.genomics)
         h_fine = fuse(img, gen, model.ifm.fine, min(img.shape[0], gen.shape[0], model.cfg.align_len))
         h_coarse = fuse(img_coarse, gen_coarse, model.ifm.coarse, min(img_coarse.shape[0], gen_coarse.shape[0]))
         return model.head(adaptive_fuse(h_fine, h_coarse, model.fusion_alpha)).risk.item()

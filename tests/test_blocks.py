@@ -62,10 +62,9 @@ class TestBiMamba:
         blk.bwd = blk.fwd
         x = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
         normed = oracle.layer_norm_op(x, blk.norm.gamma, blk.norm.beta)
-        xe = blk.linear_x(normed)
-        y_f = blk.fwd(xe, Runs([1]))
-        y_b = blk.bwd(xe, Runs([1]))
-        assert np.array_equal(y_f.data, y_b.data)
+        xe, runs = blk.linear_x(normed).data, Runs([1])
+        y_f, y_b, _ = blocks._pair((lambda: xe, lambda: runs.flip(xe)), (blk.fwd, blk.bwd), runs, blk.disc_mode, False)
+        assert np.array_equal(y_f, y_b)
 
     def test_prebuilt_runs_build_and_check_nothing(self, monkeypatch):
         """A block call on a prebuilt Runs, forward and backward, builds no
@@ -223,83 +222,37 @@ class TestIFM:
         assert err <= 1e-5
 
 
-class TestScanBranchNode:
-    """ScanBranch as one tape node against the composition of tape ops it
-    replaced (tests/_oracles.py): the output and the gradients of x and of
-    all nine parameters, bit for bit."""
-
-    @staticmethod
-    def _run(branch, call, x0, runs, weight):
-        branch.zero_grad()
-        x = Tensor(x0.copy(), requires_grad=True)
-        y = call(x, runs)
-        tsum(silu(y) * Tensor(weight)).backward()
-        return [("y", y.data), ("x", x.grad)] + [(name, p.grad) for name, p in branch.named_parameters()]
-
-    @staticmethod
-    def _branch(rng, e, n, w, mode):
-        branch = ScanBranch(e, n, w, rng, mode)
-        for _, p in branch.named_parameters():
-            p.data += rng.normal(scale=0.3, size=p.shape)
-        return branch
-
-    @pytest.mark.parametrize("mode", ["euler", "zoh"])
-    @pytest.mark.parametrize("lengths, slab, chunk", [
-        ((6, 6, 6), None, None),  # equal runs, B > 1, as one chunk: the kept path
-        ((5, 1, 9, 3), None, None),  # ragged runs as one chunk
-        ((2, 9, 6, 1, 6), 2, 1),  # slabs and chunks: the recompute path
-        ((3, 11, 5, 8), 4, 3),
-    ])
-    def test_matches_composition_bit_for_bit(self, monkeypatch, mode, lengths, slab, chunk):
-        e, n, w = 5, 3, 3
-        if slab:
-            step_bytes = 8 * len(lengths) * e * n  # one step with every run going
-            monkeypatch.setattr(ssm, "SLAB_BYTES", slab * step_bytes)
-            monkeypatch.setattr(ssm, "CHUNK_BYTES", chunk * step_bytes)
-        rng = np.random.default_rng(list(lengths))
-        branch = self._branch(rng, e, n, w, mode)
-        runs = Runs(lengths)
-        x0, weight = rng.normal(size=(runs.rows, e)), rng.normal(size=(runs.rows, e))
-        got = self._run(branch, branch, x0, runs, weight)
-        want = self._run(branch, lambda x, r: oracle.scan_branch_composition(branch, x, r), x0, runs, weight)
-        assert len(got) == 11
-        for (name, g), (_, r) in zip(got, want):
-            assert np.array_equal(g, r), name
-
-    def test_one_node_over_x_and_the_parameters(self):
-        branch = self._branch(np.random.default_rng(2), 4, 2, 2, "euler")
-        x = Tensor(np.random.default_rng(3).normal(size=(7, 4)), requires_grad=True)
-        y = branch(x, Runs([4, 3]))
-        assert len(y._parents) == 10 and y._parents[0] is x
-        assert {id(p) for p in y._parents[1:]} == {id(p) for p in branch.parameters()}
-
-    def test_no_grad_keeps_nothing(self, monkeypatch):
-        """Under no_grad the branch output has no closure and the scan
-        records none: past the call, the output is all the branch holds."""
-        branch = self._branch(np.random.default_rng(4), 16, 4, 3, "zoh")
-        scans = []
-        scan = blocks.selective_scan_recurrent
-        monkeypatch.setattr(blocks, "selective_scan_recurrent", lambda *a: scans.append(scan(*a)) or scans[-1])
-        x = Tensor(np.random.default_rng(5).normal(size=(64, 16)), requires_grad=True)
-        runs = Runs.cached((16,) * 4)
-        with no_grad():
-            branch(x, runs)  # the runs form their conv and packing indices on first use
-        held = []
-        for record in (False, True):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                if record:
-                    y = branch(x, runs)
-                else:
-                    with no_grad():
-                        y = branch(x, runs)
-                held.append(tracemalloc.get_traced_memory()[0] - base - y.data.nbytes)
-            finally:
-                tracemalloc.stop()
-            assert (y._backward is None) is not record and (scans[-1]._backward is None) is not record
-        assert y._backward is not None and held[1] > 8 * y.data.nbytes  # the recorded node keeps its inputs
-        assert y.data is scans[-1].data and held[0] < y.data.nbytes / 2, held  # no (L, E) array kept
+@pytest.mark.parametrize("kind", [BiMambaBlock, IFMBlock])
+def test_a_block_under_no_grad_keeps_nothing(monkeypatch, kind):
+    """Under no_grad a block's output has no closure and its scans record
+    none: past the call, the output is all the block holds. With d = E, an
+    (L, E) array is the size of the output."""
+    blk = kind(16, 16, 4, 3, rng=np.random.default_rng(4), disc_mode="zoh")
+    recorded = []
+    scan = blocks.selective_scan_recurrent
+    monkeypatch.setattr(blocks, "selective_scan_recurrent",
+                        lambda *a: (lambda y: recorded.append(y._backward is not None) or y)(scan(*a)))
+    rng = np.random.default_rng(5)
+    tokens = [Tensor(rng.normal(size=(64, 16)), requires_grad=True) for _ in range(1 if kind is BiMambaBlock else 2)]
+    runs = Runs.cached((16,) * 4)
+    with no_grad():
+        blk(*tokens, runs)  # the runs form their conv and packing indices on first use
+    held = []
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if record:
+                y = blk(*tokens, runs)
+            else:
+                with no_grad():
+                    y = blk(*tokens, runs)
+            held.append(tracemalloc.get_traced_memory()[0] - base - y.data.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert (y._backward is not None) is record and recorded[-1] is record
+    assert held[1] > 8 * y.data.nbytes  # the recorded node keeps its inputs
+    assert held[0] < y.data.nbytes / 2, held  # no (L, E) array kept
 
 
 _RUN_SIZES = st.one_of(
@@ -368,19 +321,19 @@ class TestBlockNodes:
     @given(mode=st.sampled_from(ssm.DISCRETIZE_MODES), sizes=_RUN_SIZES, slabs=_SLABS, seed=st.integers(0, 2**16))
     def test_stacked_branches_match_two_lone_calls(self, mode, sizes, slabs, seed):
         rng = np.random.default_rng(seed)
-        pair = [ScanBranch(self.E, self.N, 3, rng, mode) for _ in range(2)]
+        pair = [ScanBranch(self.E, self.N, 3, rng) for _ in range(2)]
         for branch in pair:
             for _, p in branch.named_parameters():
                 p.data += rng.normal(scale=0.3, size=p.shape)
         runs = Runs(sizes)
         x, gy = rng.normal(size=(2, runs.rows, self.E)), rng.normal(size=(2, runs.rows, self.E))
         with _patched_slabs(slabs, runs, self.E, self.N):
-            y, back = blocks._branches(x, pair, runs, True)
+            y, back = blocks._branches(x, pair, runs, mode, True)
             dx = back(gy, True)
             grads = [[p.grad for p in branch.params] for branch in pair]
             for g, branch in enumerate(pair):
                 branch.zero_grad()
-                y1, back1 = blocks._branches(x[g], (branch,), runs, True)
+                y1, back1 = blocks._branches(x[g], (branch,), runs, mode, True)
                 dx1 = back1(gy[g], True)
                 assert np.array_equal(y[g], y1) and np.array_equal(dx[g], dx1), g
                 assert all(p.grad is not None for p in branch.params)
@@ -394,19 +347,6 @@ class TestBlockNodes:
         assert out._parents[:2] == (a, b)
         assert {id(p) for p in out._parents[2:]} == {id(p) for p in blk.parameters()}
         assert all(p._backward is None for p in out._parents)  # leaves: the node's inner ops record nothing
-
-    def test_mixed_disc_modes_run_one_branch_after_the_other(self):
-        """Branches of two disc modes cannot share one scan: the block runs
-        them one after the other and still matches its composition."""
-        blk = _randomized_bimamba()
-        blk.bwd.disc_mode = "zoh"
-        runs = Runs([4, 2])
-        tokens = [np.random.default_rng(5).normal(size=(6, 3))]
-        weight = np.random.default_rng(6).normal(size=(6, 3))
-        got = self._run(blk, blk, tokens, runs, weight)
-        want = self._run(blk, lambda *a: oracle.bimamba_composition(blk, *a), tokens, runs, weight)
-        for (name, g), (_, r) in zip(got, want):
-            assert np.array_equal(g, r), name
 
     @pytest.mark.parametrize("chunk_steps, stacked", [(3, True), (2, False)])
     def test_a_pair_stacks_while_recording_one_chunk_scans(self, monkeypatch, chunk_steps, stacked):

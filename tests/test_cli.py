@@ -96,7 +96,7 @@ def test_eval_prints_km_table_to_current_stdout(tiny_dataset_dir, capsys):
 def test_gradcheck_numerics(capsys):
     code, out = _run(capsys, ["gradcheck", "--module", "numerics"])
     assert code == 0
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
 
 
@@ -309,3 +309,51 @@ def test_eval_non_finite_risk_is_one_error_line(tiny_dataset_dir, tmp_path):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert re.fullmatch(r"error: evaluate: fold 0: non-finite risk nan for patient P\d{4}", line), line
+
+
+_TINY_CFG = {"d_model": 6, "e_expand": 8, "n_state": 2, "conv_width": 2, "genomics_hidden": 4,
+             "align_len": 8, "epochs": 0, "seed": 1}
+
+
+@pytest.mark.parametrize("flag", ["--out", "--km-out"])
+def test_an_output_in_a_missing_directory_is_refused_before_any_work(tiny_dataset_dir, tmp_path, capsys,
+                                                                     monkeypatch, flag):
+    """`train --out` and `eval --km-out` in a directory that does not exist
+    print one `error:` line naming the flag and the path and exit 2, before
+    loading data: train does not train, eval does not score."""
+    import survmamba.cli as cli
+
+    work = []
+    for name in ("load_dataset", "train", "evaluate"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
+    manifest = str(tiny_dataset_dir / "data" / "manifest.json")
+    missing = tmp_path / "nope" / "out.file"
+    if flag == "--out":
+        argv = ["train", "--data", manifest, "--fold", "0", "--out", str(missing)]
+    else:
+        argv = ["eval", "--data", manifest, "--fold", "0", "--ckpt", str(tmp_path / "m.smck"), "--km-out", str(missing)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and work == []
+    assert captured.err.splitlines() == [
+        f"error: {flag}: directory {str(missing.parent)!r} of {str(missing)!r} does not exist"]
+    assert not missing.parent.exists()
+
+
+def test_a_failed_write_is_one_error_line(tiny_dataset_dir, tmp_path, capsys):
+    """An output path that names a directory passes the check but cannot be
+    written: `train` and `eval` report the OSError as one `error:` line and
+    exit 2."""
+    (tmp_path / "cfg.json").write_text(json.dumps(_TINY_CFG))
+    manifest = str(tiny_dataset_dir / "data" / "manifest.json")
+    common = ["--data", manifest, "--fold", "0", "--config", str(tmp_path / "cfg.json")]
+    assert run(["train", *common, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0], err
+    assert run(["train", *common, "--out", str(tmp_path / "m.smck")]) == 0
+    capsys.readouterr()
+    assert run(["eval", *common, "--ckpt", str(tmp_path / "m.smck"), "--km-out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert "c-index" in captured.out
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0], err

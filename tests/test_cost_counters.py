@@ -7,14 +7,19 @@ count and tracemalloc peak of one warmed scoring pass over a ragged
 cohort, repeat from run to run, so a change that adds per-op work or
 holds more memory shows in them. Each ceiling is the value measured when
 it was set; a change that lowers a count lowers its ceiling with it, and
-one that raises a count says why. No timing is gated here.
+one that raises a count says why. No timing is gated here. The same two
+profiles show that every tape op left in ``numerics`` is one the model
+runs.
 """
 
+import ast
 import cProfile
+import inspect
 import tracemalloc
 
 import numpy as np
 
+import survmamba.numerics as numerics
 from survmamba.data import PatientRecord
 from survmamba.hierarchy import HierarchicalBag, default_catalog
 from survmamba.model import ModelConfig, SurvMambaModel
@@ -28,7 +33,9 @@ from test_hierarchy import _interior_nodes
 # numpy's own Python-level calls and the peaks numpy's allocations, so
 # another numpy or Python version may need the ceilings set again from
 # their measured values.
-DESK_STEP_CALLS = 3584
+# Fell from 3,584 (the ragged pass from 18,054) when the genomics encoder
+# stopped checking for a bare vector: one isinstance call fewer in each.
+DESK_STEP_CALLS = 3583
 DESK_STEP_INTERIOR_NODES = 31
 # Rose from 3,020,153 when each scan branch became one node: every desk
 # scan fits one forward chunk, so it keeps its packed inputs and its Abar
@@ -39,22 +46,26 @@ DESK_STEP_INTERIOR_NODES = 31
 # backward of a stack holds both branches' adjoint and slab buffers at
 # once, where two branch nodes held one branch's at a time.
 DESK_STEP_PEAK_BYTES = 5464791
-RAGGED_PASS_CALLS = 18054
+RAGGED_PASS_CALLS = 18053
 # Fell from 9,836,840 when the scan began to free its chunk buffers
 # before forming its unpacked output.
 RAGGED_PASS_PEAK_BYTES = 9411101
 SLACK = 0.02
 
 
-def _calls(fn, *args):
+def _calls(fn, *args, seen=None):
     """(Python calls made by fn(*args), its result). Summed over the
     profiler's own entries, one per code object: pstats keys them by
     (file, line, name), so it keeps only one of the functions that share a
     label, such as the dataclass __init__s, and which one varies between
-    processes."""
+    processes. The names of the ``numerics.py`` functions called go into
+    the set seen, if one is given."""
     prof = cProfile.Profile()
     out = prof.runcall(fn, *args)
-    return sum(entry.callcount for entry in prof.getstats()), out
+    stats = prof.getstats()
+    if seen is not None:
+        seen.update(e.code.co_name for e in stats if getattr(e.code, "co_filename", None) == numerics.__file__)
+    return sum(entry.callcount for entry in stats), out
 
 
 def _peak(fn, *args):
@@ -67,7 +78,7 @@ def _peak(fn, *args):
         tracemalloc.stop()
 
 
-def _warmed_desk_step_counts():
+def _warmed_desk_step_counts(seen=None):
     """(Python calls, interior tape nodes, tracemalloc peak) of a desk
     patient-step as `train` takes it at batch size 1: zero the gradients,
     build the loss, read it, sweep it and step RAdam. Two steps run
@@ -89,14 +100,14 @@ def _warmed_desk_step_counts():
 
     for _ in range(2):
         finish(forward())
-    calls, loss = _calls(forward)
+    calls, loss = _calls(forward, seen=seen)
     nodes = _interior_nodes(loss)  # walked outside the profile, before the sweep frees the tape
-    calls += _calls(finish, loss)[0]
+    calls += _calls(finish, loss, seen=seen)[0]
     peak = _peak(lambda: finish(forward()))
     return calls, nodes, peak
 
 
-def _warmed_ragged_pass_counts():
+def _warmed_ragged_pass_counts(seen=None):
     """(Python calls, tracemalloc peak) of `predict_risks` over 12 seeded
     patients of 4-12 regions of 4-48 patches on the ragged 42 x 352
     `default_catalog(1)`, at desk width; a first pass warms the Runs
@@ -111,7 +122,7 @@ def _warmed_ragged_pass_counts():
                                      rng.normal(size=catalog.n_genes), 1.0 + i, i % 2))
     model = SurvMambaModel(ModelConfig(d_model=32, e_expand=64, n_state=8), catalog, 16, seed=0)
     model.predict_risks(records)
-    calls, _ = _calls(model.predict_risks, records)
+    calls, _ = _calls(model.predict_risks, records, seen=seen)
     return calls, _peak(model.predict_risks, records)
 
 
@@ -126,3 +137,17 @@ def test_a_warmed_ragged_scoring_pass_stays_within_its_ceilings():
     calls, peak = _warmed_ragged_pass_counts()
     assert calls <= RAGGED_PASS_CALLS * (1 + SLACK), calls
     assert peak <= RAGGED_PASS_PEAK_BYTES * (1 + SLACK), peak
+
+
+def test_every_tape_op_in_numerics_is_run_by_the_model():
+    """Each function in numerics.py that records a tape node (calls
+    ``_node``) is called by the warmed desk step or the ragged scoring
+    pass; an op that only tests record belongs in tests/_oracles.py."""
+    tree = ast.parse(inspect.getsource(numerics))
+    ops = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+           and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_node" for c in ast.walk(fn))}
+    assert {"linear", "segment_mean"} <= ops  # the walk finds them
+    seen = set()
+    _warmed_desk_step_counts(seen)
+    _warmed_ragged_pass_counts(seen)
+    assert ops - seen == set()

@@ -45,6 +45,29 @@ class TestBags:
         with pytest.raises(DataError, match="no functions"):
             GroupingConfig(processes=[("p0", [])], functions=[("f0", [0])])
 
+    @pytest.mark.parametrize("genes, message", [
+        ([], r"genes \[\] is not a non-empty list"),
+        ([-1, 2], r"genes \[-1, 2\] are not non-negative integers"),
+        ([0.5, 1], r"genes \[0\.5, 1\] are not non-negative integers"),
+        ([True, 1], r"genes \[True, 1\] are not non-negative integers"),
+        ([np.float64(1.0)], r"genes \[.*\] are not non-negative integers"),
+    ])
+    def test_in_memory_genes_are_checked_as_files_are(self, genes, message):
+        """A function's genes must be a non-empty list of non-negative
+        integers, in memory as in a grouping file, and the DataError names
+        the function."""
+        with pytest.raises(DataError, match=rf"^{message} \(function 'F0001'\)$"):
+            GroupingConfig(processes=[("P000", ["F0000", "F0001"])], functions=[("F0000", [0]), ("F0001", genes)])
+
+    def test_a_catalog_of_no_genes_is_refused(self):
+        with pytest.raises(DataError, match=r"^genes \[\] is not a non-empty list \(function 'F0000'\)$"):
+            make_grouping(2, 2, 0)
+
+    def test_numpy_integer_genes_pass(self):
+        cfg = GroupingConfig(processes=[("p0", ["f0"])], functions=[("f0", list(np.arange(2, 5)))])
+        assert cfg.n_genes == 5
+        assert GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(0)).n_genes == 5
+
     def test_default_catalog_sizes(self):
         cfg = default_catalog()
         assert len(cfg.functions) == 352
@@ -59,12 +82,21 @@ class TestBags:
         assert cfg.genes_of("f1") == [1, 2]
 
 
+def _set_function_mlp(enc, fid, w1, b1, w2, b2):
+    """Overwrite one function's MLP weights in its bank's row."""
+    bank, row = enc._slot[fid]
+    bank.w1.data[row] = w1
+    bank.b1.data[row] = b1
+    bank.w2.data[row] = w2
+    bank.b2.data[row] = b2
+
+
 class TestGenomicsEncoder:
     def test_zero_network_gives_bias(self):
         cfg = GroupingConfig(processes=[("p0", ["f0"])], functions=[("f0", [0, 1])])
         enc = GenomicsEncoder(cfg, d_model=3, hidden=2, rng=np.random.default_rng(0))
-        enc.set_function_mlp("f0", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)), np.full(3, 1.5))
-        tokens, runs = enc(np.array([4.0, 5.0]))
+        _set_function_mlp(enc, "f0", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)), np.full(3, 1.5))
+        tokens, runs = enc([np.array([4.0, 5.0])])
         assert runs.sizes.tolist() == [1]
         assert np.array_equal(tokens.data, [[1.5, 1.5, 1.5]])
 
@@ -76,7 +108,7 @@ class TestGenomicsEncoder:
             functions=cfg.functions,
         )
         enc = GenomicsEncoder(cfg2, d_model=4, hidden=3, rng=np.random.default_rng(1))
-        tokens, runs = enc(np.random.default_rng(2).normal(size=12))
+        tokens, runs = enc([np.random.default_rng(2).normal(size=12)])
         assert tokens.shape == (5, 4) and runs.sizes.tolist() == [3, 2]
 
     def test_hand_traced_mlp(self):
@@ -87,19 +119,19 @@ class TestGenomicsEncoder:
         b1 = np.array([0.5])
         w2 = np.array([[1.0, -1.0]])
         b2 = np.array([0.25, 0.25])
-        enc.set_function_mlp("f0", w1, b1, w2, b2)
+        _set_function_mlp(enc, "f0", w1, b1, w2, b2)
         expr = np.array([1.0, 0.0, 2.0])
         pre = 2.0 * 1.0 + 1.0 * 2.0 + 0.5  # 4.5
         hid = oracle.silu(np.array([pre]))
         expect = np.array([hid[0] + 0.25, -hid[0] + 0.25])
-        out = enc(expr)[0].data
+        out = enc([expr])[0].data
         assert np.max(np.abs(out[0] - expect)) < 1e-12
 
     def test_gene_out_of_range_names_function(self):
         cfg = GroupingConfig(processes=[("p0", ["f7"])], functions=[("f7", [0, 5])])
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(4))
         with pytest.raises(DataError, match="f7"):
-            enc(np.zeros(3))
+            enc([np.zeros(3)])
         with pytest.raises(DataError, match="f7.* has 3 genes"):
             enc([np.zeros(6), np.zeros(3)])  # one short vector in a stack
 
@@ -109,7 +141,7 @@ class TestGenomicsEncoder:
             functions=[("f0", [0]), ("f1", [1, 2]), ("f2", [3])],
         )
         enc = GenomicsEncoder(cfg, d_model=2, hidden=2, rng=np.random.default_rng(5))
-        tokens, runs = enc(np.array([1.0, 2.0, 3.0, 4.0]))
+        tokens, runs = enc([np.array([1.0, 2.0, 3.0, 4.0])])
         assert tokens.shape == (3, 2) and runs.sizes.tolist() == [3]
 
 
@@ -150,7 +182,7 @@ class TestGenomicsEncoderGather:
         g = self.RAGGED
         enc = GenomicsEncoder(g, d_model=4, hidden=3, rng=np.random.default_rng(0))
         expr = np.random.default_rng(1).normal(size=8)
-        tokens, runs = enc(expr)
+        tokens, runs = enc([expr])
         assert runs.sizes.tolist() == [2, 1, 3]
         out, grads = self._outputs_and_grads(enc, tokens)
         ref_out, ref_grads = self._outputs_and_grads(enc, _per_function_reference(enc, g, expr))
@@ -168,7 +200,7 @@ class TestGenomicsEncoderGather:
         tokens, runs = enc(exprs)
         assert tokens.shape == (3 * runs.rows, 4)
         out, grads = self._outputs_and_grads(enc, tokens)
-        ref_out, ref_grads = self._outputs_and_grads(enc, concat([enc(e)[0] for e in exprs], axis=0))
+        ref_out, ref_grads = self._outputs_and_grads(enc, concat([enc([e])[0] for e in exprs], axis=0))
         assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
         for name, r in ref_grads.items():
             assert np.max(np.abs(grads[name] - r)) <= 1e-12 * np.max(np.abs(r)), name
@@ -181,10 +213,10 @@ class TestGenomicsEncoderGather:
         (bank, gene_idx), = enc._banks
         assert enc._order is None
         expr = np.random.default_rng(7).normal(size=grouping.n_genes)
-        tokens, runs = enc(expr)
+        tokens, runs = enc([expr])
         assert np.array_equal(tokens.data, bank(Tensor(expr[gene_idx])).data)
         assert runs.sizes.tolist() == [len(fids) for _, fids in grouping.processes]
-        assert enc(expr)[1] is runs  # built once, with the encoder
+        assert enc([expr])[1] is runs  # built once, with the encoder
 
 
 class TestHistologyEncoder:

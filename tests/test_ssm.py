@@ -4,6 +4,7 @@ and the associative-operator properties."""
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,6 +505,36 @@ class TestKeptChunk:
                     assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
                 else:
                     assert np.array_equal(g, r), (name, slabs)
+
+    @settings(max_examples=40)
+    @given(mode=st.sampled_from(ssm.DISCRETIZE_MODES),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=5).filter(lambda s: max(s) > 1),
+           data=st.data(), seed=st.integers(0, 2**16))
+    def test_kept_path_matches_recompute_path_on_random_runs(self, mode, lengths, data, seed):
+        """The rule above over random runs and budgets: a call kept as one
+        chunk against the same call on s-step slabs of c-step forward chunks,
+        c < M (recomputed), for M the longest run."""
+        e, n, m = 3, 2, max(lengths)
+        slab, chunk = data.draw(st.integers(1, m), label="slab"), data.draw(st.integers(1, m - 1), label="chunk")
+        rng = np.random.default_rng(seed)
+        vals = _vals(rng, 1, sum(lengths), e, n)
+        weight = rng.normal(size=(sum(lengths), e))
+        runs = Runs(lengths)
+        fills = []
+        states = ssm._slab_states
+        step_bytes = 8 * len(lengths) * e * n
+        with mock.patch.object(ssm, "_slab_states", lambda *a: fills.append(a[1].shape[0]) or states(*a)):
+            kept = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, runs), weight)
+            assert fills == [runs.rows]
+            fills.clear()
+            with mock.patch.multiple(ssm, SLAB_BYTES=slab * step_bytes, CHUNK_BYTES=chunk * step_bytes):
+                got = TestFusedScan._run(vals, lambda ts: _fused(ts, mode, runs), weight)
+        assert len(fills) > 1  # forward per chunk, backward per slab
+        for name, g, r in zip(("y", "x", "delta", "A", "Bproj", "Cproj"), got, kept):
+            if name == "A" and slab < m:
+                assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+            else:
+                assert np.array_equal(g, r), name
 
 
 class TestFlatRuns:

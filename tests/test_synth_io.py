@@ -2,11 +2,15 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survmamba.data import assign_bins, finalize_dataset, make_folds
+from survmamba.data import PatientRecord, assign_bins, finalize_dataset, make_folds
 from survmamba.dataio import (
     load_checkpoint,
     load_checkpoint_arrays,
@@ -17,8 +21,10 @@ from survmamba.dataio import (
     write_feature_bag,
 )
 from survmamba.errors import ConfigError, DataError
-from survmamba.hierarchy import HierarchicalBag
+from survmamba.hierarchy import HierarchicalBag, make_grouping
+from survmamba.model import ModelConfig, SurvMambaModel
 from survmamba.numerics import Tensor
+from survmamba.ssm import DISCRETIZE_MODES
 from survmamba.survstats import concordance_index
 from survmamba.synth import SynthSpec, planted_factor_readout, synth_generate
 
@@ -496,6 +502,34 @@ class TestCheckpoint:
         r1 = model.predict_risk(ds.records[0])
         r2 = model2.predict_risk(ds.records[0])
         assert r1 == r2
+
+    @settings(max_examples=12)
+    @given(sizes=st.tuples(*[st.integers(1, 4)] * 4), t_bins=st.integers(2, 4), depth=st.integers(1, 2),
+           mode=st.sampled_from(DISCRETIZE_MODES), seed=st.integers(0, 2**16))
+    def test_round_trip_over_random_configs(self, sizes, t_bins, depth, mode, seed):
+        """A perturbed model of a random config, saved and loaded into one
+        built from another seed: every parameter, and predict_risks over
+        ragged patients, bit for bit."""
+        d, e, n, w = sizes
+        grouping = make_grouping(2, 2, 2)
+        cfg = ModelConfig(d_model=d, e_expand=e, n_state=n, conv_width=w, t_bins=t_bins, genomics_hidden=3,
+                          align_len=6, disc_mode=mode, depth=depth)
+        rng = np.random.default_rng(seed)
+        model = SurvMambaModel(cfg, grouping, 3, seed=seed)
+        for p in model.parameters():
+            p.data += rng.normal(scale=0.3, size=p.shape)
+        records = []
+        for i in range(3):
+            bag = HierarchicalBag("histology", [(f"r{j}", rng.normal(size=(int(k), 3)))
+                                                for j, k in enumerate(rng.integers(1, 6, size=int(rng.integers(1, 4))))])
+            records.append(PatientRecord(f"P{i}", bag, rng.normal(size=grouping.n_genes), 1.0 + i, i % 2))
+        loaded = SurvMambaModel(cfg, grouping, 3, seed=seed + 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(model, Path(tmp) / "m.smck")
+            load_checkpoint(loaded, Path(tmp) / "m.smck")
+        for (n1, p1), (n2, p2) in zip(model.named_parameters(), loaded.named_parameters(), strict=True):
+            assert n1 == n2 and np.array_equal(p1.data, p2.data), n1
+        assert np.array_equal(model.predict_risks(records), loaded.predict_risks(records))
 
     def test_magic_bytes(self, tmp_path):
         from survmamba.gradsuite import toy_pipeline_model
