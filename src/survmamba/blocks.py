@@ -114,9 +114,9 @@ def _branches(x: np.ndarray, branches, runs: Runs, mode: str, record: bool) -> t
     lone branch's flat (L, E) rows, or a (G, L, E) stack with branches[g]
     over x[g]. The conv, SiLU, softplus and the scan run once
     over the stack; each projection runs per branch on its own weights.
-    Returns y, shaped as x, and, when record, the backward
-    gy, need_x -> dx (None unless need_x), which gives each branch's nine
-    parameters their gradients; else None, having kept nothing."""
+    Returns y, shaped as x, and, when record, the backward gy -> dx,
+    which gives each branch's nine parameters their gradients; else None,
+    having kept nothing."""
     lone = x.ndim == 2
     each = (lambda a: (a,)) if lone else tuple  # each branch's part of an array over the stack
     kernel, cbias, wb, bb, wc, bc, wd, bd, a_log = zip(*(br.params for br in branches))
@@ -142,7 +142,7 @@ def _branches(x: np.ndarray, branches, runs: Runs, mode: str, record: bool) -> t
     if not record:
         return y.data, None
 
-    def backward(gy, need_x):
+    def backward(gy):
         nonlocal y, leaves, pre  # each dropped once used, as the sweep drops a node's saved arrays
         y._backward(gy)
         dxs, ddelta, da, dbp, dcp = [t.grad for t in leaves]
@@ -158,7 +158,7 @@ def _branches(x: np.ndarray, branches, runs: Runs, mode: str, record: bool) -> t
                   (br.linear_c.weight, lambda: xg.T @ gc), (br.linear_c.bias, lambda: gc.sum(axis=0)),
                   (br.linear_delta, lambda: xg.T @ gd), (br.delta_bias, lambda: gd.sum(axis=0)),
                   (br.a_log, lambda: ga))
-        dx, dk, dcb = _conv1d_grads(dxs * sig * (1.0 + conv * (1.0 - sig)), x, kernel, runs, need_x)
+        dx, dk, dcb = _conv1d_grads(dxs * sig * (1.0 + conv * (1.0 - sig)), x, kernel, runs, True)
         for br, k, cb in zip(branches, each(dk), each(dcb)):
             _give((br.conv_kernel, lambda: k), (br.conv_bias, lambda: cb))
         return dx
@@ -185,16 +185,16 @@ def _pair(inputs, branches, runs: Runs, mode: str, record: bool) -> tuple:
     e, n = branches[0].a_log.shape
     if record and ssm._chunk_steps(runs, e, n)[1] == len(runs.width):
         ys, back = _branches(np.array([make() for make in inputs]), branches, runs, mode, True)
-        return ys[0], ys[1], lambda g1, g2: back(np.array([g1, g2]), True)
+        return ys[0], ys[1], lambda g1, g2: back(np.array([g1, g2]))
     (y1, back1), (y2, back2) = (_branches(make(), (br,), runs, mode, record) for make, br in zip(inputs, branches))
     if not record:
         return y1, y2, None
 
     def backward(g1, g2):
         nonlocal back1, back2  # each branch's saved arrays go once its backward has run
-        dx1 = back1(g1, True)
+        dx1 = back1(g1)
         back1 = None
-        dx2 = back2(g2, True)
+        dx2 = back2(g2)
         back2 = None
         return dx1, dx2
 

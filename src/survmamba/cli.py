@@ -34,11 +34,14 @@ def _cmd_synth(args):
 
 
 def _load_cfg(path) -> TrainConfig:
-    return TrainConfig.from_json(path) if path else TrainConfig()
+    return read_config(TrainConfig, path) if path else TrainConfig()
 
 
 def _check_out_dir(flag: str, path):
-    """Refuse an output path (if one is given) in a missing directory, before any work."""
+    """Refuse an output path (if one is given) that is a directory or lies
+    in a missing one, before any work."""
+    if path and Path(path).is_dir():
+        raise ConfigError(f"{flag}: {path!r} is a directory, not a file path")
     if path and not Path(path).parent.is_dir():
         raise ConfigError(f"{flag}: directory {str(Path(path).parent)!r} of {path!r} does not exist")
 
@@ -106,12 +109,7 @@ def _cmd_scan_bench(args):
     try:
         lengths = [int(tok) for tok in args.len.split(",")]
     except ValueError:
-        lengths = []
-    if not lengths or min(lengths) < 1:
-        raise ConfigError(f"scan-bench: --len takes comma-separated positive integers, got {args.len!r}")
-    for flag, value in (("--channels", args.channels), ("--state", args.state), ("--reps", args.reps)):
-        if value < 1:
-            raise ConfigError(f"scan-bench: {flag} must be at least 1, got {value}")
+        raise ConfigError(f"scan-bench: --len takes comma-separated integers, got {args.len!r}") from None
     rows = bench_scan(lengths, channels=args.channels, state=args.state, reps=args.reps)
     print(f"{'len':>8s} {'seconds':>12s}")
     for r in rows:

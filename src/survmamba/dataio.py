@@ -51,7 +51,6 @@ CKPT_MAGIC = b"SMCK"
 def write_feature_bag(path, bag: HierarchicalBag):
     lines = [f"{BAG_MAGIC} {bag.n_groups} {bag.token_dim}"]
     for gid, toks in bag.groups:
-        toks = np.asarray(toks, dtype=np.float64)
         lines.append(f"{gid} {toks.shape[0]}")
         for row in toks:
             lines.append(" ".join(repr(float(v)) for v in row))
@@ -260,9 +259,9 @@ def load_dataset(manifest_path, t_bins: int = 4) -> SurvivalDataset:
             raise DataError(f"{where}: histology token dim {hist.token_dim} differs from "
                             f"patient {records[0].patient_id}'s {records[0].histology.token_dim}")
         gen_bag = read_feature_bag(base / _key(p, "genomics", where, str, "a path"), "genomics")
-        if gen_bag.n_groups != 1 or np.asarray(gen_bag.groups[0][1]).shape[0] != 1:
+        if gen_bag.n_groups != 1 or gen_bag.groups[0][1].shape[0] != 1:
             raise DataError(f"patient {pid}: genomics file must hold one group with one token")
-        expr = np.asarray(gen_bag.groups[0][1])[0]
+        expr = gen_bag.groups[0][1][0]
         if expr.shape[0] < n_genes_needed:
             raise DataError(
                 f"patient {pid}: expression vector has {expr.shape[0]} genes, "

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check the
+configs share."""
+
+import math
+import numbers
 
 
 class ShapeError(ValueError):
@@ -23,3 +27,14 @@ class NonFiniteError(ArithmeticError):
 
 class ConsumedGraphError(RuntimeError):
     """backward() reached a graph that an earlier backward() already swept."""
+
+
+def check_numbers(where: str, cfg, names, integer: bool):
+    """ConfigError, prefixed by where, unless each named field of cfg is an
+    integer (integer=True) or a finite real number; a bool is neither."""
+    for name in names:
+        v = getattr(cfg, name)
+        if integer and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
+            raise ConfigError(f"{where}: {name} {v!r} is not an integer")
+        if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+            raise ConfigError(f"{where}: {name} {v!r} is not a finite number")

@@ -2,10 +2,11 @@
 
 Each modality arrives as a hierarchical bag: ordered groups (tissue
 regions / biological processes), each holding an ordered run of
-fine-grained token rows (patch embeddings / function tokens). Group and
-token order are part of the data contract because the scan is
-order-sensitive: raster order for regions and patches, catalog order for
-processes and functions.
+fine-grained token rows (patch embeddings / function tokens). A bag
+checks and converts its groups once, when it is built, and the encoders
+read them as they are. Group and token order are part of the data
+contract because the scan is order-sensitive: raster order for regions
+and patches, catalog order for processes and functions.
 
 Past the encoders a modality is one (L, D) token tensor, its groups laid
 end to end in order, plus the `numerics.Runs` of those groups, built
@@ -23,7 +24,7 @@ rows, one sequence per patient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +42,9 @@ DEFAULT_N_FUNCTIONS = 352
 class HierarchicalBag:
     """One modality's two-level bag: ordered (group_id, tokens) pairs.
 
-    tokens are (K_g, D_raw) float64 arrays; every group is non-empty and
-    all groups share D_raw.
+    The bag holds each group's tokens as a (K_g, D_raw) float64 array,
+    converted once when it is built; every group is non-empty and all
+    groups share D_raw.
     """
 
     modality: str
@@ -51,9 +53,9 @@ class HierarchicalBag:
     def __post_init__(self):
         if not self.groups:
             raise DataError(f"{self.modality} bag has no groups")
+        self.groups = [(gid, np.asarray(toks, dtype=np.float64)) for gid, toks in self.groups]
         dims = set()
         for gid, toks in self.groups:
-            toks = np.asarray(toks, dtype=np.float64)
             if toks.ndim != 2 or toks.shape[0] < 1:
                 raise DataError(f"{self.modality} group {gid!r} is empty or not a token matrix")
             dims.add(toks.shape[1])
@@ -62,7 +64,7 @@ class HierarchicalBag:
 
     @property
     def token_dim(self) -> int:
-        return int(np.asarray(self.groups[0][1]).shape[1])
+        return self.groups[0][1].shape[1]
 
     @property
     def n_groups(self) -> int:
@@ -81,7 +83,6 @@ class GroupingConfig:
 
     processes: list
     functions: list
-    _fn_index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._fn_index = {fid: genes for fid, genes in self.functions}
@@ -197,6 +198,8 @@ class GenomicsEncoder(Module):
         once on the vectors' stack."""
         vectors = [np.asarray(e, dtype=np.float64) for e in expr]
         for v in vectors:
+            if v.ndim != 1:
+                raise DataError(f"genomics: expected a list of 1-d expression vectors, got an entry of shape {v.shape}")
             if self.n_genes > v.shape[0]:
                 fid, top = next((f, max(g)) for f, g in self.grouping.functions if max(g) >= v.shape[0])
                 raise DataError(f"genomics: function {fid!r} needs gene index {top} "
@@ -220,7 +223,7 @@ class HistologyEncoder(Module):
 
     def __call__(self, bag: HierarchicalBag) -> tuple:
         """bag -> ((n_patches, D) tokens in region order, runs)."""
-        flat = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in bag.groups], axis=0)
+        flat = np.concatenate([t for _, t in bag.groups], axis=0)
         return self.proj(Tensor(flat)), Runs.cached(tuple(len(t) for _, t in bag.groups))
 
 

@@ -20,14 +20,12 @@ Parameter paths follow the attribute chain, e.g.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BiMambaBlock, IFMBlock
-from .errors import ConfigError, DataError, NonFiniteError
+from .errors import ConfigError, DataError, NonFiniteError, check_numbers
 from .fusion import (AlphaParam, FusedFeatures, HazardHead, HazardOutput,
                      adaptive_fuse, fuse_coarse, fuse_fine, survival_nll)
 from .hierarchy import GenomicsEncoder, GroupingConfig, HistologyEncoder, him_coarse, him_fine
@@ -64,21 +62,11 @@ class ModelConfig:
         size that is not a positive integer or an unknown disc_mode."""
         sizes = ("d_model", "n_state", "conv_width", "t_bins", "genomics_hidden", "align_len", "depth") + (
             () if self.e_expand is None else ("e_expand",))
-        self._check_numbers(where, sizes, integer=True)
+        check_numbers(where, self, sizes, integer=True)
         if self.disc_mode not in DISCRETIZE_MODES:
             raise ConfigError(f"{where}: disc_mode {self.disc_mode!r} is not one of {DISCRETIZE_MODES}")
         if any(getattr(self, name) <= 0 for name in sizes):
             raise ConfigError(f"{where}: all values must be positive")
-
-    def _check_numbers(self, where: str, names, integer: bool):
-        """ConfigError, prefixed by where, unless each named field is an
-        integer (integer=True) or a finite real number; a bool is neither."""
-        for name in names:
-            v = getattr(self, name)
-            if integer and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
-                raise ConfigError(f"{where}: {name} {v!r} is not an integer")
-            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"{where}: {name} {v!r} is not a finite number")
 
     def resolved_e(self) -> int:
         return self.e_expand if self.e_expand is not None else 2 * self.d_model

@@ -372,15 +372,9 @@ def _conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, runs: Runs) -> 
     """Causal depthwise conv over each run of flat (L, E) x, off the tape:
     y[l, e] = bias[e] + sum_k kernel[e, k] * x[l - W + 1 + k, e], rows before
     the run's start read as zero; a (G, L, E) stack takes a kernel (G, E, W)
-    and a bias (G, E), one per leading index."""
-    lead = kernel.shape[:-2]
-    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
-        raise ShapeError(f"conv1d: expected flat (L, E) runs, got {x.shape}")
-    runs.check("conv1d", x.shape[-2])
-    n, e = x.shape[-2:]
-    if kernel.ndim < 2 or kernel.shape[-2] != e:
-        raise ShapeError(f"conv1d: kernel {kernel.shape} does not match channels {e}")
-    w = kernel.shape[-1]
+    and a bias (G, E), one per leading index. The caller checks the shapes
+    and that the runs cover the rows."""
+    n, w = x.shape[-2], kernel.shape[-1]
     cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty(x.shape)
     out = np.broadcast_to(bias[..., None, :], x.shape).copy()
     for k in range(w):
@@ -392,8 +386,7 @@ def _conv1d_grads(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, runs: Runs, 
     """(dx, dkernel, dbias) of the causal depthwise conv for the output
     gradient g, shaped as ``_conv1d`` takes them; dx is None unless
     need_x. The padded input is formed again rather than kept."""
-    n = x.shape[-2]
-    w = kernel.shape[-1]
+    n, w = x.shape[-2], kernel.shape[-1]
     cross, xp, buf = runs.conv_cross(w), _conv_pad(x, w), np.empty(x.shape)
     db = g.sum(axis=-2)
     dk = np.empty(kernel.shape)

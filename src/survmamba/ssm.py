@@ -6,12 +6,13 @@ Discretization converts the continuous pair (A, delta) into the step
 operators: Abar = exp(delta * A) always; Bbar = delta * B ("euler") or
 Bbar = ((exp(delta * A) - 1) / A) * B ("zoh").
 
-``discretize`` checks and records its sources and computes nothing;
-``DiscreteParams.Abar`` and ``DiscreteParams.Bbar`` are formed as
-(..., L, E, N) arrays on first read, for references and instrumentation
-outside the scan. The scan never forms either: it is one tape node
-with parents (x, delta, A, Bproj, Cproj) that works time-major and
-state before channel.
+``discretize`` bundles its sources as a ``DiscreteParams``, which checks
+them when it is built, and computes nothing; the scan then checks only x
+against delta and Cproj against Bproj. ``DiscreteParams.Abar`` and
+``DiscreteParams.Bbar`` are formed as (..., L, E, N) arrays on first
+read, for references and instrumentation outside the scan. The scan
+never forms either: it is one tape node with parents (x, delta, A,
+Bproj, Cproj) that works time-major and state before channel.
 
 It takes flat (L, E) rows holding independent sequences ("runs") laid
 end to end, with their ``numerics.Runs`` passed through
@@ -77,15 +78,33 @@ def _zoh_q(abar: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
 class DiscreteParams:
     """The sources of the step operators: flat delta (..., L, E) and Bproj
     (..., L, N) holding the runs of ``runs`` end to end, A (..., E, N) and
-    the mode. ``Abar`` (..., L, E, N), 0 < Abar < 1, and ``Bbar`` are
-    computed off the tape on first read and cached, broadcast over the
-    leading axes; the recurrent scan reads neither."""
+    the mode, checked when the bundle is built. ``Abar`` (..., L, E, N),
+    0 < Abar < 1, and ``Bbar`` are computed off the tape on first read and
+    cached, broadcast over the leading axes; the recurrent scan reads
+    neither."""
 
     delta: Tensor
     A: Tensor
     Bproj: Tensor
     mode: str
     runs: Runs
+
+    def __post_init__(self):
+        if self.mode not in DISCRETIZE_MODES:
+            raise ConfigError(f"discretize: unknown mode {self.mode!r}, expected one of {DISCRETIZE_MODES}")
+        delta, a, bproj = self.delta.shape, self.A.shape, self.Bproj.shape
+        lead = a[:-2]
+        if len(delta) != len(lead) + 2 or delta[:-2] != lead:
+            raise ShapeError(f"discretize: expected flat (L, E) rows, got delta {delta}"
+                             + (f" for A {a}" if lead else ""))
+        self.runs.check("discretize", delta[-2])
+        en = lead + delta[-1:] + bproj[-1:]
+        if a != en:
+            form = "(G, E, N)" if len(en) == 3 else "(E, N)"
+            raise ShapeError(f"discretize: A {a} is not {form} = {en}, taking E from delta {delta} "
+                             f"and N from Bproj {bproj}")
+        if bproj[:-1] != delta[:-1]:
+            raise ShapeError(f"discretize: Bproj {bproj} does not match delta {delta}")
 
     @cached_property
     def Abar(self) -> Tensor:
@@ -98,35 +117,12 @@ class DiscreteParams:
         return Tensor(_zoh_q(self.Abar.data, self.A.data[..., None, :, :]) * self.Bproj.data[..., None, :])
 
 
-def _check_rows(where: str, name: str, v: Tensor, A: Tensor):
-    """v must be flat (L, C) rows behind A's leading axes, if any."""
-    shape, lead = v.data.shape, A.data.shape[:-2]
-    if len(shape) != len(lead) + 2 or shape[:-2] != lead:
-        raise ShapeError(f"{where}: expected flat (L, E) rows, got {name} {shape}"
-                         + (f" for A {A.data.shape}" if lead else ""))
-
-
-def _check_a(where: str, delta: Tensor, A: Tensor, Bproj: Tensor):
-    """A must be (E, N), or (G, E, N) for a stack of G, with E from delta
-    (..., L, E) and N from Bproj (..., L, N)."""
-    en = delta.shape[:-2] + delta.shape[-1:] + Bproj.shape[-1:]
-    if A.shape != en:
-        form = "(G, E, N)" if len(en) == 3 else "(E, N)"
-        raise ShapeError(f"{where}: A {A.shape} is not {form} = {en}, taking E from delta "
-                         f"{delta.shape} and N from Bproj {Bproj.shape}")
-
-
 def discretize(delta: Tensor, A: Tensor, Bproj: Tensor, mode: str = "euler", *,
                runs: Runs) -> DiscreteParams:
     """Bundle flat delta (L, E) and Bproj (L, N), their runs and A (E, N)
     for the scan, which forms the step operators per slab itself. A stack
     of G scans over the same runs puts one leading axis on all three:
-    (G, L, E), (G, L, N) and (G, E, N)."""
-    if mode not in DISCRETIZE_MODES:
-        raise ConfigError(f"discretize: unknown mode {mode!r}, expected one of {DISCRETIZE_MODES}")
-    _check_rows("discretize", "delta", delta, A)
-    runs.check("discretize", delta.shape[-2])
-    _check_a("discretize", delta, A, Bproj)
+    (G, L, E), (G, L, N) and (G, E, N). The bundle checks itself."""
     return DiscreteParams(delta=delta, A=A, Bproj=Bproj, mode=mode, runs=runs)
 
 
@@ -179,18 +175,13 @@ def _with_prev(op, v, h, spans):
 
 
 def _check_shapes(x: Tensor, dp: DiscreteParams, cproj: Tensor) -> Runs:
-    """The runs of the scan's input, after checking that x is flat
-    (..., L, E) rows they cover and the shapes of its sources against it."""
-    _check_rows("scan", "x", x, dp.A)
-    runs = dp.runs
-    runs.check("scan", x.shape[-2])
-    _check_a("scan", dp.delta, dp.A, dp.Bproj)
-    lead_n = x.shape[:-1] + dp.A.shape[-1:]
-    if dp.delta.shape != x.shape or dp.Bproj.shape != lead_n:
-        raise ShapeError(f"scan: delta {dp.delta.shape} / Bproj {dp.Bproj.shape} do not match x {x.shape}")
-    if cproj.shape != lead_n:
-        raise ShapeError(f"scan: Cproj {cproj.shape} does not match x {x.shape} and N = {lead_n[-1]}")
-    return runs
+    """The runs of the scan's input, after checking that x matches the
+    bundle's delta and Cproj its Bproj; the bundle checked the rest."""
+    if x.shape != dp.delta.shape:
+        raise ShapeError(f"scan: x {x.shape} does not match delta {dp.delta.shape}")
+    if cproj.shape != dp.Bproj.shape:
+        raise ShapeError(f"scan: Cproj {cproj.shape} does not match Bproj {dp.Bproj.shape}")
+    return dp.runs
 
 
 def _slab_grads(g, src, at, mode, runs, slabs, checkpoints, kept):

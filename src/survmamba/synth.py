@@ -7,23 +7,27 @@ everything else mean zero, all with shared noise scale. Survival time is
 exponential with rate base_rate * exp(beta * u), so larger u means
 earlier death; a coin with the configured censoring rate replaces the
 death time by a uniform draw over (0, t). Everything is a deterministic
-function of the seed.
+function of the seed. A ``SynthSpec`` checks its fields when it is
+built, with the number check the model and training configs share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PatientRecord, finalize_dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 from .hierarchy import HierarchicalBag, make_grouping
 
 
 @dataclass
 class SynthSpec:
+    """Generator sizes and rates. A count that is not a positive integer,
+    or a rate that is not finite or out of its range, raises ConfigError
+    at construction."""
+
     n_patients: int = 500
     regions: int = 4
     patches_per_region: int = 16
@@ -36,14 +40,12 @@ class SynthSpec:
     censoring_rate: float = 0.25
     base_rate: float = 1.0 / 24.0  # events per month at u = 0
 
-    def validate(self):
-        counts = (self.n_patients, self.regions, self.patches_per_region, self.processes,
-                  self.functions_per_process, self.genes_per_function, self.feature_dim)
-        reals = (self.beta, self.noise, self.censoring_rate, self.base_rate)
-        finite = all(type(v) in (int, float) and math.isfinite(v) for v in reals)
-        if not (finite and all(type(c) is int for c in counts)):
-            raise ConfigError("synth spec: counts must be integers and the rest finite numbers")
-        if any(c < 1 for c in counts):
+    def __post_init__(self):
+        counts = ("n_patients", "regions", "patches_per_region", "processes", "functions_per_process",
+                  "genes_per_function", "feature_dim")
+        check_numbers("synth spec", self, counts, integer=True)
+        check_numbers("synth spec", self, ("beta", "noise", "censoring_rate", "base_rate"), integer=False)
+        if any(getattr(self, name) < 1 for name in counts):
             raise ConfigError("synth spec: all counts must be >= 1")
         if not 0.0 <= self.censoring_rate < 1.0:
             raise ConfigError(f"synth spec: censoring rate {self.censoring_rate} outside [0, 1)")
@@ -54,7 +56,6 @@ class SynthSpec:
 def synth_generate(spec: SynthSpec, seed: int, t_bins: int = 4, return_latents: bool = False):
     """Generate a dataset (optionally also the latent factors, for
     oracle checks)."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     grouping = make_grouping(spec.processes, spec.functions_per_process, spec.genes_per_function)
     n_genes = spec.processes * spec.functions_per_process * spec.genes_per_function

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .dataio import read_config
-from .errors import ConfigError, NonFiniteError, UndefinedResultError
+from .errors import ConfigError, NonFiniteError, UndefinedResultError, check_numbers
 from .model import ModelConfig, SurvMambaModel
 from .optim import RAdam
 from .survstats import (KmCurve, LogrankResult, concordance_index, kaplan_meier, logrank_test,
@@ -36,16 +35,10 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self):
         self._check("train config")
-        self._check_numbers("train config", ("batch_size", "epochs", "seed"), integer=True)
-        self._check_numbers("train config", ("lr", "weight_decay"), integer=False)
+        check_numbers("train config", self, ("batch_size", "epochs", "seed"), integer=True)
+        check_numbers("train config", self, ("lr", "weight_decay"), integer=False)
         if min(self.lr, self.weight_decay, self.batch_size, self.seed + 1) <= 0 or self.epochs < 0:
             raise ConfigError("train config: all values must be positive (epochs >= 0)")
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        """Load a flat JSON object of field values; absent fields keep
-        their defaults."""
-        return read_config(cls, path)
 
 
 def build_model(dataset: SurvivalDataset, cfg: TrainConfig) -> SurvMambaModel:

@@ -448,9 +448,12 @@ def div_op(a, b):
 
 def causal_depthwise_conv1d(x, kernel, bias, runs):
     """The library's causal depthwise conv kernels (``numerics._conv1d``
-    and ``_conv1d_grads``) as a tape op over Tensors x, kernel and bias."""
+    and ``_conv1d_grads``) as a tape op over Tensors x, kernel and bias.
+    It refuses runs that do not cover x's rows itself: the kernels leave
+    that check to their callers."""
     from survmamba.numerics import _conv1d, _conv1d_grads, _node
 
+    runs.check("conv1d", x.shape[0])
     out = _conv1d(x.data, kernel.data, bias.data, runs)
 
     def backward(g):

@@ -329,12 +329,12 @@ class TestBlockNodes:
         x, gy = rng.normal(size=(2, runs.rows, self.E)), rng.normal(size=(2, runs.rows, self.E))
         with _patched_slabs(slabs, runs, self.E, self.N):
             y, back = blocks._branches(x, pair, runs, mode, True)
-            dx = back(gy, True)
+            dx = back(gy)
             grads = [[p.grad for p in branch.params] for branch in pair]
             for g, branch in enumerate(pair):
                 branch.zero_grad()
                 y1, back1 = blocks._branches(x[g], (branch,), runs, mode, True)
-                dx1 = back1(gy[g], True)
+                dx1 = back1(gy[g])
                 assert np.array_equal(y[g], y1) and np.array_equal(dx[g], dx1), g
                 assert all(p.grad is not None for p in branch.params)
                 for a, p in zip(grads[g], branch.params):

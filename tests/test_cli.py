@@ -121,12 +121,16 @@ def test_scan_bench_has_no_mode_option(capsys):
     ("--reps", "0"), ("--channels", "0"), ("--state", "0"),
 ])
 def test_scan_bench_bad_argument_is_one_error_line(capsys, flag, value):
+    """The command parses --len and leaves every range check to bench_scan,
+    whose error names the argument."""
     code = run(["scan-bench", "--len", "64", "--reps", "1", flag, value])
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert code == 2
     assert captured.out == ""
-    assert len(err) == 1 and err[0].startswith("error: scan-bench: ") and flag in err[0], err
+    arg = "lengths" if flag == "--len" else flag[2:]
+    message = "scan-bench: --len " if value == "abc" else f"bench_scan: {arg} "
+    assert len(err) == 1 and err[0].startswith("error: " + message), err
 
 
 def test_km_subcommand(tmp_path, capsys):
@@ -239,8 +243,9 @@ def test_km_event_not_binary(tmp_path, event):
     ('{"n_patients": 5', r"spec\.json: malformed JSON"),
     ('{"n_patients": 5, "pool": 2}', r"spec\.json: unknown config fields \['pool'\]"),
     ("[5]", r"spec\.json: expected a JSON object"),
-    ('{"regions": "4"}', "synth spec: counts must be integers and the rest finite numbers"),
-    ('{"noise": null}', "synth spec: counts must be integers and the rest finite numbers"),
+    ('{"regions": "4"}', r"spec\.json: synth spec: regions '4' is not an integer"),
+    ('{"noise": null}', r"spec\.json: synth spec: noise None is not a finite number"),
+    ('{"censoring_rate": 1.0}', r"spec\.json: synth spec: censoring rate 1\.0 outside \[0, 1\)"),
 ])
 def test_synth_spec_errors_are_typed(tmp_path, text, message):
     (tmp_path / "spec.json").write_text(text)
@@ -315,24 +320,30 @@ _TINY_CFG = {"d_model": 6, "e_expand": 8, "n_state": 2, "conv_width": 2, "genomi
              "align_len": 8, "epochs": 0, "seed": 1}
 
 
+def _run_without_work(monkeypatch, manifest, ckpt, flag, out):
+    """(exit status, the work started) of `train --out out` or `eval
+    --km-out out`, with loading, training and scoring stubbed out."""
+    import survmamba.cli as cli
+
+    work = []
+    for name in ("load_dataset", "train", "evaluate"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
+    if flag == "--out":
+        argv = ["train", "--data", manifest, "--fold", "0", "--out", str(out)]
+    else:
+        argv = ["eval", "--data", manifest, "--fold", "0", "--ckpt", str(ckpt), "--km-out", str(out)]
+    return run(argv), work
+
+
 @pytest.mark.parametrize("flag", ["--out", "--km-out"])
 def test_an_output_in_a_missing_directory_is_refused_before_any_work(tiny_dataset_dir, tmp_path, capsys,
                                                                      monkeypatch, flag):
     """`train --out` and `eval --km-out` in a directory that does not exist
     print one `error:` line naming the flag and the path and exit 2, before
     loading data: train does not train, eval does not score."""
-    import survmamba.cli as cli
-
-    work = []
-    for name in ("load_dataset", "train", "evaluate"):
-        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
     manifest = str(tiny_dataset_dir / "data" / "manifest.json")
     missing = tmp_path / "nope" / "out.file"
-    if flag == "--out":
-        argv = ["train", "--data", manifest, "--fold", "0", "--out", str(missing)]
-    else:
-        argv = ["eval", "--data", manifest, "--fold", "0", "--ckpt", str(tmp_path / "m.smck"), "--km-out", str(missing)]
-    code = run(argv)
+    code, work = _run_without_work(monkeypatch, manifest, tmp_path / "m.smck", flag, missing)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and work == []
     assert captured.err.splitlines() == [
@@ -340,20 +351,35 @@ def test_an_output_in_a_missing_directory_is_refused_before_any_work(tiny_datase
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--km-out"])
+def test_an_output_naming_a_directory_is_refused_before_any_work(tiny_dataset_dir, tmp_path, capsys,
+                                                                  monkeypatch, flag):
+    """An output path that is an existing directory is refused the same
+    way, before any data loads, where it used to fail only after the work:
+    train after every epoch, eval after printing its c-index."""
+    manifest = str(tiny_dataset_dir / "data" / "manifest.json")
+    code, work = _run_without_work(monkeypatch, manifest, tmp_path / "m.smck", flag, tmp_path)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and work == []
+    assert captured.err.splitlines() == [f"error: {flag}: {str(tmp_path)!r} is a directory, not a file path"]
+
+
 def test_a_failed_write_is_one_error_line(tiny_dataset_dir, tmp_path, capsys):
-    """An output path that names a directory passes the check but cannot be
-    written: `train` and `eval` report the OSError as one `error:` line and
-    exit 2."""
+    """An output path that passes the check but cannot be written, a link
+    into a missing directory: `train` and `eval` report the OSError as one
+    `error:` line and exit 2, after the work."""
     (tmp_path / "cfg.json").write_text(json.dumps(_TINY_CFG))
     manifest = str(tiny_dataset_dir / "data" / "manifest.json")
     common = ["--data", manifest, "--fold", "0", "--config", str(tmp_path / "cfg.json")]
-    assert run(["train", *common, "--out", str(tmp_path)]) == 2
+    dangling = tmp_path / "link"
+    dangling.symlink_to(tmp_path / "nope" / "out.file")
+    assert run(["train", *common, "--out", str(dangling)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: ") and str(dangling) in err[0], err
     assert run(["train", *common, "--out", str(tmp_path / "m.smck")]) == 0
     capsys.readouterr()
-    assert run(["eval", *common, "--ckpt", str(tmp_path / "m.smck"), "--km-out", str(tmp_path)]) == 2
+    assert run(["eval", *common, "--ckpt", str(tmp_path / "m.smck"), "--km-out", str(dangling)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert "c-index" in captured.out
-    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: ") and str(dangling) in err[0], err

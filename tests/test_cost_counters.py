@@ -35,7 +35,12 @@ from test_hierarchy import _interior_nodes
 # their measured values.
 # Fell from 3,584 (the ragged pass from 18,054) when the genomics encoder
 # stopped checking for a bare vector: one isinstance call fewer in each.
-DESK_STEP_CALLS = 3583
+# Fell again from 3,583 (the ragged pass from 18,053) when each input came
+# to be checked once, by the value that carries it: the scan no longer
+# checks again what its DiscreteParams checked when built, the branch
+# conv what its block checked, nor the histology encoder converts again
+# the groups its bag converted.
+DESK_STEP_CALLS = 3476
 DESK_STEP_INTERIOR_NODES = 31
 # Rose from 3,020,153 when each scan branch became one node: every desk
 # scan fits one forward chunk, so it keeps its packed inputs and its Abar
@@ -46,7 +51,7 @@ DESK_STEP_INTERIOR_NODES = 31
 # backward of a stack holds both branches' adjoint and slab buffers at
 # once, where two branch nodes held one branch's at a time.
 DESK_STEP_PEAK_BYTES = 5464791
-RAGGED_PASS_CALLS = 18053
+RAGGED_PASS_CALLS = 17396
 # Fell from 9,836,840 when the scan began to free its chunk buffers
 # before forming its unpacked output.
 RAGGED_PASS_PEAK_BYTES = 9411101

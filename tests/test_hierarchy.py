@@ -35,6 +35,15 @@ class TestBags:
         with pytest.raises(DataError):
             HierarchicalBag("histology", [("r0", np.zeros((0, 4)))])
 
+    def test_groups_are_kept_as_float64_arrays(self):
+        """The bag converts each group once, when it is built; a float64
+        array is kept as it is."""
+        toks = np.ones((2, 3))
+        bag = HierarchicalBag("histology", [("r0", toks), ("r1", [[1, 2, 3]])])
+        assert bag.groups[0][1] is toks
+        assert bag.groups[1][1].dtype == np.float64 and bag.groups[1][1].shape == (1, 3)
+        assert bag.token_dim == 3
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DataError, match="dims"):
             HierarchicalBag("histology", [("r0", np.zeros((2, 4))), ("r1", np.zeros((2, 5)))])
@@ -134,6 +143,18 @@ class TestGenomicsEncoder:
             enc([np.zeros(3)])
         with pytest.raises(DataError, match="f7.* has 3 genes"):
             enc([np.zeros(6), np.zeros(3)])  # one short vector in a stack
+
+    @pytest.mark.parametrize("expr, shape", [
+        (np.zeros(3), r"\(\)"),  # a bare vector, whose entries are 0-d
+        ([np.zeros(3), np.zeros((1, 3))], r"\(1, 3\)"),
+    ])
+    def test_an_entry_that_is_not_a_vector_is_a_data_error(self, expr, shape):
+        """Each entry must be a 1-d expression vector; a bare vector used to
+        end in a raw IndexError."""
+        enc = GenomicsEncoder(make_grouping(1, 1, 2), d_model=2, hidden=2, rng=np.random.default_rng(4))
+        with pytest.raises(DataError, match=rf"^genomics: expected a list of 1-d expression vectors, "
+                                            rf"got an entry of shape {shape}$"):
+            enc(expr)
 
     def test_ragged_widths_batch_correctly(self):
         cfg = GroupingConfig(

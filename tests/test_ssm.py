@@ -94,9 +94,10 @@ class TestDiscretize:
         runs = Runs.cached((3,))
         with pytest.raises(ShapeError, match=r"discretize: A \(.*\) is not \(E, N\) = \(4, 2\)"):
             discretize(dt, a, bp, "euler", runs=runs)
-        dp = ssm.DiscreteParams(delta=dt, A=a, Bproj=bp, mode="euler", runs=runs)
-        with pytest.raises(ShapeError, match=r"scan: A \(.*\) is not \(E, N\) = \(4, 2\)"):
-            selective_scan_recurrent(x, dp, cp)
+        with pytest.raises(ShapeError, match=r"discretize: A \(.*\) is not \(E, N\) = \(4, 2\)"):
+            ssm.DiscreteParams(delta=dt, A=a, Bproj=bp, mode="euler", runs=runs)
+        with pytest.raises(ShapeError, match=r"discretize: A \(.*\) is not \(E, N\) = \(4, 2\)"):
+            selective_scan_recurrent(x, discretize(dt, a, bp, "euler", runs=runs), cp)
 
     def test_abar_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -579,9 +580,11 @@ class TestFlatRuns:
         ts = {k: Tensor(v) for k, v in _vals(np.random.default_rng(6), 1, 6, 2, 2).items()}
         with pytest.raises(ShapeError, match="discretize: runs cover 7 rows, input has 6"):
             discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([4, 3]))
-        dp = ssm.DiscreteParams(ts["delta"], ts["A"], ts["Bproj"], "euler", Runs([4, 3]))
-        with pytest.raises(ShapeError, match="scan: runs cover 7 rows, input has 6"):
-            selective_scan_recurrent(ts["x"], dp, ts["Cproj"])
+        with pytest.raises(ShapeError, match="discretize: runs cover 7 rows, input has 6"):
+            ssm.DiscreteParams(ts["delta"], ts["A"], ts["Bproj"], "euler", Runs([4, 3]))
+        dp = discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([4, 2]))
+        with pytest.raises(ShapeError, match=r"scan: x \(7, 2\) does not match delta \(6, 2\)"):
+            selective_scan_recurrent(Tensor(np.ones((7, 2))), dp, ts["Cproj"])
 
     def test_a_batch_is_refused(self):
         """A (B, M, .) batch is not an input form: discretize and the scan
@@ -591,8 +594,79 @@ class TestFlatRuns:
         with pytest.raises(ShapeError, match=r"discretize: expected flat \(L, E\) rows, got delta \(2, 3, 2\)"):
             discretize(ts["delta"], ts["A"], ts["Bproj"], runs=Runs([3, 3]))
         dp = discretize(Tensor(vals["delta"]), ts["A"], Tensor(vals["Bproj"]), runs=Runs([3, 3]))
-        with pytest.raises(ShapeError, match=r"scan: expected flat \(L, E\) rows, got x \(2, 3, 2\)"):
+        with pytest.raises(ShapeError, match=r"scan: x \(2, 3, 2\) does not match delta \(6, 2\)"):
             selective_scan_recurrent(ts["x"], dp, Tensor(vals["Cproj"]))
+
+
+_SOURCES = ("x", "delta", "A", "Bproj", "Cproj")
+
+
+def _off_by_one(k):
+    return k - 1 if k > 1 else k + 1
+
+
+@st.composite
+def _scan_case(draw, name):
+    """(shapes, runs sizes, mode) of a scan whose source name carries one
+    fault: for x, delta, A, Bproj or Cproj a wrong rank, E or N off by
+    one, or a stack axis on that input alone; runs that do not cover the
+    rows; or an unknown mode. None draws a well-formed scan."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    e, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lead = (2,) if draw(st.booleans()) else ()
+    rows = sum(sizes)
+    shapes = {"x": lead + (rows, e), "delta": lead + (rows, e), "A": lead + (e, n),
+              "Bproj": lead + (rows, n), "Cproj": lead + (rows, n)}
+    mode = draw(st.sampled_from(ssm.DISCRETIZE_MODES))
+    if name == "runs":
+        sizes = sizes + [1] if draw(st.booleans()) else [sizes[0] + 1] + sizes[1:]
+    elif name == "mode":
+        mode = draw(st.sampled_from(("bilinear", "Euler", "")))
+    elif name is not None:
+        shape, fault = shapes[name], draw(st.sampled_from(("rank", "channels", "stack")))
+        if fault == "rank":
+            shape = shape[:-1] if draw(st.booleans()) else shape + (2,)
+        elif fault == "channels":  # E for x and delta, N for Bproj and Cproj, either for A
+            axis = draw(st.sampled_from((-2, -1))) if name == "A" else -1
+            shape = shape[:axis] + (_off_by_one(shape[axis]),) + (shape[-1:] if axis == -2 else ())
+        else:  # a stack axis dropped from a stacked input, or put on one of a lone scan's
+            shape = shape[1:] if lead else (2,) + shape
+        shapes[name] = shape
+    return shapes, sizes, mode
+
+
+@pytest.mark.parametrize("name", _SOURCES + ("runs", "mode", None))
+@settings(max_examples=5)
+@given(data=st.data())
+def test_each_bad_source_is_refused_once_by_its_carrier(name, data):
+    """Every fault in the scan's sources raises ShapeError, or ConfigError
+    for the mode, naming discretize when the bundle carries the fault and
+    the scan when x or Cproj does: through discretize, through
+    DiscreteParams built directly and through the scan. A well-formed case
+    passes all three."""
+    shapes, sizes, mode = data.draw(_scan_case(name))
+    rng = np.random.default_rng(0)
+    ts = {k: Tensor(rng.uniform(-1.0, 1.0, size=shape) if k != "delta" else rng.uniform(0.1, 0.5, size=shape))
+          for k, shape in shapes.items()}
+    runs = Runs(sizes)
+    bundle = (ts["delta"], ts["A"], ts["Bproj"], mode)
+    calls = {"discretize": lambda: discretize(*bundle, runs=runs),
+             "DiscreteParams": lambda: ssm.DiscreteParams(*bundle, runs),
+             "scan": lambda: selective_scan_recurrent(ts["x"], discretize(*bundle, runs=runs), ts["Cproj"])}
+    if name is None:
+        for call in calls.values():
+            call()
+        assert calls["scan"]().shape == shapes["x"]
+        return
+    in_bundle = name not in ("x", "Cproj")
+    error = ConfigError if name == "mode" else ShapeError
+    for what, call in calls.items():
+        if what != "scan" and not in_bundle:
+            call()  # the bundle is well formed; the scan refuses the fault
+            continue
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value).startswith("discretize: " if in_bundle else "scan: "), (what, name, str(exc.value))
 
 
 def test_gradsuite_scan_checks():

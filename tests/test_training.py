@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from survmamba.dataio import read_config
 from survmamba.errors import ConfigError, NonFiniteError
 from survmamba.model import ModelConfig, report_complexity
 from survmamba.numerics import Tensor
@@ -134,21 +135,21 @@ class TestTrainConfig:
     def test_flat_json_loads(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"d_model": 6, "e_expand": 8, "lr": 1e-3, "seed": 4}))
-        cfg = TrainConfig.from_json(path)
+        cfg = read_config(TrainConfig, path)
         assert (cfg.d_model, cfg.e_expand, cfg.lr, cfg.seed, cfg.n_state) == (6, 8, 1e-3, 4, 16)
 
     def test_unknown_field_names_file_and_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"d_model": 6, "pool": "max", "threads": 2}))
         with pytest.raises(ConfigError, match=r"cfg\.json: unknown config fields \['pool', 'threads'\]"):
-            TrainConfig.from_json(path)
+            read_config(TrainConfig, path)
 
     @pytest.mark.parametrize("text", ['{"d_model": 6', "[1, 2]"])
     def test_malformed_json_names_file(self, tmp_path, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=r"cfg\.json"):
-            TrainConfig.from_json(path)
+            read_config(TrainConfig, path)
 
     @pytest.mark.parametrize("field, message", [
         ({"disc_mode": "rk4"}, r"disc_mode 'rk4' is not one of \('euler', 'zoh'\)"),
@@ -167,7 +168,7 @@ class TestTrainConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"disc_mode": "rk4"}))
         with pytest.raises(ConfigError, match=r"cfg\.json: train config: disc_mode"):
-            TrainConfig.from_json(path)
+            read_config(TrainConfig, path)
 
 
 class TestModelConfig:
